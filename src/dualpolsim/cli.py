@@ -80,26 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_table1(args) -> int:
-    iso = correlation.AodDistribution.isotropic()
-    lap = correlation.AodDistribution.laplacian(0.0, math.radians(args.spread))
-    rows = []
-    for xpd_db in args.xpd:
-        chi = 10.0 ** (xpd_db / 10.0)
-        rho = abs(correlation.dualpole_corr_exact(chi).coefficient)
-        rows.append(
-            harness.TableRow(
-                xpd_db=xpd_db,
-                rho_exact=rho,
-                rho_approx=abs(correlation.dualpole_corr_approx(chi).corr.coefficient),
-                d_iso_lambda=correlation.equivalent_spacing(
-                    correlation.SpacingQuery(rho, iso)
-                ),
-                d_lap_lambda=correlation.equivalent_spacing(
-                    correlation.SpacingQuery(rho, lap)
-                ),
-                spread_deg=args.spread,
-            )
-        )
+    rows = harness._summary_table(args.xpd, args.spread)
     text = harness.format_table_csv(rows)
     if args.out is None:
         sys.stdout.write(text)

@@ -421,13 +421,15 @@ def _user_channel(
     user: UserSpec,
     xpd_db: float,
     scenario: Scenario,
-    pattern: RadiationPattern | None,
+    scaled: RadiationPattern | None,
 ) -> UserChannel:
-    """Resolve one (user, XPD) pair into link-model inputs."""
+    """Resolve one (user, XPD) pair into link-model inputs.
+
+    ``scaled`` is the scenario's pattern already rescaled to ``xpd_db``,
+    or None for the pattern-free model.
+    """
     loss = 10.0 ** (user.path_loss_db / 10.0)
-    if pattern is not None:
-        scaled = scale_to_xpd(pattern, xpd_db,
-                              math.radians(scenario.pattern_reference_deg))
+    if scaled is not None:
         phi = user.mean_aod
         alpha = np.array([gain_at(scaled, phi, t, "co") for t in (1, 2)]) / loss
         # cross-polarized power radiated by port t arrives through the
@@ -455,12 +457,12 @@ def _task_rng(seed: int, xpd_index: int, model_index: int, user_index: int):
     return np.random.default_rng(seq)
 
 
-def _summary_table(scenario: Scenario) -> tuple[TableRow, ...]:
-    spread = math.radians(scenario.table_spread_deg)
-    lap = AodDistribution.laplacian(0.0, spread)
+def _summary_table(xpd_sweep_db, spread_deg: float) -> tuple[TableRow, ...]:
+    """Correlation and equivalent spacings per XPD; ``spread_deg`` sets d_lap."""
+    lap = AodDistribution.laplacian(0.0, math.radians(spread_deg))
     iso = AodDistribution.isotropic()
     rows = []
-    for xpd_db in scenario.xpd_sweep_db:
+    for xpd_db in xpd_sweep_db:
         chi = 10.0 ** (xpd_db / 10.0)
         rho_exact = abs(dualpole_corr_exact(chi).coefficient)
         rho_approx = abs(dualpole_corr_approx(chi).corr.coefficient)
@@ -473,7 +475,7 @@ def _summary_table(scenario: Scenario) -> tuple[TableRow, ...]:
                 rho_approx=rho_approx,
                 d_iso_lambda=d_iso,
                 d_lap_lambda=d_lap,
-                spread_deg=scenario.table_spread_deg,
+                spread_deg=spread_deg,
             )
         )
     return tuple(rows)
@@ -503,21 +505,29 @@ def run(scenario: Scenario) -> RunReport:
 
     results: dict[tuple[str, float, str], np.ndarray] = {}
     for xi, xpd_db in enumerate(scenario.xpd_sweep_db):
-        for mi, model in enumerate(scenario.models):
-            for ui, user in enumerate(ordered_users):
+        scaled = None
+        if pattern is not None:
+            try:
+                scaled = scale_to_xpd(pattern, xpd_db,
+                                      math.radians(scenario.pattern_reference_deg))
+            except (ValueError, ArithmeticError) as exc:
+                raise type(exc)(f"xpd {xpd_db:g} dB: {exc}") from exc
+        for ui, user in enumerate(ordered_users):
+            try:
+                channel = _user_channel(user, xpd_db, scenario, scaled)
+            except (ValueError, ArithmeticError) as exc:
+                raise type(exc)(f"user {user.user_id}, xpd {xpd_db:g} dB: {exc}") from exc
+            for mi, model in enumerate(scenario.models):
                 rng = _task_rng(scenario.seed, xi, mi, ui)
                 try:
-                    channel = _user_channel(user, xpd_db, scenario, pattern)
-                    samples = evaluate_user(
+                    result = evaluate_user(
                         channel, model, rng, scenario.trials_per_user, scenario.link
                     )
                 except (ValueError, ArithmeticError) as exc:
                     raise type(exc)(
                         f"user {user.user_id}, xpd {xpd_db:g} dB, model {model}: {exc}"
                     ) from exc
-                results[(model, xpd_db, user.user_id)] = np.array(
-                    [r.throughput for r in samples]
-                )
+                results[(model, xpd_db, user.user_id)] = result.throughput
 
     cdf_series = {}
     for xpd_db in scenario.xpd_sweep_db:
@@ -537,7 +547,7 @@ def run(scenario: Scenario) -> RunReport:
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
     return RunReport(
-        table_rows=_summary_table(scenario),
+        table_rows=_summary_table(scenario.xpd_sweep_db, scenario.table_spread_deg),
         cdf_series=cdf_series,
         metadata=metadata,
     )
@@ -560,11 +570,11 @@ def format_table_csv(rows) -> str:
 
 
 def format_cdf_csv(series) -> str:
-    out = io.StringIO()
-    out.write("throughput_bps,cum_prob\n")
-    for value, prob in series:
-        out.write(f"{value:.3f},{prob:.10g}\n")
-    return out.getvalue()
+    """CSV text of an (N, 2) array of (value, cumulative probability) rows."""
+    arr = np.asarray(series, dtype=float)
+    return "throughput_bps,cum_prob\n" + ("%.3f,%.10g\n" * len(arr)) % tuple(
+        arr.ravel().tolist()
+    )
 
 
 def write_report(report: RunReport, out_dir) -> list[Path]:

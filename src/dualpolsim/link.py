@@ -6,6 +6,16 @@ reciprocal of the noise power amplified by the corresponding inverse
 row. Throughput maps SINR through truncated per-stream Shannon capacity
 capped at the maximum supported spectral efficiency.
 
+Monte Carlo batches never form an SVD or an inverse. For a 2x2 channel
+H with F = ||H||_F^2, D = |det H|^2 and column energies
+c_j = ||H[:, j]||^2, the squared singular values are
+s_max^2 = (F + sqrt(F^2 - 4 D)) / 2 and s_min^2 = D / s_max^2, so the
+condition number kappa = s_max / s_min satisfies
+F^2 / D = (kappa + 1/kappa)^2. Row i of inv(H) has energy c_{1-i} / D,
+so stream i sees SINR_i = D / (c_{1-i} p_n). A realization counts as
+rank deficient when an entry is not finite or kappa reaches
+``MAX_CONDITION``, i.e. unless D (MAX_CONDITION + 1/MAX_CONDITION)^2 > F^2.
+
 Four effective-channel constructions are selectable per trial batch:
 
 * ``i``   physical dual-polarization channel (copolar plus cross-polar),
@@ -88,11 +98,16 @@ class LinkParams:
 
 @dataclass(frozen=True, eq=False)
 class LinkResult:
-    """Per-trial outcome: linear per-stream SINRs and mapped throughput."""
+    """Outcome of a batch of trials, one row per trial.
+
+    ``sinr`` holds the linear per-stream SINRs, shape (n, 2), and
+    ``throughput`` the mapped throughput in bit/s, shape (n,). Both come
+    from the closed form of the module docstring; a rank-deficient
+    trial has zero SINR on both streams and zero throughput.
+    """
 
     sinr: np.ndarray
-    throughput: float
-    model_tag: str
+    throughput: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,8 +136,41 @@ class UserChannel:
             raise ValueError("tap powers must be nonnegative with a positive sum")
 
 
+def _zf_kernel(
+    h: np.ndarray, noise_power: float, max_condition: float = MAX_CONDITION
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form zero forcing of a stack of 2x2 channels, shape (n, 2, 2).
+
+    Returns the full-rank mask, shape (n,), and the per-stream SINRs,
+    shape (n, 2), which are zero where the mask is false.
+    """
+    # with kappa = s_max / s_min, F^2 / D = (kappa + 1/kappa)^2, which grows
+    # with kappa; a non-finite entry makes F inf or NaN, failing the test
+    bound = (max_condition + 1.0 / max_condition) ** 2
+    with np.errstate(invalid="ignore", over="ignore"):
+        power = h.real ** 2 + h.imag ** 2
+        col = power.sum(axis=1)  # c_j
+        frob = col[:, 0] + col[:, 1]  # F
+        det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
+        det_sq = det.real ** 2 + det.imag ** 2  # D
+        good = det_sq * bound > frob * frob
+    sinr_all = np.zeros(col.shape)
+    # row i of inv(H) has energy c_{1-i} / D
+    sinr_all[good] = det_sq[good, None] / (col[good, ::-1] * noise_power)
+    return good, sinr_all
+
+
+def _capped_throughput(sinrs: np.ndarray, params: LinkParams) -> np.ndarray:
+    """Truncated-capacity throughput over the last axis (streams) of ``sinrs``."""
+    bw_term = params.effective_bandwidth * (1.0 - params.overhead_fraction)
+    se = np.minimum(np.log2(1.0 + sinrs), params.max_spectral_efficiency)
+    return bw_term * se.sum(axis=-1)
+
+
 def zf_weights(h_eff: np.ndarray, max_condition: float = MAX_CONDITION) -> np.ndarray:
     """Zero-forcing receive filter W, defined through W.T @ H = I.
+
+    The rank test is the one Monte Carlo batches use.
 
     Raises
     ------
@@ -133,10 +181,11 @@ def zf_weights(h_eff: np.ndarray, max_condition: float = MAX_CONDITION) -> np.nd
     h_eff = np.asarray(h_eff, dtype=complex)
     if h_eff.shape != (2, 2):
         raise ValueError("effective channel must be 2x2")
-    s = np.linalg.svd(h_eff, compute_uv=False)
-    if not np.all(np.isfinite(s)) or s[-1] <= s[0] / max_condition:
+    good, _ = _zf_kernel(h_eff[None], 1.0, max_condition)
+    if not good[0]:
         raise RankDeficientError(
-            f"effective channel is rank deficient (singular values {s})"
+            f"effective channel is rank deficient (condition number at least "
+            f"{max_condition:g} or non-finite entries)"
         )
     return np.linalg.inv(h_eff).T
 
@@ -159,10 +208,7 @@ def throughput(sinrs: np.ndarray, params: LinkParams) -> float:
     sinrs = np.asarray(sinrs, dtype=float)
     if np.any(sinrs < 0):
         raise ValueError("SINR values must be >= 0")
-    se = np.minimum(np.log2(1.0 + sinrs), params.max_spectral_efficiency)
-    return float(
-        params.effective_bandwidth * (1.0 - params.overhead_fraction) * se.sum()
-    )
+    return float(_capped_throughput(sinrs, params))
 
 
 def _effective_batch(
@@ -201,7 +247,7 @@ def evaluate_user(
     rng: np.random.Generator,
     n_trials: int,
     params: LinkParams | None = None,
-) -> list[LinkResult]:
+) -> LinkResult:
     """Run ``n_trials`` independent realizations of one model for one user.
 
     Each realization goes through zero forcing, SINR and the throughput
@@ -209,42 +255,24 @@ def evaluate_user(
     samples rather than aborting the run; at 0 dB XPD every sample is
     one, which is the intended degenerate physics.
 
-    A fixed generator state yields a bit-identical sample list.
+    A fixed generator state yields bit-identical result arrays.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     params = params or LinkParams()
     h = _effective_batch(user, model, rng, n_trials)
-
-    s = np.linalg.svd(h, compute_uv=False)
-    good = np.isfinite(s).all(axis=-1) & (s[:, -1] > s[:, 0] / MAX_CONDITION)
-
-    sinr_all = np.zeros((n_trials, 2))
-    if np.any(good):
-        inv = np.linalg.inv(h[good])
-        # W = inv(H).T, so ||w_i||^2 is the energy of row i of inv(H)
-        row_energy = np.sum(np.abs(inv) ** 2, axis=-1)
-        sinr_all[good] = 1.0 / (row_energy * params.noise_power())
-
-    bw_term = params.effective_bandwidth * (1.0 - params.overhead_fraction)
-    se = np.minimum(np.log2(1.0 + sinr_all), params.max_spectral_efficiency)
-    tp = bw_term * se.sum(axis=-1)
-    tp[~good] = 0.0
-
-    return [
-        LinkResult(sinr=sinr_all[k], throughput=float(tp[k]), model_tag=model)
-        for k in range(n_trials)
-    ]
+    _, sinr_all = _zf_kernel(h, params.noise_power())
+    return LinkResult(sinr=sinr_all, throughput=_capped_throughput(sinr_all, params))
 
 
-def cdf(samples) -> list[tuple[float, float]]:
+def cdf(samples) -> np.ndarray:
     """Empirical CDF of throughput samples.
 
-    Returns ascending (value, cumulative probability) pairs with
-    probabilities i/N, ending exactly at 1.
+    Returns an (N, 2) array of ascending (value, cumulative probability)
+    rows with probabilities i/N, ending exactly at 1.
     """
     values = np.sort(np.asarray(samples, dtype=float))
     if values.size == 0:
         raise ValueError("cdf requires at least one sample")
     probs = np.arange(1, values.size + 1) / values.size
-    return list(zip(values.tolist(), probs.tolist()))
+    return np.column_stack((values, probs))

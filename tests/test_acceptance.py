@@ -43,7 +43,7 @@ def _report(number: int, ok: bool, detail: str) -> None:
 def _mean_throughput(user, model, seed, n_trials, params=None):
     rng = np.random.default_rng(seed)
     return float(np.mean(
-        [r.throughput for r in evaluate_user(user, model, rng, n_trials, params)]
+        evaluate_user(user, model, rng, n_trials, params).throughput
     ))
 
 
@@ -149,7 +149,7 @@ def test_criterion_5_throughput_monotone_in_xpd():
             # common per-user substream across XPD points
             rng = np.random.default_rng(np.random.SeedSequence([505, ui]))
             total += sum(
-                r.throughput for r in evaluate_user(channel, "ii", rng, 1000, params)
+                evaluate_user(channel, "ii", rng, 1000, params).throughput
             )
         means.append(total / (len(users) * 1000))
     elapsed = time.perf_counter() - start
@@ -178,7 +178,7 @@ def test_criterion_6_zero_xpd_degeneracy():
         aod=AodDistribution.laplacian(0.0, math.radians(26.0)),
     )
     results = evaluate_user(user, "ii", np.random.default_rng(606), 1000)
-    zero_share = np.mean([r.throughput == 0.0 for r in results])
+    zero_share = np.mean(results.throughput == 0.0)
 
     ok = matrix_ok and eig_min < 1e-12 and zero_share == 1.0
     _report(6, ok,

@@ -1,23 +1,27 @@
 """Tests for scenario parsing, user generation, runs and reports."""
 
+import io
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dualpolsim import harness
 from dualpolsim.correlation import AodDistribution, spatial_corr
 from dualpolsim.harness import (
     ConfigError,
     GeneratorBounds,
     Scenario,
     UserSpec,
+    format_cdf_csv,
     format_table_csv,
     generate_users,
     parse_scenario,
     run,
     write_report,
 )
+from dualpolsim.link import LinkParams
 
 TABLE_RHO = (0.9432, 0.8545, 0.5750, 0.1980, 0.0632)
 TABLE_D_ISO = (0.076, 0.124, 0.220, 0.326, 0.364)
@@ -254,7 +258,7 @@ def test_run_is_independent_of_user_listing_order(tmp_path):
     a = run(parse_scenario(SMALL_RUN_CONFIG))
     b = run(parse_scenario(swapped))
     for key in a.cdf_series:
-        assert a.cdf_series[key] == b.cdf_series[key]
+        assert np.array_equal(a.cdf_series[key], b.cdf_series[key])
 
 
 def test_run_attaches_context_to_module_errors():
@@ -338,10 +342,71 @@ def test_run_with_directional_pattern(tmp_path):
     assert mean_throughput(0) > mean_throughput(120)
 
 
+def _pattern_scenario(tmp_path):
+    header = "azimuth_deg, port1_co_dBi, port1_cross_dBi, port2_co_dBi, port2_cross_dBi\n"
+    rows = "".join(f"{-180 + i * 10}, 6.0, -14.0, 5.0, -11.0\n" for i in range(36))
+    pattern_path = tmp_path / "pattern.csv"
+    pattern_path.write_text(header + rows)
+    return parse_scenario(f"""
+    [users]
+    a = path_loss_db=80 mean_aod_deg=15
+    b = path_loss_db=75 mean_aod_deg=-40
+    c = path_loss_db=90 mean_aod_deg=60
+
+    [sweep]
+    xpd_db = 10, 20
+    models = i, ii
+    trials_per_user = 4
+    pattern_file = {pattern_path}
+    """)
+
+
+def test_run_rescales_pattern_once_per_xpd(tmp_path, monkeypatch):
+    calls = {"scale_to_xpd": 0, "_user_channel": 0}
+    for name in calls:
+        original = getattr(harness, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(harness, name, counted)
+    run(_pattern_scenario(tmp_path))
+    # 2 XPD values, 3 users, 2 models: one rescale per XPD, one channel per (XPD, user)
+    assert calls == {"scale_to_xpd": 2, "_user_channel": 2 * 3}
+
+
+def test_run_attaches_context_to_channel_errors(tmp_path, monkeypatch):
+    def broken_gain(*args):
+        raise ValueError("gain lookup failed")
+
+    monkeypatch.setattr(harness, "gain_at", broken_gain)
+    with pytest.raises(ValueError, match="user a, xpd 10 dB: gain lookup failed"):
+        run(_pattern_scenario(tmp_path))
+
+
 def test_run_missing_pattern_file_is_config_error():
     cfg = MINIMAL_CONFIG + "[sweep]\npattern_file = /does/not/exist.csv\n"
     with pytest.raises(ConfigError, match="pattern file"):
         run(parse_scenario(cfg))
+
+
+def _per_row_cdf_csv(series):
+    """The per-row formatter that format_cdf_csv must reproduce byte for byte."""
+    out = io.StringIO()
+    out.write("throughput_bps,cum_prob\n")
+    for value, prob in series:
+        out.write(f"{value:.3f},{prob:.10g}\n")
+    return out.getvalue()
+
+
+def test_format_cdf_csv_matches_per_row_formatter(small_report):
+    cap = LinkParams().max_throughput()
+    edges = (0.0, cap, 1.0 / 3.0, 1e-5)
+    series = np.array([(v, p) for v in edges for p in edges])
+    assert format_cdf_csv(series) == _per_row_cdf_csv(series)
+    run_series = small_report.cdf_series[("ii", 10.0)]
+    assert format_cdf_csv(run_series) == _per_row_cdf_csv(run_series)
 
 
 def test_format_table_csv_header():
