@@ -34,11 +34,8 @@ from .pattern import (
     xpd_at,
 )
 from .chanmodel import (
-    ChannelRealization,
-    FadingDraw,
     PropagationGains,
     build_effective,
-    draw_fading,
     draw_fading_batch,
     empirical_tx_correlation,
     kronecker_effective,
@@ -80,8 +77,7 @@ __all__ = [
     "InfiniteXpdError", "PatternFormatError", "RadiationPattern", "Xpd",
     "gain_at", "load_pattern", "scale_to_xpd", "xpd_at",
     # chanmodel
-    "ChannelRealization", "FadingDraw", "PropagationGains",
-    "build_effective", "draw_fading", "draw_fading_batch",
+    "PropagationGains", "build_effective", "draw_fading_batch",
     "empirical_tx_correlation", "kronecker_effective", "multitap_effective",
     # link
     "MODELS", "LinkParams", "LinkResult", "RankDeficientError",

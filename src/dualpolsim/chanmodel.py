@@ -1,23 +1,24 @@
 """Fading generation and effective 2x2 channel construction.
 
+Every function returns plain complex arrays of shape ``(..., 2, 2)``:
+a batch of fading matrices in, a batch of effective channels out.
 Three channel constructions are provided:
 
 * :func:`build_effective` combines per-port co- and cross-polarized
-  propagation gains with one i.i.d. Rayleigh draw into the effective
-  matrix ``co + cross``, where the cross matrix reuses the opposite
-  port's fading (the cross-polarized radiation of port t travels the
-  other polarization's channel).
+  propagation gains with one i.i.d. Rayleigh draw: column t is
+  sqrt(alpha[t]) times the fading of port t plus sqrt(beta[t']) times
+  the fading of the opposite port t' (the cross-polarized radiation of
+  port t travels the other polarization's channel).
 * :func:`kronecker_effective` imposes a transmit correlation on a
   scaled i.i.d. matrix by right-multiplication with the principal PSD
   square root of the correlation.
-* :func:`multitap_effective` sums per-tap correlated matrices with
+* :func:`multitap_effective` sums per-tap Kronecker matrices with
   power-delay-profile weights normalized to unit total power.
 
 All functions are pure given an explicit numpy ``Generator``; Monte
 Carlo runs derive independent per-task generators from a master seed so
-results are reproducible for a fixed seed and task layout. Fading
-containers accept leading batch dimensions, i.e. ``h`` of shape
-``(..., 2, 2)``, and every operation broadcasts over them.
+results are reproducible for a fixed seed and task layout. Leading
+batch dimensions broadcast through every operation.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ from .correlation import CorrelationMatrix, matrix_sqrt_psd
 
 __all__ = [
     "PropagationGains",
-    "FadingDraw",
-    "TapComponent",
-    "ChannelRealization",
-    "draw_fading",
     "draw_fading_batch",
     "build_effective",
     "kronecker_effective",
@@ -92,144 +89,68 @@ class PropagationGains:
         return (float(self.alpha[0] / self.beta[1]), float(self.alpha[1] / self.beta[0]))
 
 
-@dataclass(frozen=True, eq=False)
-class FadingDraw:
-    """One (or a batch of) i.i.d. CN(0,1) 2x2 fading draws.
+def draw_fading_batch(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw ``n`` independent i.i.d. CN(0, 1) 2x2 fading matrices, shape (n, 2, 2).
 
-    ``h`` has shape (..., 2, 2); ``phases`` carries the uniform random
-    initial phases per receive antenna and polarization, shape
-    (..., 2, 2) with the last axis ordered (horizontal, vertical).
-    The phases are kept for traceability; the complex Gaussian entries
-    already have uniformly distributed phase, so consuming code does
-    not need to apply them.
-    """
-
-    h: np.ndarray
-    phases: np.ndarray
-
-    def __post_init__(self) -> None:
-        h = np.asarray(self.h, dtype=complex)
-        phases = np.asarray(self.phases, dtype=float)
-        if h.shape[-2:] != (2, 2) or phases.shape != h.shape:
-            raise ValueError("h and phases must share a (..., 2, 2) shape")
-        if not np.all(np.isfinite(h.view(float))):
-            raise ValueError("fading entries must be finite")
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "phases", phases)
-
-
-@dataclass(frozen=True, eq=False)
-class TapComponent:
-    """Relative power and unweighted effective matrix of one delay tap."""
-
-    power: float
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """Effective channel split into copolar and cross-polar parts.
-
-    ``effective`` is always exactly ``co + cross``; constructions
-    without a physical cross part (Kronecker, multitap) carry a zero
-    ``cross``. ``taps`` records the per-tap pieces of a multitap build.
-    """
-
-    co: np.ndarray
-    cross: np.ndarray
-    taps: tuple[TapComponent, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.co.shape != self.cross.shape:
-            raise ValueError("co and cross matrices must share a shape")
-        if self.taps is not None:
-            powers = np.array([t.power for t in self.taps])
-            if np.any(powers < 0) or powers.sum() <= 0:
-                raise ValueError("tap powers must be >= 0 with a positive sum")
-
-    @property
-    def effective(self) -> np.ndarray:
-        return self.co + self.cross
-
-
-def draw_fading_batch(rng: np.random.Generator, n: int) -> FadingDraw:
-    """Draw ``n`` independent fading realizations as one batch.
-
-    Entry variance is 1 (0.5 per real component). A given generator
+    Entry variance is 1 (0.5 per real component); the complex Gaussian
+    entries already have uniformly distributed phase. A given generator
     state yields a fixed batch, so runs are reproducible.
     """
     re = rng.standard_normal((n, 2, 2))
     im = rng.standard_normal((n, 2, 2))
-    phases = rng.uniform(-math.pi, math.pi, (n, 2, 2))
-    return FadingDraw(h=(re + 1j * im) / math.sqrt(2.0), phases=phases)
+    return (re + 1j * im) / math.sqrt(2.0)
 
 
-def draw_fading(rng: np.random.Generator) -> FadingDraw:
-    """Single fading draw; identical generator state gives an identical draw."""
-    batch = draw_fading_batch(rng, 1)
-    return FadingDraw(h=batch.h[0], phases=batch.phases[0])
-
-
-def build_effective(gains: PropagationGains, fading: FadingDraw) -> ChannelRealization:
+def build_effective(gains: PropagationGains, h: np.ndarray) -> np.ndarray:
     """Effective channel of the dual-polarized port pair.
 
-    Column t of the copolar part is sqrt(alpha[t]) times the fading of
-    port t; column t of the cross part is sqrt(beta[t']) times the
-    fading of the opposite port t'.
+    Column t is sqrt(alpha[t]) times the fading ``h`` of port t (the
+    copolar part) plus sqrt(beta[t']) times the fading of the opposite
+    port t' (the cross-polar part).
     """
-    co = fading.h * np.sqrt(gains.alpha)
-    cross = fading.h[..., ::-1] * np.sqrt(gains.beta[::-1])
-    return ChannelRealization(co=co, cross=cross)
+    return h * np.sqrt(gains.alpha) + h[..., ::-1] * np.sqrt(gains.beta[::-1])
 
 
 def kronecker_effective(
-    fading: FadingDraw, alpha: np.ndarray, corr: CorrelationMatrix
-) -> ChannelRealization:
+    h: np.ndarray, alpha: np.ndarray, corr: CorrelationMatrix
+) -> np.ndarray:
     """Correlated channel ``(h * sqrt(alpha)) @ sqrt(corr)``.
 
     ``alpha`` holds the per-port copolarized power gains. The principal
-    PSD square root is applied on the transmit side; an invalid
-    correlation raises :class:`~dualpolsim.correlation.InvalidCorrelationError`.
+    PSD square root is applied on the transmit side, so the transmit
+    correlation E[H^H H] is proportional to ``corr`` itself (not its
+    conjugate); an invalid correlation raises
+    :class:`~dualpolsim.correlation.InvalidCorrelationError`.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (2,):
         raise ValueError("alpha must hold one gain per port")
-    root = matrix_sqrt_psd(corr)
-    co = (fading.h * np.sqrt(alpha)) @ root
-    return ChannelRealization(co=co, cross=np.zeros_like(co))
+    return (h * np.sqrt(alpha)) @ matrix_sqrt_psd(corr)
 
 
 def multitap_effective(
-    taps: Sequence[tuple[float, FadingDraw, CorrelationMatrix]],
+    taps: Sequence[tuple[float, np.ndarray, CorrelationMatrix]],
     alpha: np.ndarray,
-) -> ChannelRealization:
+) -> np.ndarray:
     """Tapped-delay-line effective channel with normalized tap weights.
 
-    Each tap contributes ``sqrt(p / sum(p))`` times its own correlated
-    matrix ``(h * sqrt(alpha)) @ sqrt(corr).T``; fading is independent
-    per tap. A single tap with identity correlation passes its matrix
-    through unchanged.
+    Each ``(power, h, corr)`` tap contributes ``sqrt(power / sum(powers))``
+    times its own :func:`kronecker_effective` matrix; fading is
+    independent per tap. A single tap with identity correlation passes
+    its matrix through unchanged.
     """
     if len(taps) == 0:
         raise ValueError("at least one tap is required")
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (2,):
-        raise ValueError("alpha must hold one gain per port")
     powers = np.array([p for p, _, _ in taps], dtype=float)
     if np.any(powers < 0):
         raise ValueError("tap powers must be >= 0")
     total = powers.sum()
     if total <= 0:
         raise ValueError("tap powers must not all be zero")
-
-    components = []
-    acc = None
-    for power, fading, corr in taps:
-        matrix = (fading.h * np.sqrt(alpha)) @ matrix_sqrt_psd(corr).T
-        components.append(TapComponent(power=float(power), matrix=matrix))
-        weighted = math.sqrt(power / total) * matrix
-        acc = weighted if acc is None else acc + weighted
-    return ChannelRealization(co=acc, cross=np.zeros_like(acc), taps=tuple(components))
+    return sum(
+        math.sqrt(power / total) * kronecker_effective(h, alpha, corr)
+        for power, h, corr in taps
+    )
 
 
 def empirical_tx_correlation(h: np.ndarray, normalize: bool = True) -> np.ndarray:

@@ -38,9 +38,24 @@ _NUMERIC_ERRORS = (
 
 def _parse_float_list(raw: str) -> tuple[float, ...]:
     try:
-        return tuple(float(tok) for tok in raw.replace(",", " ").split())
+        vals = tuple(float(tok) for tok in raw.replace(",", " ").split())
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {raw!r}")
+    if not all(math.isfinite(v) for v in vals):
+        raise argparse.ArgumentTypeError(f"expected finite numbers, got {raw!r}")
+    return vals
+
+
+def _laplacian(mean_aod_deg: float, spread_deg: float) -> correlation.AodDistribution:
+    """Laplacian AoD law from CLI degrees; a bad value is a config error."""
+    try:
+        return correlation.AodDistribution.laplacian(
+            math.radians(mean_aod_deg), math.radians(spread_deg)
+        )
+    except ValueError as exc:
+        raise harness.ConfigError(
+            f"AoD law with mean {mean_aod_deg:g} deg, spread {spread_deg:g} deg: {exc}"
+        ) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -80,6 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_table1(args) -> int:
+    harness._check_db(args.xpd, "--xpd")
+    _laplacian(0.0, args.spread)  # validates --spread before any solve
     rows = harness._summary_table(args.xpd, args.spread)
     text = harness.format_table_csv(rows)
     if args.out is None:
@@ -109,9 +126,7 @@ def _cmd_spacing(args) -> int:
     if args.dist == "iso":
         dist = correlation.AodDistribution.isotropic()
     else:
-        dist = correlation.AodDistribution.laplacian(
-            math.radians(args.mean_aod), math.radians(args.spread)
-        )
+        dist = _laplacian(args.mean_aod, args.spread)
     try:
         query = correlation.SpacingQuery(target_rho=args.rho, distribution=dist)
     except ValueError as exc:
@@ -122,6 +137,8 @@ def _cmd_spacing(args) -> int:
 
 
 def _cmd_xpd(args) -> int:
+    if not math.isfinite(args.azimuth):
+        raise harness.ConfigError(f"--azimuth: expected a finite angle, got {args.azimuth}")
     pat = pattern.load_pattern(args.file.read_text())
     phi = math.radians(args.azimuth)
     for port in (1, 2):

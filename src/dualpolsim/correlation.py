@@ -325,22 +325,32 @@ def dualpole_corr_approx(chi1: float, chi2: float | None = None) -> ApproxCorrel
 def matrix_sqrt_psd(corr: CorrelationMatrix | np.ndarray) -> np.ndarray:
     """Principal square root of a Hermitian PSD correlation matrix.
 
-    Eigenvalues in [-1e-12, 0) are treated as exact zeros; anything
-    lower, or a non-Hermitian input, raises
-    :class:`InvalidCorrelationError`.
+    Uses the 2x2 closed form (M + s I) / sqrt(tr M + 2 s) with
+    s = sqrt(det M), which squares to M by the Cayley-Hamilton identity
+    M^2 = tr(M) M - det(M) I. Eigenvalues in [-1e-12, 0) are treated as
+    exact zeros; anything lower, or a non-Hermitian or non-finite input,
+    raises :class:`InvalidCorrelationError`. The zero matrix has the
+    zero root.
     """
     m = corr.matrix if isinstance(corr, CorrelationMatrix) else np.asarray(corr, dtype=complex)
     if m.shape != (2, 2):
         raise InvalidCorrelationError(f"expected a 2x2 matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InvalidCorrelationError("correlation matrix has non-finite entries")
     if np.max(np.abs(m - m.conj().T)) > 1e-12:
         raise InvalidCorrelationError("correlation matrix is not Hermitian")
-    eigvals, eigvecs = np.linalg.eigh(m)
-    if eigvals[0] < -1e-12:
+    a, d = m[0, 0].real, m[1, 1].real
+    off = abs(m[0, 1])
+    eig_min = 0.5 * (a + d) - math.hypot(0.5 * (a - d), off)
+    if eig_min < -1e-12:
         raise InvalidCorrelationError(
-            f"correlation matrix is not PSD (eigenvalue {eigvals[0]:.3e})"
+            f"correlation matrix is not PSD (eigenvalue {eig_min:.3e})"
         )
-    root = eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
-    return root
+    s = math.sqrt(max(a * d - off * off, 0.0))
+    trace_term = a + d + 2.0 * s  # (sqrt(l1) + sqrt(l2))^2
+    if trace_term <= 0.0:
+        return np.zeros((2, 2), dtype=complex)
+    return (m + s * np.eye(2)) / math.sqrt(trace_term)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,12 @@ __all__ = [
 DEFAULT_XPD_SWEEP_DB = (3.0, 5.0, 10.0, 20.0, 30.0)
 DEFAULT_TABLE_SPREAD_DEG = 26.0
 
+#: Largest magnitude accepted for a dB input (XPD, path loss, noise
+#: density): the linear value 10**(x/10) and its reciprocal then stay in
+#: [1e-30, 1e30], far from float overflow, and no physical link comes
+#: near the bound.
+MAX_ABS_DB = 300.0
+
 
 class ConfigError(ValueError):
     """Raised for malformed scenario configuration; names the location."""
@@ -75,8 +81,10 @@ class UserSpec:
     tap_powers: tuple[float, ...] = (1.0,)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.path_loss_db) or self.path_loss_db < 0:
-            raise ValueError(f"user {self.user_id}: path loss must be >= 0 dB")
+        if not 0.0 <= self.path_loss_db <= MAX_ABS_DB:
+            raise ValueError(
+                f"user {self.user_id}: path loss must lie in [0, {MAX_ABS_DB:g}] dB"
+            )
         if not self.aod_spread > 0:
             raise ValueError(f"user {self.user_id}: AoD spread must be positive")
         if len(self.tap_powers) == 0 or min(self.tap_powers) < 0 or sum(self.tap_powers) <= 0:
@@ -108,6 +116,11 @@ class GeneratorBounds:
             raise ValueError("path loss exponent must be positive")
         if not 0.0 <= self.sector_deg <= 360.0:
             raise ValueError("sector width must lie in [0, 360] degrees")
+        half = self.sector_deg / 2.0
+        if not -180.0 <= self.sector_center_deg - half <= self.sector_center_deg + half <= 180.0:
+            raise ValueError(
+                "sector_center_deg +- sector_deg/2 must lie within [-180, 180] degrees"
+            )
         s_lo, s_hi = self.aod_spread_deg
         if not (0 < s_lo <= s_hi):
             raise ValueError("degenerate AoD spread bounds")
@@ -191,9 +204,18 @@ _USER_KEYS = {"path_loss_db", "mean_aod_deg", "spread_deg", "taps"}
 
 def _floats(raw: str, where: str) -> tuple[float, ...]:
     try:
-        return tuple(float(tok) for tok in raw.replace(",", " ").split())
+        vals = tuple(float(tok) for tok in raw.replace(",", " ").split())
     except ValueError:
         raise ConfigError(f"{where}: expected numbers, got {raw!r}") from None
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"{where}: expected finite numbers, got {raw!r}")
+    return vals
+
+
+def _check_db(values, where: str) -> None:
+    """Reject dB values beyond +-:data:`MAX_ABS_DB`, naming ``where``."""
+    if any(abs(v) > MAX_ABS_DB for v in values):
+        raise ConfigError(f"{where}: dB values must lie within +-{MAX_ABS_DB:g} dB")
 
 
 def _one_float(raw: str, where: str) -> float:
@@ -232,13 +254,18 @@ def _parse_user_line(user_id: str, raw: str) -> UserSpec:
     missing = {"path_loss_db", "mean_aod_deg"} - fields.keys()
     if missing:
         raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
+    mean_aod_deg = _one_float(fields["mean_aod_deg"], f"{where} mean_aod_deg")
+    if not -180.0 <= mean_aod_deg <= 180.0:
+        raise ConfigError(f"{where} mean_aod_deg: must lie in [-180, 180] degrees")
     try:
         return UserSpec(
             user_id=user_id,
-            path_loss_db=float(fields["path_loss_db"]),
-            mean_aod=math.radians(float(fields["mean_aod_deg"])),
-            aod_spread=math.radians(float(fields.get("spread_deg", "26"))),
-            tap_powers=tuple(float(t) for t in fields.get("taps", "1").split(",")),
+            path_loss_db=_one_float(fields["path_loss_db"], f"{where} path_loss_db"),
+            mean_aod=math.radians(mean_aod_deg),
+            aod_spread=math.radians(
+                _one_float(fields.get("spread_deg", "26"), f"{where} spread_deg")
+            ),
+            tap_powers=_floats(fields.get("taps", "1"), f"{where} taps"),
         )
     except ConfigError:
         raise
@@ -292,6 +319,7 @@ def parse_scenario(source: str) -> Scenario:
         if "xpd_db" in sweep
         else DEFAULT_XPD_SWEEP_DB
     )
+    _check_db(xpd_sweep, "[sweep] xpd_db")
     models_raw = sweep.get("models", "ii")
     models = tuple(tok.strip() for tok in models_raw.replace(",", " ").split())
     trials = _one_int(sweep.get("trials_per_user", "1000"),
@@ -319,6 +347,8 @@ def parse_scenario(source: str) -> Scenario:
         for key, attr in mapping.items():
             if key in sec:
                 link_kwargs[attr] = _one_float(sec[key], f"[link] {key}")
+        if "noise_density_dbm_hz" in link_kwargs:
+            _check_db([link_kwargs["noise_density_dbm_hz"]], "[link] noise_density_dbm_hz")
     try:
         link = LinkParams(**link_kwargs)
     except ValueError as exc:
@@ -363,7 +393,10 @@ def parse_scenario(source: str) -> Scenario:
         # population substream: keyed away from the per-task streams,
         # which use small (xpd, model, user) indices
         population_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA0D]))
-        users = tuple(generate_users(count, population_rng, bounds))
+        try:
+            users = tuple(generate_users(count, population_rng, bounds))
+        except ValueError as exc:
+            raise ConfigError(f"[generator]: {exc}") from None
 
     try:
         return Scenario(

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chanmodel, correlation
-from .chanmodel import FadingDraw, PropagationGains, draw_fading_batch
+from .chanmodel import PropagationGains, draw_fading_batch
 from .correlation import AodDistribution, SpacingQuery
 
 __all__ = [
@@ -81,6 +81,8 @@ class LinkParams:
             raise ValueError("overhead fraction must lie in [0, 1)")
         if not self.max_spectral_efficiency > 0:
             raise ValueError("max spectral efficiency must be positive")
+        if not math.isfinite(self.max_throughput()):
+            raise ValueError("bandwidth times the spectral efficiency cap must be finite")
 
     def noise_power(self) -> float:
         """Noise power in mW over the effective bandwidth."""
@@ -217,16 +219,16 @@ def _effective_batch(
     """Stack of effective channels for one model, shape (n_trials, 2, 2)."""
     if model == "i":
         fading = draw_fading_batch(rng, n_trials)
-        return chanmodel.build_effective(user.gains, fading).effective
+        return chanmodel.build_effective(user.gains, fading)
     if model == "ii":
         fading = draw_fading_batch(rng, n_trials)
         corr = correlation.dualpole_corr_exact(*user.xpd)
-        return chanmodel.kronecker_effective(fading, user.gains.alpha, corr).effective
+        return chanmodel.kronecker_effective(fading, user.gains.alpha, corr)
     omni_alpha = np.array([user.omni_gain, user.omni_gain])
     if model == "iv":
         fading = draw_fading_batch(rng, n_trials)
         corr = correlation.dualpole_corr_exact(*user.xpd)
-        return chanmodel.kronecker_effective(fading, omni_alpha, corr).effective
+        return chanmodel.kronecker_effective(fading, omni_alpha, corr)
     if model == "iii":
         target = abs(correlation.dualpole_corr_exact(*user.xpd).coefficient)
         spacing = correlation.equivalent_spacing(
@@ -237,7 +239,7 @@ def _effective_batch(
         taps = [
             (p, draw_fading_batch(rng, n_trials), corr) for p in user.tap_powers
         ]
-        return chanmodel.multitap_effective(taps, omni_alpha).effective
+        return chanmodel.multitap_effective(taps, omni_alpha)
     raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
 
 

@@ -87,7 +87,7 @@ def test_criterion_3_kronecker_fidelity():
 
     eff_ii = kronecker_effective(
         draw_fading_batch(np.random.default_rng(301), n), np.ones(2), target
-    ).effective
+    )
     err_ii = float(np.max(np.abs(
         empirical_tx_correlation(eff_ii, normalize=False) - target.matrix
     )))
@@ -95,7 +95,7 @@ def test_criterion_3_kronecker_fidelity():
     eff_i = build_effective(
         PropagationGains.from_xpd(chi),
         draw_fading_batch(np.random.default_rng(302), n),
-    ).effective
+    )
     rho_i = float(np.abs(empirical_tx_correlation(eff_i)[0, 1]))
     expected = 2.0 * math.sqrt(chi) / (chi + 1.0)
     err_i = abs(rho_i - expected)

@@ -7,29 +7,26 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dualpolsim.chanmodel import (
-    ChannelRealization,
-    FadingDraw,
     PropagationGains,
     build_effective,
-    draw_fading,
     draw_fading_batch,
     empirical_tx_correlation,
     kronecker_effective,
     multitap_effective,
 )
 from dualpolsim.correlation import (
+    AodDistribution,
     CorrelationMatrix,
     InvalidCorrelationError,
-    dualpole_corr_exact,
+    spatial_corr_matrix,
 )
 
 # chi-square critical value at the 1 percent level, 15 degrees of freedom
 CHI2_CRIT_16BINS_1PCT = 30.57791416689249
 
 
-def ones_draw(batch=None):
-    shape = (2, 2) if batch is None else (batch, 2, 2)
-    return FadingDraw(h=np.ones(shape, dtype=complex), phases=np.zeros(shape))
+def one_draw(seed):
+    return draw_fading_batch(np.random.default_rng(seed), 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -38,54 +35,38 @@ def ones_draw(batch=None):
 
 
 def test_draw_fading_deterministic():
-    a = draw_fading(np.random.default_rng(1234))
-    b = draw_fading(np.random.default_rng(1234))
-    assert np.array_equal(a.h, b.h)
-    assert np.array_equal(a.phases, b.phases)
-    assert a.h.shape == (2, 2)
+    a = draw_fading_batch(np.random.default_rng(1234), 1)
+    b = draw_fading_batch(np.random.default_rng(1234), 1)
+    c = draw_fading_batch(np.random.default_rng(1235), 1)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert a.shape == (1, 2, 2)
 
 
 def test_draw_fading_batch_deterministic_and_shaped():
     a = draw_fading_batch(np.random.default_rng(77), 1000)
     b = draw_fading_batch(np.random.default_rng(77), 1000)
-    assert np.array_equal(a.h, b.h)
-    assert a.h.shape == (1000, 2, 2)
-    assert a.phases.shape == (1000, 2, 2)
+    assert np.array_equal(a, b)
+    assert a.shape == (1000, 2, 2)
+    assert a.dtype == complex
 
 
 def test_draw_fading_moments():
     # law-of-large-numbers bounds at ~6 sigma for n = 1e5
     draws = draw_fading_batch(np.random.default_rng(2024), 100_000)
-    mean = draws.h.mean(axis=0)
-    var = np.mean(np.abs(draws.h - mean) ** 2, axis=0)
+    mean = draws.mean(axis=0)
+    var = np.mean(np.abs(draws - mean) ** 2, axis=0)
     assert np.all(np.abs(mean) <= 0.02)
     assert np.all((var >= 0.98) & (var <= 1.02))
-
-
-def test_draw_fading_phase_range_and_uniformity():
-    draws = draw_fading_batch(np.random.default_rng(99), 100_000)
-    flat = draws.phases.ravel()
-    assert np.all((flat > -math.pi) & (flat < math.pi))
-    counts, _ = np.histogram(flat, bins=16, range=(-math.pi, math.pi))
-    expected = flat.size / 16
-    stat = np.sum((counts - expected) ** 2 / expected)
-    assert stat < CHI2_CRIT_16BINS_1PCT
 
 
 def test_gaussian_phase_uniformity_too():
     # the complex entries themselves should have uniform argument
     draws = draw_fading_batch(np.random.default_rng(3), 100_000)
-    angles = np.angle(draws.h.ravel())
+    angles = np.angle(draws.ravel())
     counts, _ = np.histogram(angles, bins=16, range=(-math.pi, math.pi))
     expected = angles.size / 16
     assert np.sum((counts - expected) ** 2 / expected) < CHI2_CRIT_16BINS_1PCT
-
-
-def test_fading_draw_validation():
-    with pytest.raises(ValueError):
-        FadingDraw(h=np.ones((2, 3), dtype=complex), phases=np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        FadingDraw(h=np.full((2, 2), np.nan + 0j), phases=np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -127,67 +108,81 @@ def test_propagation_gains_xpd_indexing():
 
 def test_build_effective_zero_cross_gain():
     gains = PropagationGains(alpha=np.array([1.0, 1.0]), beta=np.zeros(2))
-    fading = draw_fading(np.random.default_rng(5))
-    real = build_effective(gains, fading)
-    assert np.all(real.cross == 0)
-    assert_allclose(real.effective, real.co, atol=0)
+    fading = one_draw(5)
+    assert np.array_equal(build_effective(gains, fading), fading)
 
 
 def test_build_effective_direct_substitution():
     # alpha = beta and all-ones fading: every effective entry is 2*sqrt(alpha)
     alpha = 0.49
     gains = PropagationGains(alpha=np.full(2, alpha), beta=np.full(2, alpha))
-    real = build_effective(gains, ones_draw())
-    assert_allclose(real.effective, np.full((2, 2), 2.0 * math.sqrt(alpha)), rtol=1e-15)
+    eff = build_effective(gains, np.ones((2, 2), dtype=complex))
+    assert_allclose(eff, np.full((2, 2), 2.0 * math.sqrt(alpha)), rtol=1e-15)
 
 
 def test_build_effective_cross_uses_opposite_port():
     gains = PropagationGains(alpha=np.array([1.0, 4.0]), beta=np.array([9.0, 16.0]))
+    # every fading entry is its own power of ten and every gain root a
+    # distinct digit, so each sum below splits uniquely into its parts
     h = np.array([[1.0, 10.0], [100.0, 1000.0]], dtype=complex)
-    real = build_effective(gains, FadingDraw(h=h, phases=np.zeros((2, 2))))
-    assert_allclose(real.co, [[1.0, 20.0], [100.0, 2000.0]])
-    # column 1 carries sqrt(beta[1]) * h[:, 1]; column 2 sqrt(beta[0]) * h[:, 0]
-    assert_allclose(real.cross, [[40.0, 3.0], [4000.0, 300.0]])
+    eff = build_effective(gains, h)
+    # copolar [[1, 20], [100, 2000]]: column t carries sqrt(alpha[t]) * h[:, t];
+    # cross-polar [[40, 3], [4000, 300]]: column 1 carries sqrt(beta[1]) * h[:, 1],
+    # column 2 sqrt(beta[0]) * h[:, 0]
+    assert_allclose(eff, [[41.0, 23.0], [4100.0, 2300.0]], rtol=1e-15)
 
 
 def test_build_effective_column_powers():
     # E|h_eff[r, t]|^2 = alpha[t] + beta[t'], asymmetric gains to pin indexing
     gains = PropagationGains(alpha=np.array([1.0, 0.5]), beta=np.array([0.25, 0.125]))
     draws = draw_fading_batch(np.random.default_rng(11), 100_000)
-    eff = build_effective(gains, draws).effective
+    eff = build_effective(gains, draws)
     power = np.mean(np.abs(eff) ** 2, axis=0)
     expected = np.array([[1.125, 0.75], [1.125, 0.75]])
     assert np.all(np.abs(power / expected - 1.0) < 0.03)
 
 
 def test_effective_is_exactly_co_plus_cross():
-    gains = PropagationGains(alpha=np.array([0.3, 0.7]), beta=np.array([0.02, 0.05]))
-    real = build_effective(gains, draw_fading(np.random.default_rng(8)))
-    assert np.array_equal(real.effective, real.co + real.cross)
+    alpha, beta = np.array([0.3, 0.7]), np.array([0.02, 0.05])
+    fading = one_draw(8)
+    co = build_effective(PropagationGains(alpha=alpha, beta=np.zeros(2)), fading)
+    cross = build_effective(PropagationGains(alpha=np.zeros(2), beta=beta), fading)
+    eff = build_effective(PropagationGains(alpha=alpha, beta=beta), fading)
+    assert np.array_equal(eff, co + cross)
 
 
 def test_kronecker_identity_correlation():
-    fading = draw_fading(np.random.default_rng(21))
+    fading = one_draw(21)
     alpha = np.array([2.0, 3.0])
-    real = kronecker_effective(fading, alpha, CorrelationMatrix.from_coefficient(0.0))
-    assert_allclose(real.effective, fading.h * np.sqrt(alpha), atol=1e-15)
+    eff = kronecker_effective(fading, alpha, CorrelationMatrix.from_coefficient(0.0))
+    assert_allclose(eff, fading * np.sqrt(alpha), atol=1e-15)
 
 
 def test_kronecker_full_correlation_is_rank_one():
-    fading = draw_fading(np.random.default_rng(22))
-    real = kronecker_effective(
-        fading, np.ones(2), CorrelationMatrix.from_coefficient(1.0)
+    eff = kronecker_effective(
+        one_draw(22), np.ones(2), CorrelationMatrix.from_coefficient(1.0)
     )
-    eff = real.effective
     assert_allclose(eff[:, 0], eff[:, 1], rtol=1e-12)
     s = np.linalg.svd(eff, compute_uv=False)
     assert s[1] < 1e-12 * s[0]
 
 
-def test_kronecker_empirical_transmit_correlation():
-    target = dualpole_corr_exact(10.0)  # rho = 0.575
+@pytest.mark.parametrize(
+    "construct",
+    [
+        kronecker_effective,
+        lambda h, alpha, corr: multitap_effective([(1.0, h, corr)], alpha),
+    ],
+    ids=["kronecker", "multitap-single-tap"],
+)
+def test_kronecker_empirical_transmit_correlation(construct):
+    # a complex rho pins the convention: sqrt(R).T would impose conj(R),
+    # whose off-diagonal is off by 2 * 0.644 here
+    lap = AodDistribution.laplacian(math.radians(30.0), math.radians(26.0))
+    target = spatial_corr_matrix(0.3, lap)  # rho = 0.511 - 0.644j
+    assert abs(target.coefficient.imag) > 0.5
     draws = draw_fading_batch(np.random.default_rng(31), 100_000)
-    eff = kronecker_effective(draws, np.ones(2), target).effective
+    eff = construct(draws, np.ones(2), target)
     est = empirical_tx_correlation(eff, normalize=False)
     assert np.max(np.abs(est - target.matrix)) < 0.02
 
@@ -195,7 +190,7 @@ def test_kronecker_empirical_transmit_correlation():
 def test_kronecker_rejects_invalid_correlation():
     bad = CorrelationMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]))  # not Hermitian
     with pytest.raises(InvalidCorrelationError):
-        kronecker_effective(draw_fading(np.random.default_rng(0)), np.ones(2), bad)
+        kronecker_effective(one_draw(0), np.ones(2), bad)
 
 
 def test_build_effective_empirical_correlation_formula():
@@ -203,7 +198,7 @@ def test_build_effective_empirical_correlation_formula():
     chi = 10.0
     gains = PropagationGains.from_xpd(chi)
     draws = draw_fading_batch(np.random.default_rng(41), 100_000)
-    eff = build_effective(gains, draws).effective
+    eff = build_effective(gains, draws)
     est = empirical_tx_correlation(eff)
     expected = 2.0 * math.sqrt(chi) / (chi + 1.0)
     assert abs(abs(est[0, 1]) - expected) < 0.02
@@ -216,12 +211,10 @@ def test_build_effective_empirical_correlation_formula():
 
 def test_multitap_single_tap_identity():
     identity = CorrelationMatrix.from_coefficient(0.0)
-    fading = draw_fading(np.random.default_rng(51))
+    fading = one_draw(51)
     alpha = np.array([1.5, 1.5])
-    real = multitap_effective([(0.7, fading, identity)], alpha)
-    assert_allclose(real.effective, fading.h * np.sqrt(alpha), atol=1e-15)
-    assert len(real.taps) == 1
-    assert real.taps[0].power == 0.7
+    eff = multitap_effective([(0.7, fading, identity)], alpha)
+    assert_allclose(eff, fading * np.sqrt(alpha), atol=1e-15)
 
 
 def test_multitap_power_preservation():
@@ -230,10 +223,10 @@ def test_multitap_power_preservation():
     alpha = np.ones(2)
     rng = np.random.default_rng(61)
     one = draw_fading_batch(rng, 100_000)
-    single = multitap_effective([(1.0, one, identity)], alpha).effective
+    single = multitap_effective([(1.0, one, identity)], alpha)
     t1 = draw_fading_batch(rng, 100_000)
     t2 = draw_fading_batch(rng, 100_000)
-    double = multitap_effective([(0.5, t1, identity), (0.5, t2, identity)], alpha).effective
+    double = multitap_effective([(0.5, t1, identity), (0.5, t2, identity)], alpha)
     p_single = np.mean(np.sum(np.abs(single) ** 2, axis=(1, 2)))
     p_double = np.mean(np.sum(np.abs(double) ** 2, axis=(1, 2)))
     assert abs(p_double / p_single - 1.0) < 0.03
@@ -243,29 +236,28 @@ def test_multitap_linearity_in_each_tap():
     corr = CorrelationMatrix.from_coefficient(0.3)
     alpha = np.array([1.0, 2.0])
     rng = np.random.default_rng(71)
-    f1, f2 = draw_fading(rng), draw_fading(rng)
+    f1, f2 = draw_fading_batch(rng, 2)
     base = multitap_effective([(2.0, f1, corr), (1.0, f2, corr)], alpha)
-    doubled_f1 = FadingDraw(h=2.0 * f1.h, phases=f1.phases)
-    bumped = multitap_effective([(2.0, doubled_f1, corr), (1.0, f2, corr)], alpha)
-    contribution = math.sqrt(2.0 / 3.0) * base.taps[0].matrix
-    assert_allclose(bumped.effective, base.effective + contribution, rtol=1e-12)
+    bumped = multitap_effective([(2.0, 2.0 * f1, corr), (1.0, f2, corr)], alpha)
+    contribution = math.sqrt(2.0 / 3.0) * kronecker_effective(f1, alpha, corr)
+    assert_allclose(bumped, base + contribution, rtol=1e-12)
 
 
 def test_multitap_normalizes_tap_weights():
     # scaling all powers by a constant leaves the output unchanged
     corr = CorrelationMatrix.from_coefficient(0.2)
     rng = np.random.default_rng(81)
-    f1, f2 = draw_fading(rng), draw_fading(rng)
+    f1, f2 = draw_fading_batch(rng, 2)
     a = multitap_effective([(0.6, f1, corr), (0.3, f2, corr)], np.ones(2))
     b = multitap_effective([(6.0, f1, corr), (3.0, f2, corr)], np.ones(2))
-    assert_allclose(a.effective, b.effective, rtol=1e-12)
+    assert_allclose(a, b, rtol=1e-12)
 
 
 def test_multitap_errors():
     with pytest.raises(ValueError, match="at least one tap"):
         multitap_effective([], np.ones(2))
     identity = CorrelationMatrix.from_coefficient(0.0)
-    fading = draw_fading(np.random.default_rng(0))
+    fading = one_draw(0)
     with pytest.raises(ValueError, match="not all be zero"):
         multitap_effective([(0.0, fading, identity)], np.ones(2))
     with pytest.raises(ValueError, match=">= 0"):
@@ -284,16 +276,5 @@ def test_empirical_tx_correlation_validates_shape():
 
 def test_empirical_tx_correlation_normalized_diagonal():
     draws = draw_fading_batch(np.random.default_rng(90), 2000)
-    est = empirical_tx_correlation(draws.h)
+    est = empirical_tx_correlation(draws)
     assert_allclose(np.diagonal(est).real, [1.0, 1.0], rtol=1e-12)
-
-
-def test_channel_realization_tap_power_validation():
-    from dualpolsim.chanmodel import TapComponent
-
-    with pytest.raises(ValueError):
-        ChannelRealization(
-            co=np.zeros((2, 2)),
-            cross=np.zeros((2, 2)),
-            taps=(TapComponent(power=0.0, matrix=np.zeros((2, 2))),),
-        )

@@ -1,22 +1,34 @@
 """End-to-end tests of the command-line interface."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dualpolsim.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 
 PATTERN_HEADER = (
     "azimuth_deg, port1_co_dBi, port1_cross_dBi, port2_co_dBi, port2_cross_dBi\n"
 )
+PATTERN_TEXT = PATTERN_HEADER + "".join(
+    f"{-180 + i * 10}, 6.0, -14.0, 5.0, -11.0\n" for i in range(36)
+)
 
 
 @pytest.fixture
 def pattern_file(tmp_path):
-    rows = "".join(f"{-180 + i * 10}, 6.0, -14.0, 5.0, -11.0\n" for i in range(36))
     path = tmp_path / "pattern.csv"
-    path.write_text(PATTERN_HEADER + rows)
+    path.write_text(PATTERN_TEXT)
     return path
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a malformed argument with status 2
+        return exc.code
 
 
 def test_table1_to_stdout(capsys):
@@ -146,8 +158,167 @@ def test_cdf_missing_config_exits_2(tmp_path):
                  "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
+USER = "[users]\nu = path_loss_db=80 mean_aod_deg=0\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        USER + "[sweep]\nxpd_db = nan\n",
+        USER + "[sweep]\nxpd_db = 10, inf\n",
+        USER + "[sweep]\nxpd_db = 1e6\n",
+        "[generator]\nsector_center_deg = 170\n",
+        "[users]\nu = path_loss_db=80 mean_aod_deg=200\n",
+        "[users]\nu = path_loss_db=80 mean_aod_deg=0 spread_deg=inf\n",
+        USER + "[sweep]\ntable_spread_deg = inf\n",
+        "[generator]\ndistance_m = 3, inf\n",
+        USER + "[link]\nbandwidth_hz = inf\n",
+        USER + "[link]\nbandwidth_hz = 1e308\n",
+        USER + "[link]\nnoise_density_dbm_hz = nan\n",
+    ],
+    ids=["xpd-nan", "xpd-inf", "xpd-huge", "sector-center", "mean-aod", "spread-inf",
+         "table-spread-inf", "distance-inf", "bandwidth-inf", "throughput-cap-overflow",
+         "noise-density-nan"],
+)
+def test_cdf_non_finite_or_out_of_range_numbers_exit_2(tmp_path, capsys, text):
+    config = tmp_path / "scenario.ini"
+    config.write_text(text)
+    code = main(["cdf", "--config", str(config), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table1", "--xpd", "nan"],
+        ["table1", "--xpd", "1e6"],
+        ["table1", "--spread", "0"],
+        ["spacing", "--rho", "0.5", "--dist", "lap", "--spread", "0"],
+        ["spacing", "--rho", "0.5", "--dist", "lap", "--mean-aod", "200"],
+        ["xpd-from-pattern", "--file", "{pattern}", "--azimuth", "nan"],
+    ],
+    ids=["xpd-nan", "xpd-huge", "table-spread-0", "spacing-spread-0", "mean-aod",
+         "azimuth-nan"],
+)
+def test_invalid_cli_numbers_exit_2(pattern_file, capsys, argv):
+    argv = [str(pattern_file) if a == "{pattern}" else a for a in argv]
+    assert _exit_code(argv) == EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
     assert "dualpolsim" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every input ends in a documented exit code, never an exception
+# ---------------------------------------------------------------------------
+
+# mostly values inside every field's range, so that runs get past the
+# parser, then finite values out of range and non-finite ones
+UNUSUAL = st.one_of(
+    st.floats(-400.0, 400.0),
+    st.sampled_from([0.0, -1.0, 180.0, 361.0, 1e-300, 1e300, -1e300, 1e308]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+def numbers(lo=0.5, hi=30.0):
+    """Three values in four from [lo, hi], the rest unusual."""
+    return st.integers(0, 3).flatmap(lambda k: UNUSUAL if k == 0 else st.floats(lo, hi))
+
+
+NUMBERS = numbers()
+FUZZ_SETTINGS = settings(
+    max_examples=40, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _numbers(draw, lo=1, hi=2, ascending=False):
+    values = draw(st.lists(NUMBERS, min_size=lo, max_size=hi))
+    return ", ".join(repr(v) for v in (sorted(values) if ascending else values))
+
+
+@st.composite
+def scenario_texts(draw):
+    lines = []
+    if draw(st.booleans()):
+        lines.append("[users]")
+        for k in range(draw(st.integers(1, 3))):
+            tokens = [f"path_loss_db={draw(NUMBERS)!r}", f"mean_aod_deg={draw(NUMBERS)!r}"]
+            if draw(st.booleans()):
+                tokens.append(f"spread_deg={draw(NUMBERS)!r}")
+            if draw(st.booleans()):
+                tokens.append("taps=" + _numbers(draw).replace(" ", ""))
+            lines.append(f"u{k} = " + " ".join(tokens))
+    else:
+        lines += ["[generator]", f"count = {draw(st.integers(1, 3))}"]
+        for key in ("distance_m", "aod_spread_deg", "tap_powers"):
+            if draw(st.booleans()):
+                lines.append(f"{key} = {_numbers(draw, ascending=key != 'tap_powers')}")
+        for key in ("path_loss_exponent", "reference_loss_db", "sector_deg",
+                    "sector_center_deg"):
+            if draw(st.booleans()):
+                lines.append(f"{key} = {draw(NUMBERS)!r}")
+    models = draw(st.lists(st.sampled_from(["i", "ii", "iii", "iv"]),
+                           min_size=1, max_size=4, unique=True))
+    lines += [
+        "[sweep]",
+        f"xpd_db = {_numbers(draw)}",
+        f"models = {', '.join(models)}",
+        f"trials_per_user = {draw(st.integers(1, 3))}",
+    ]
+    if draw(st.booleans()):
+        lines.append(f"table_spread_deg = {draw(NUMBERS)!r}")
+    if draw(st.booleans()):
+        lines.append("pattern_file = {pattern}")
+        lines.append(f"pattern_reference_deg = {draw(NUMBERS)!r}")
+    link_keys = {"bandwidth_hz": NUMBERS, "overhead": numbers(0.0, 0.9),
+                 "max_spectral_efficiency": NUMBERS, "noise_density_dbm_hz": NUMBERS}
+    present = [k for k in link_keys if draw(st.booleans())]
+    if present:
+        lines.append("[link]")
+        lines += [f"{key} = {draw(link_keys[key])!r}" for key in present]
+    return "\n".join(lines) + "\n"
+
+
+@FUZZ_SETTINGS
+@given(text=scenario_texts())
+def test_fuzz_cdf_scenarios_exit_cleanly(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        pattern = tmp / "pattern.csv"
+        pattern.write_text(PATTERN_TEXT)
+        config = tmp / "scenario.ini"
+        config.write_text(text.replace("{pattern}", str(pattern)))
+        code = _exit_code(["cdf", "--config", str(config), "--out", str(tmp / "out")])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
+
+
+@st.composite
+def cli_args(draw):
+    command = draw(st.sampled_from(["table1", "spacing", "xpd-from-pattern"]))
+    if command == "table1":
+        return ["table1", f"--xpd={_numbers(draw, 1, 3)}", f"--spread={draw(NUMBERS)!r}"]
+    if command == "spacing":
+        return ["spacing", f"--rho={draw(numbers(0.01, 1.0))!r}",
+                f"--dist={draw(st.sampled_from(['iso', 'lap']))}",
+                f"--spread={draw(NUMBERS)!r}", f"--mean-aod={draw(NUMBERS)!r}"]
+    return ["xpd-from-pattern", "--file", "{pattern}", f"--azimuth={draw(NUMBERS)!r}"]
+
+
+@FUZZ_SETTINGS
+@given(argv=cli_args())
+def test_fuzz_cli_arguments_exit_cleanly(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        pattern = Path(tmp) / "pattern.csv"
+        pattern.write_text(PATTERN_TEXT)
+        code = _exit_code([a.replace("{pattern}", str(pattern)) for a in argv])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)

@@ -177,6 +177,12 @@ def test_exact_approx_convergence_bound(chi):
 # ---------------------------------------------------------------------------
 
 
+def _eigh_sqrt(m):
+    """Oracle: principal root from a per-matrix eigendecomposition."""
+    w, v = np.linalg.eigh(m)
+    return v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
 def test_matrix_sqrt_identity():
     assert_allclose(matrix_sqrt_psd(np.eye(2)), np.eye(2), atol=1e-15)
 
@@ -205,6 +211,27 @@ def test_matrix_sqrt_random_correlations():
         assert np.linalg.norm(root @ root - corr.matrix, "fro") <= 1e-12
         assert np.max(np.abs(root - root.conj().T)) <= 1e-12
         assert np.linalg.eigvalsh(root)[0] >= -1e-12
+        assert_allclose(root, _eigh_sqrt(corr.matrix), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "m, atol",
+    [
+        (CorrelationMatrix.from_coefficient(0.0).matrix, 1e-14),
+        (CorrelationMatrix.from_coefficient(0.3 - 0.8j).matrix, 1e-13),
+        # rank 1: both methods take the root of a rounding-level eigenvalue,
+        # which is ~1e-8, so they agree only to that level
+        (CorrelationMatrix.from_coefficient(np.exp(0.7j)).matrix, 1e-7),
+        (CorrelationMatrix.from_coefficient(1.0).matrix, 1e-7),
+        (np.array([[2.0, 0.5 + 1.0j], [0.5 - 1.0j, 0.7]]), 1e-13),
+        (np.zeros((2, 2), dtype=complex), 0.0),
+    ],
+    ids=["rho-0", "complex-rho", "unit-complex-rho", "rho-1", "non-unit-diagonal", "zero"],
+)
+def test_matrix_sqrt_matches_eigh_oracle(m, atol):
+    root = matrix_sqrt_psd(m)
+    assert root.shape == (2, 2)
+    assert_allclose(root, _eigh_sqrt(m), rtol=0, atol=atol)
 
 
 def test_matrix_sqrt_rejects_indefinite():

@@ -106,7 +106,7 @@ def test_zf_kernel_matches_svd_and_inverse():
     rank_one = u[:, :, None] * v[:, None, :].conj()
     zero_db = kronecker_effective(
         draw_fading_batch(rng, 50), np.full(2, 1e-8), dualpole_corr_exact(1.0)
-    ).effective
+    )
     # diagonal channels with conditions 1e8-1e10 (full rank) and 1e14-1e16
     # (rank deficient): exact singular values and inverses for both methods
     graded = np.zeros((6, 2, 2), complex)
