@@ -49,8 +49,6 @@ from .link import (
     UserChannel,
     cdf,
     evaluate_user,
-    sinr,
-    throughput,
     zf_weights,
 )
 from .harness import (
@@ -81,8 +79,7 @@ __all__ = [
     "empirical_tx_correlation", "kronecker_effective", "multitap_effective",
     # link
     "MODELS", "LinkParams", "LinkResult", "RankDeficientError",
-    "UserChannel", "cdf", "evaluate_user", "sinr", "throughput",
-    "zf_weights",
+    "UserChannel", "cdf", "evaluate_user", "zf_weights",
     # harness
     "ConfigError", "GeneratorBounds", "RunReport", "Scenario", "UserSpec",
     "generate_users", "parse_scenario", "run", "write_report",

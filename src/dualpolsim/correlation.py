@@ -12,6 +12,8 @@ Covers four related pieces:
 * the inverse problem: the antenna spacing whose spatial correlation
   magnitude matches a requested coefficient ("equivalent spacing").
 
+Antenna spacings are in wavelengths throughout.
+
 Everything here is a pure function of its arguments; the module keeps
 no state and is safe to call from any number of workers.
 """
@@ -45,6 +47,10 @@ J0_FIRST_ZERO = 2.404825557695773
 
 #: XPD below which the high-XPD approximation exceeds 1 and is clamped.
 HIGH_XPD_LIMIT = 4.0
+
+#: Laplacian angle spreads accepted, in degrees: below 1.5 deg the fixed
+#: quadrature panels stop resolving the density (error above 1e-10).
+LAPLACIAN_SPREAD_DEG = (1.5, 360.0)
 
 _RHO_TOL = 1e-6          # |rho| tolerance of the spacing solver
 _SCAN_STEP = 0.01        # bracket scan step for the Laplacian inverse, in wavelengths
@@ -123,6 +129,7 @@ class AodDistribution:
     ``isotropic`` is the rich-scattering reference; ``laplacian`` is the
     double-exponential power azimuth spectrum with scale ``angle_spread``
     centered on ``mean_aod``, truncated to [-pi, pi] and renormalized.
+    Angles are radians; the spread must lie within :data:`LAPLACIAN_SPREAD_DEG`.
     """
 
     kind: str
@@ -133,8 +140,9 @@ class AodDistribution:
         if self.kind not in ("isotropic", "laplacian"):
             raise ValueError(f"unknown AoD distribution kind {self.kind!r}")
         if self.kind == "laplacian":
-            if not (math.isfinite(self.angle_spread) and self.angle_spread > 0):
-                raise ValueError("laplacian angle_spread must be positive")
+            lo, hi = LAPLACIAN_SPREAD_DEG
+            if not math.radians(lo) <= self.angle_spread <= math.radians(hi):
+                raise ValueError(f"laplacian angle_spread must lie in [{lo:g}, {hi:g}] degrees")
             if not -math.pi <= self.mean_aod <= math.pi:
                 raise ValueError("mean_aod must lie in [-pi, pi]")
 
@@ -172,13 +180,10 @@ class SpacingQuery:
 
     target_rho: float
     distribution: AodDistribution
-    wavelength: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.target_rho <= 1.0:
             raise ValueError("target_rho must lie in (0, 1]")
-        if not self.wavelength > 0:
-            raise ValueError("wavelength must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -361,17 +366,15 @@ _GL_NODES_PER_PANEL = 24
 _GL_BASE = np.polynomial.legendre.leggauss(_GL_NODES_PER_PANEL)
 
 
-def _laplacian_rho_batch(d_over_lambda: np.ndarray, dist: AodDistribution) -> np.ndarray:
-    """E[exp(-j*k*d*sin(phi))] under the truncated Laplacian, batched over d.
+def _laplacian_rule(max_d: float, dist: AodDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature rule (sin(phi), w * pdf(phi)) of the truncated Laplacian.
 
     Composite Gauss-Legendre on the two smooth pieces either side of
-    the density kink at the mean AoD; panel count grows with k*d so the
-    oscillatory factor stays resolved.
+    the density kink at the mean AoD; the panel count grows with
+    k * max_d so the oscillatory factor stays resolved for every
+    spacing up to ``max_d`` wavelengths.
     """
-    k_d = 2.0 * math.pi * np.asarray(d_over_lambda, dtype=float)
-    max_kd = float(np.max(k_d)) if k_d.size else 0.0
-    panels_per_side = max(4, int(math.ceil(max_kd / 4.0)))
-
+    panels_per_side = max(4, int(math.ceil(2.0 * math.pi * max_d / 4.0)))
     nodes = []
     weights = []
     for lo, hi in ((-math.pi, dist.mean_aod), (dist.mean_aod, math.pi)):
@@ -383,39 +386,33 @@ def _laplacian_rho_batch(d_over_lambda: np.ndarray, dist: AodDistribution) -> np
             nodes.append(0.5 * (a + b) + half * _GL_BASE[0])
             weights.append(half * _GL_BASE[1])
     phi = np.concatenate(nodes)
-    w = np.concatenate(weights) * dist.pdf(phi)
-
-    phase = -1j * np.outer(k_d, np.sin(phi))
-    return np.exp(phase) @ w
+    return np.sin(phi), np.concatenate(weights) * dist.pdf(phi)
 
 
-def spatial_corr(d: float, dist: AodDistribution, wavelength: float = 1.0) -> complex:
-    """Spatial correlation of two omni antennas at separation ``d``.
+def _laplacian_rho(d: np.ndarray, rule: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """E[exp(-j*k*d*sin(phi))] for each spacing in ``d`` (wavelengths) under ``rule``."""
+    sin_phi, w = rule
+    return np.exp(-1j * np.outer(2.0 * math.pi * d, sin_phi)) @ w
+
+
+def spatial_corr(d: float, dist: AodDistribution) -> complex:
+    """Spatial correlation of two omni antennas ``d`` wavelengths apart.
 
     Evaluates the AoD-averaged phase factor E[exp(-j*k*d*sin(phi))]
-    with wavenumber k = 2*pi/wavelength. The isotropic case is the
+    with wavenumber k = 2*pi per wavelength. The isotropic case is the
     closed form J0(k*d); the Laplacian case is quadrature over the
     truncated, renormalized density (absolute error <= 1e-8).
     """
     if d < 0:
         raise ValueError("separation d must be >= 0")
-    d_over_lambda = d / wavelength
     if dist.kind == "isotropic":
-        return complex(bessel_j0(2.0 * math.pi * d_over_lambda), 0.0)
-    return complex(_laplacian_rho_batch(np.array([d_over_lambda]), dist)[0])
+        return complex(bessel_j0(2.0 * math.pi * d), 0.0)
+    return complex(_laplacian_rho(np.array([d]), _laplacian_rule(d, dist))[0])
 
 
-def spatial_corr_matrix(
-    d: float, dist: AodDistribution, wavelength: float = 1.0
-) -> CorrelationMatrix:
+def spatial_corr_matrix(d: float, dist: AodDistribution) -> CorrelationMatrix:
     """Hermitian 2x2 correlation [[1, rho], [conj(rho), 1]] at spacing ``d``."""
-    return CorrelationMatrix.from_coefficient(spatial_corr(d, dist, wavelength))
-
-
-def _abs_rho(d_over_lambda: float, dist: AodDistribution) -> float:
-    if dist.kind == "isotropic":
-        return abs(bessel_j0(2.0 * math.pi * d_over_lambda))
-    return float(np.abs(_laplacian_rho_batch(np.array([d_over_lambda]), dist)[0]))
+    return CorrelationMatrix.from_coefficient(spatial_corr(d, dist))
 
 
 def _laplacian_bracket(dist: AodDistribution, target: float) -> tuple[float, float]:
@@ -424,14 +421,12 @@ def _laplacian_bracket(dist: AodDistribution, target: float) -> tuple[float, flo
     Stops at the first local minimum of |rho|; if that minimum is still
     above the target, the target is unreachable on the first branch.
     """
-    step = _SCAN_STEP
     d_prev, m_prev = 0.0, 1.0
-    n_steps = int(_SCAN_MAX_WAVELENGTHS / step)
+    n_steps = int(_SCAN_MAX_WAVELENGTHS / _SCAN_STEP)
     chunk = 256
-    pos = 1
-    while pos <= n_steps:
-        ds = np.arange(pos, min(pos + chunk, n_steps + 1)) * step
-        ms = np.abs(_laplacian_rho_batch(ds, dist))
+    for start in range(1, n_steps + 1, chunk):
+        ds = np.arange(start, min(start + chunk, n_steps + 1)) * _SCAN_STEP
+        ms = np.abs(_laplacian_rho(ds, _laplacian_rule(ds[-1], dist)))
         for d_cur, m_cur in zip(ds, ms):
             if m_cur <= target:
                 return d_prev, float(d_cur)
@@ -442,7 +437,6 @@ def _laplacian_bracket(dist: AodDistribution, target: float) -> tuple[float, flo
                     f"achievable range is [{m_prev:.6g}, 1]"
                 )
             d_prev, m_prev = float(d_cur), float(m_cur)
-        pos += chunk
     raise NoSolutionError(
         f"no crossing of |rho| = {target:.6g} within "
         f"{_SCAN_MAX_WAVELENGTHS:.0f} wavelengths"
@@ -450,18 +444,13 @@ def _laplacian_bracket(dist: AodDistribution, target: float) -> tuple[float, flo
 
 
 def equivalent_spacing(query: SpacingQuery) -> float:
-    """Smallest antenna spacing whose |spatial correlation| hits the target.
+    """Smallest antenna spacing, in wavelengths, whose |spatial correlation| hits the target.
 
     Solves |rho(d)| = target_rho by bisection on the first branch of
     the (oscillatory) correlation magnitude. For the isotropic law the
     bracket is [0, first zero of J0]; for the Laplacian law it is found
-    by scanning to the first local minimum of |rho|.
-
-    Returns
-    -------
-    float
-        Spacing in the same unit as ``query.wavelength``; with the
-        default wavelength of 1 the result is directly in wavelengths.
+    by scanning to the first local minimum of |rho|, and one quadrature
+    rule, sized to the bracket's upper end, serves every bisection step.
 
     Raises
     ------
@@ -477,17 +466,24 @@ def equivalent_spacing(query: SpacingQuery) -> float:
 
     if dist.kind == "isotropic":
         lo, hi = 0.0, J0_FIRST_ZERO / (2.0 * math.pi)
+
+        def abs_rho(d):
+            return abs(bessel_j0(2.0 * math.pi * d))
     else:
         lo, hi = _laplacian_bracket(dist, target)
+        rule = _laplacian_rule(hi, dist)
 
-    f_lo = _abs_rho(lo, dist) - target
+        def abs_rho(d):
+            return abs(_laplacian_rho(np.array([d]), rule)[0])
+
+    f_lo = abs_rho(lo) - target
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        f_mid = _abs_rho(mid, dist) - target
+        f_mid = abs_rho(mid) - target
         if abs(f_mid) <= _RHO_TOL * 0.5:
-            return mid * query.wavelength
+            return mid
         if (f_mid > 0) == (f_lo > 0):
             lo, f_lo = mid, f_mid
         else:
             hi = mid
-    return 0.5 * (lo + hi) * query.wavelength
+    return 0.5 * (lo + hi)

@@ -33,7 +33,9 @@ import numpy as np
 
 from . import __version__
 from .correlation import (
+    LAPLACIAN_SPREAD_DEG,
     AodDistribution,
+    NoSolutionError,
     SpacingQuery,
     dualpole_corr_approx,
     dualpole_corr_exact,
@@ -41,7 +43,9 @@ from .correlation import (
 )
 from .chanmodel import PropagationGains
 from .link import MODELS, LinkParams, UserChannel, cdf, evaluate_user
-from .pattern import RadiationPattern, gain_at, load_pattern, scale_to_xpd, xpd_at
+from .pattern import (
+    MAX_ABS_DB, InfiniteXpdError, RadiationPattern, gain_at, load_pattern, scale_to_xpd,
+)
 
 __all__ = [
     "ConfigError",
@@ -58,12 +62,6 @@ __all__ = [
 
 DEFAULT_XPD_SWEEP_DB = (3.0, 5.0, 10.0, 20.0, 30.0)
 DEFAULT_TABLE_SPREAD_DEG = 26.0
-
-#: Largest magnitude accepted for a dB input (XPD, path loss, noise
-#: density): the linear value 10**(x/10) and its reciprocal then stay in
-#: [1e-30, 1e30], far from float overflow, and no physical link comes
-#: near the bound.
-MAX_ABS_DB = 300.0
 
 
 class ConfigError(ValueError):
@@ -85,8 +83,11 @@ class UserSpec:
             raise ValueError(
                 f"user {self.user_id}: path loss must lie in [0, {MAX_ABS_DB:g}] dB"
             )
-        if not self.aod_spread > 0:
-            raise ValueError(f"user {self.user_id}: AoD spread must be positive")
+        lo, hi = LAPLACIAN_SPREAD_DEG
+        if not math.radians(lo) <= self.aod_spread <= math.radians(hi):
+            raise ValueError(
+                f"user {self.user_id}: AoD spread must lie in [{lo:g}, {hi:g}] degrees"
+            )
         if len(self.tap_powers) == 0 or min(self.tap_powers) < 0 or sum(self.tap_powers) <= 0:
             raise ValueError(f"user {self.user_id}: invalid tap powers")
 
@@ -121,9 +122,11 @@ class GeneratorBounds:
             raise ValueError(
                 "sector_center_deg +- sector_deg/2 must lie within [-180, 180] degrees"
             )
-        s_lo, s_hi = self.aod_spread_deg
-        if not (0 < s_lo <= s_hi):
-            raise ValueError("degenerate AoD spread bounds")
+        lo, hi = LAPLACIAN_SPREAD_DEG
+        if not lo <= self.aod_spread_deg[0] <= self.aod_spread_deg[1] <= hi:
+            raise ValueError(
+                f"degenerate AoD spread bounds: need {lo:g} <= min <= max <= {hi:g} degrees"
+            )
 
     def path_loss_db(self, distance_m) -> np.ndarray:
         return self.reference_loss_db + 10.0 * self.path_loss_exponent * np.log10(
@@ -144,7 +147,6 @@ class Scenario:
     pattern_file: str | None = None
     pattern_reference_deg: float = 0.0
     table_spread_deg: float = DEFAULT_TABLE_SPREAD_DEG
-    wavelength: float = 1.0
 
     def __post_init__(self) -> None:
         if len(self.users) == 0:
@@ -257,20 +259,20 @@ def _parse_user_line(user_id: str, raw: str) -> UserSpec:
     mean_aod_deg = _one_float(fields["mean_aod_deg"], f"{where} mean_aod_deg")
     if not -180.0 <= mean_aod_deg <= 180.0:
         raise ConfigError(f"{where} mean_aod_deg: must lie in [-180, 180] degrees")
+    path_loss_db = _one_float(fields["path_loss_db"], f"{where} path_loss_db")
+    spread_deg = _one_float(fields.get("spread_deg", "26"), f"{where} spread_deg")
+    tap_powers = _floats(fields.get("taps", "1"), f"{where} taps")
     try:
         return UserSpec(
             user_id=user_id,
-            path_loss_db=_one_float(fields["path_loss_db"], f"{where} path_loss_db"),
+            path_loss_db=path_loss_db,
             mean_aod=math.radians(mean_aod_deg),
-            aod_spread=math.radians(
-                _one_float(fields.get("spread_deg", "26"), f"{where} spread_deg")
-            ),
-            tap_powers=_floats(fields.get("taps", "1"), f"{where} taps"),
+            aod_spread=math.radians(spread_deg),
+            tap_powers=tap_powers,
         )
-    except ConfigError:
-        raise
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        # UserSpec messages already name the user
+        raise ConfigError(f"[users] {exc}") from None
 
 
 def parse_scenario(source: str) -> Scenario:
@@ -331,8 +333,9 @@ def parse_scenario(source: str) -> Scenario:
         sweep.get("table_spread_deg", str(DEFAULT_TABLE_SPREAD_DEG)),
         "[sweep] table_spread_deg",
     )
-    if not table_spread > 0:
-        raise ConfigError("[sweep] table_spread_deg: must be positive")
+    lo, hi = LAPLACIAN_SPREAD_DEG
+    if not lo <= table_spread <= hi:
+        raise ConfigError(f"[sweep] table_spread_deg: must lie in [{lo:g}, {hi:g}] degrees")
 
     # link
     link_kwargs = {}
@@ -356,14 +359,7 @@ def parse_scenario(source: str) -> Scenario:
 
     # users
     if has_users:
-        try:
-            users = tuple(
-                _parse_user_line(uid, raw) for uid, raw in parser["users"].items()
-            )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"[users]: {exc}") from None
+        users = tuple(_parse_user_line(uid, raw) for uid, raw in parser["users"].items())
         if not users:
             raise ConfigError("[users] section is empty")
     else:
@@ -451,10 +447,7 @@ def generate_users(
 
 
 def _user_channel(
-    user: UserSpec,
-    xpd_db: float,
-    scenario: Scenario,
-    scaled: RadiationPattern | None,
+    user: UserSpec, xpd_db: float, scaled: RadiationPattern | None
 ) -> UserChannel:
     """Resolve one (user, XPD) pair into link-model inputs.
 
@@ -464,13 +457,17 @@ def _user_channel(
     loss = 10.0 ** (user.path_loss_db / 10.0)
     if scaled is not None:
         phi = user.mean_aod
-        alpha = np.array([gain_at(scaled, phi, t, "co") for t in (1, 2)]) / loss
+        co = [gain_at(scaled, phi, t, "co") for t in (1, 2)]
+        cross = [gain_at(scaled, phi, t, "cross") for t in (1, 2)]
+        if 0.0 in cross:
+            raise InfiniteXpdError(f"cross-polarized gain of port {cross.index(0.0) + 1} "
+                                   f"is zero at azimuth {phi:.6g}")
         # cross-polarized power radiated by port t arrives through the
         # opposite polarization, hence the swapped beta indexing
-        beta = np.array([gain_at(scaled, phi, 2, "cross"),
-                         gain_at(scaled, phi, 1, "cross")]) / loss
-        gains = PropagationGains(alpha=alpha, beta=beta, path_loss=loss)
-        chi = (xpd_at(scaled, phi, 1).value, xpd_at(scaled, phi, 2).value)
+        gains = PropagationGains(
+            alpha=np.array(co) / loss, beta=np.array(cross[::-1]) / loss, path_loss=loss
+        )
+        chi = (co[0] / cross[0], co[1] / cross[1])
     else:
         chi_lin = 10.0 ** (xpd_db / 10.0)
         gains = PropagationGains.from_xpd(chi_lin, path_loss=loss)
@@ -481,7 +478,6 @@ def _user_channel(
         omni_gain=1.0 / loss,
         aod=AodDistribution.laplacian(user.mean_aod, user.aod_spread),
         tap_powers=user.tap_powers,
-        wavelength=scenario.wavelength,
     )
 
 
@@ -500,7 +496,10 @@ def _summary_table(xpd_sweep_db, spread_deg: float) -> tuple[TableRow, ...]:
         rho_exact = abs(dualpole_corr_exact(chi).coefficient)
         rho_approx = abs(dualpole_corr_approx(chi).corr.coefficient)
         d_iso = equivalent_spacing(SpacingQuery(rho_exact, iso))
-        d_lap = equivalent_spacing(SpacingQuery(rho_exact, lap))
+        try:
+            d_lap = equivalent_spacing(SpacingQuery(rho_exact, lap))
+        except NoSolutionError:
+            d_lap = math.nan  # unreachable on the first branch: an empty cell
         rows.append(
             TableRow(
                 xpd_db=xpd_db,
@@ -547,7 +546,7 @@ def run(scenario: Scenario) -> RunReport:
                 raise type(exc)(f"xpd {xpd_db:g} dB: {exc}") from exc
         for ui, user in enumerate(ordered_users):
             try:
-                channel = _user_channel(user, xpd_db, scenario, scaled)
+                channel = _user_channel(user, xpd_db, scaled)
             except (ValueError, ArithmeticError) as exc:
                 raise type(exc)(f"user {user.user_id}, xpd {xpd_db:g} dB: {exc}") from exc
             for mi, model in enumerate(scenario.models):
@@ -592,12 +591,14 @@ def run(scenario: Scenario) -> RunReport:
 
 
 def format_table_csv(rows) -> str:
+    """CSV text of the summary table; a NaN d_lap is written as an empty field."""
     out = io.StringIO()
     out.write("xpd_db,rho_exact,rho_approx,d_iso_lambda,d_lap_lambda,spread_deg\n")
     for r in rows:
+        d_lap = "" if math.isnan(r.d_lap_lambda) else f"{r.d_lap_lambda:.6f}"
         out.write(
             f"{r.xpd_db:g},{r.rho_exact:.6f},{r.rho_approx:.6f},"
-            f"{r.d_iso_lambda:.6f},{r.d_lap_lambda:.6f},{r.spread_deg:g}\n"
+            f"{r.d_iso_lambda:.6f},{d_lap},{r.spread_deg:g}\n"
         )
     return out.getvalue()
 

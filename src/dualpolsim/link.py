@@ -29,7 +29,7 @@ Four effective-channel constructions are selectable per trial batch:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,8 +44,6 @@ __all__ = [
     "UserChannel",
     "RankDeficientError",
     "zf_weights",
-    "sinr",
-    "throughput",
     "evaluate_user",
     "cdf",
 ]
@@ -127,7 +125,6 @@ class UserChannel:
     omni_gain: float
     aod: AodDistribution
     tap_powers: tuple[float, ...] = (1.0,)
-    wavelength: float = 1.0
 
     def __post_init__(self) -> None:
         if not all(x > 0 for x in self.xpd):
@@ -192,27 +189,6 @@ def zf_weights(h_eff: np.ndarray, max_condition: float = MAX_CONDITION) -> np.nd
     return np.linalg.inv(h_eff).T
 
 
-def sinr(weights: np.ndarray, params: LinkParams) -> np.ndarray:
-    """Per-stream linear SINR of a zero-forcing filter.
-
-    Stream i sees 1 / (||w_i||^2 * p_n) with w_i the i-th column of W
-    and p_n the noise power over the effective bandwidth; transmit
-    power is 1 per stream, with path loss carried by the channel.
-    """
-    weights = np.asarray(weights, dtype=complex)
-    noise = params.noise_power()
-    col_energy = np.sum(np.abs(weights) ** 2, axis=0)
-    return 1.0 / (col_energy * noise)
-
-
-def throughput(sinrs: np.ndarray, params: LinkParams) -> float:
-    """Truncated-capacity throughput in bit/s over all streams."""
-    sinrs = np.asarray(sinrs, dtype=float)
-    if np.any(sinrs < 0):
-        raise ValueError("SINR values must be >= 0")
-    return float(_capped_throughput(sinrs, params))
-
-
 def _effective_batch(
     user: UserChannel, model: str, rng: np.random.Generator, n_trials: int
 ) -> np.ndarray:
@@ -231,11 +207,8 @@ def _effective_batch(
         return chanmodel.kronecker_effective(fading, omni_alpha, corr)
     if model == "iii":
         target = abs(correlation.dualpole_corr_exact(*user.xpd).coefficient)
-        spacing = correlation.equivalent_spacing(
-            SpacingQuery(target_rho=target, distribution=user.aod,
-                         wavelength=user.wavelength)
-        )
-        corr = correlation.spatial_corr_matrix(spacing, user.aod, user.wavelength)
+        spacing = correlation.equivalent_spacing(SpacingQuery(target, user.aod))
+        corr = correlation.spatial_corr_matrix(spacing, user.aod)
         taps = [
             (p, draw_fading_batch(rng, n_trials), corr) for p in user.tap_powers
         ]

@@ -33,6 +33,12 @@ __all__ = [
 
 MIN_SAMPLES = 8
 
+#: Largest magnitude accepted for a dB input (pattern gain, XPD, path
+#: loss, noise density): the linear value 10**(x/10) and its reciprocal
+#: then stay in [1e-30, 1e30], far from float overflow, and no physical
+#: link comes near the bound.
+MAX_ABS_DB = 300.0
+
 _TWO_PI = 2.0 * math.pi
 
 
@@ -134,7 +140,8 @@ def load_pattern(source: str) -> RadiationPattern:
     Raises
     ------
     PatternFormatError
-        Empty file, malformed row, non-monotone or duplicate angles,
+        Empty file, malformed row, non-finite field, gain beyond
+        +-:data:`MAX_ABS_DB` dBi, non-monotone or duplicate angles,
         bad turn coverage, or too few samples; the message names the
         offending line where one exists.
     """
@@ -156,6 +163,10 @@ def load_pattern(source: str) -> RadiationPattern:
             values = [float(f) for f in fields]
         except ValueError:
             raise PatternFormatError(f"line {lineno}: non-numeric field in {line!r}") from None
+        if not (math.isfinite(values[0]) and all(abs(v) <= MAX_ABS_DB for v in values[1:])):
+            raise PatternFormatError(
+                f"line {lineno}: need a finite azimuth and gains within +-{MAX_ABS_DB:g} dBi"
+            )
         rows.append((lineno, *values))
 
     if not header_seen:

@@ -162,6 +162,55 @@ USER = "[users]\nu = path_loss_db=80 mean_aod_deg=0\n"
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["table1", "--xpd", "10,40"],
+        ["table1", "--spread", "30"],
+        ["cdf", "--config", "{config}", "--out", "{out}"],
+    ],
+    ids=["table1-xpd-40", "table1-spread-30", "cdf-table-spread-30"],
+)
+def test_unreachable_table_spacing_is_an_empty_field(tmp_path, capsys, argv):
+    # at 40 dB (26 deg spread) and at 30 dB (30 deg spread) the target
+    # |rho| lies below the first local minimum of the Laplacian |rho|
+    config = tmp_path / "scenario.ini"
+    config.write_text(USER + "[sweep]\nxpd_db = 30\nmodels = i\ntrials_per_user = 2\n"
+                      "table_spread_deg = 30\n")
+    argv = [a.format(config=config, out=tmp_path / "out") for a in argv]
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    table = (tmp_path / "out" / "table1.csv").read_text() if argv[0] == "cdf" else captured.out
+    rows = [dict(zip(table.splitlines()[0].split(","), line.split(",")))
+            for line in table.splitlines()[1:]]
+    unreachable = [r for r in rows if float(r["xpd_db"]) >= 30]
+    assert unreachable and all(r["d_lap_lambda"] == "" for r in unreachable)
+    assert all(float(r["d_lap_lambda"]) > 0 for r in rows if float(r["xpd_db"]) < 30)
+
+
+@pytest.mark.parametrize("command", ["cdf", "xpd-from-pattern"])
+@pytest.mark.parametrize(
+    "row",
+    ["0, nan, -14.0, 5.0, -11.0", "0, 5000, -14.0, 5.0, -11.0",
+     "0, 6.0, -14.0, 5.0, -5000", "nan, 6.0, -14.0, 5.0, -11.0"],
+    ids=["gain-nan", "gain-huge", "gain-tiny", "azimuth-nan"],
+)
+def test_bad_pattern_values_exit_2(tmp_path, capsys, command, row):
+    lines = PATTERN_TEXT.splitlines()
+    lines[19] = row  # the 0 deg sample, line 20 of the file
+    pattern = tmp_path / "pattern.csv"
+    pattern.write_text("\n".join(lines) + "\n")
+    config = tmp_path / "scenario.ini"
+    config.write_text(USER + f"[sweep]\nxpd_db = 10\nmodels = i\npattern_file = {pattern}\n")
+    argv = {"cdf": ["cdf", "--config", str(config), "--out", str(tmp_path / "o")],
+            "xpd-from-pattern": ["xpd-from-pattern", "--file", str(pattern),
+                                 "--azimuth", "0"]}[command]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 20: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "text",
     [
         USER + "[sweep]\nxpd_db = nan\n",
@@ -175,10 +224,17 @@ USER = "[users]\nu = path_loss_db=80 mean_aod_deg=0\n"
         USER + "[link]\nbandwidth_hz = inf\n",
         USER + "[link]\nbandwidth_hz = 1e308\n",
         USER + "[link]\nnoise_density_dbm_hz = nan\n",
+        "[users]\nu = path_loss_db=80 mean_aod_deg=0 spread_deg=1\n",
+        "[users]\nu = path_loss_db=80 mean_aod_deg=0 spread_deg=400\n",
+        "[generator]\naod_spread_deg = 0.1, 20\n",
+        "[generator]\naod_spread_deg = 20, 1e20\n",
+        USER + "[sweep]\ntable_spread_deg = 1.4\n",
+        USER + "[sweep]\ntable_spread_deg = 361\n",
     ],
     ids=["xpd-nan", "xpd-inf", "xpd-huge", "sector-center", "mean-aod", "spread-inf",
          "table-spread-inf", "distance-inf", "bandwidth-inf", "throughput-cap-overflow",
-         "noise-density-nan"],
+         "noise-density-nan", "spread-narrow", "spread-wide", "generator-spread-narrow",
+         "generator-spread-wide", "table-spread-narrow", "table-spread-wide"],
 )
 def test_cdf_non_finite_or_out_of_range_numbers_exit_2(tmp_path, capsys, text):
     config = tmp_path / "scenario.ini"
@@ -199,9 +255,14 @@ def test_cdf_non_finite_or_out_of_range_numbers_exit_2(tmp_path, capsys, text):
         ["spacing", "--rho", "0.5", "--dist", "lap", "--spread", "0"],
         ["spacing", "--rho", "0.5", "--dist", "lap", "--mean-aod", "200"],
         ["xpd-from-pattern", "--file", "{pattern}", "--azimuth", "nan"],
+        ["table1", "--spread", "1.4"],
+        ["table1", "--spread", "400"],
+        ["spacing", "--rho", "0.5", "--dist", "lap", "--spread", "1e-300"],
+        ["spacing", "--rho", "0.5", "--dist", "lap", "--spread", "1e20"],
     ],
     ids=["xpd-nan", "xpd-huge", "table-spread-0", "spacing-spread-0", "mean-aod",
-         "azimuth-nan"],
+         "azimuth-nan", "table-spread-narrow", "table-spread-wide", "spacing-spread-tiny",
+         "spacing-spread-huge"],
 )
 def test_invalid_cli_numbers_exit_2(pattern_file, capsys, argv):
     argv = [str(pattern_file) if a == "{pattern}" else a for a in argv]

@@ -7,6 +7,7 @@ frozen from high-precision evaluation (mpmath at 30 digits).
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -289,18 +290,44 @@ def test_spatial_corr_laplacian_matches_quadrature():
         assert abs(got - ref) < 1e-8
 
 
+def laplacian_rho_mpmath(d, mu, sigma):
+    """Truncated-Laplacian E[exp(-j 2 pi d sin(phi))] by mpmath adaptive quadrature.
+
+    The interval is split at the density kink and at mu +- {1, 4, 16}
+    sigma, so that narrow spreads are resolved.
+    """
+    mp = mpmath.mp
+    with mpmath.workdps(20):
+        b = mp.sqrt(2) / sigma
+        norm = 1 - (mp.exp(-b * (mp.pi - mu)) + mp.exp(-b * (mp.pi + mu))) / 2
+
+        def integrand(phi):
+            return b / 2 * mp.exp(-b * abs(phi - mu) - 2j * mp.pi * d * mp.sin(phi)) / norm
+
+        inner = sorted({mu + k * sigma for k in (-16, -4, -1, 0, 1, 4, 16)
+                        if -math.pi < mu + k * sigma < math.pi})
+        return complex(mp.quad(integrand, [-mp.pi, *inner, mp.pi]))
+
+
+def test_spatial_corr_laplacian_matches_mpmath_oracle():
+    # the accepted spread range end to end, including a mean near -pi
+    cases = {
+        1.5: [(0.0, 0.1), (1.0, 0.9), (-2.5, 2.2), (0.0, 3.0)],
+        26.0: [(0.0, 0.25), (1.0, 1.3), (-2.5, 2.6), (0.0, 3.0)],
+        360.0: [(0.0, 0.4), (1.0, 1.7), (-2.5, 2.9), (0.0, 3.0)],
+    }
+    for spread_deg, points in cases.items():
+        sigma = math.radians(spread_deg)
+        for mu, d in points:
+            got = spatial_corr(d, AodDistribution.laplacian(mu, sigma))
+            assert abs(got - laplacian_rho_mpmath(d, mu, sigma)) < 1e-8, (spread_deg, mu, d)
+
+
 def test_spatial_corr_magnitude_bounded():
     rng = np.random.default_rng(93)
     for _ in range(50):
         dist = AodDistribution.laplacian(rng.uniform(-3, 3), rng.uniform(0.02, 1.4))
         assert abs(spatial_corr(rng.uniform(0, 10), dist)) <= 1.0 + 1e-12
-
-
-def test_spatial_corr_wavelength_scaling():
-    iso = AodDistribution.isotropic()
-    assert spatial_corr(0.25, iso, wavelength=1.0) == pytest.approx(
-        spatial_corr(0.03, iso, wavelength=0.12), abs=1e-12
-    )
 
 
 def test_spatial_corr_rejects_negative_distance():
@@ -332,6 +359,9 @@ def test_aod_distribution_validation():
         AodDistribution.laplacian(0.0, 0.0)
     with pytest.raises(ValueError):
         AodDistribution.laplacian(0.0, -0.1)
+    for spread_deg in (1.4, 361.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="angle_spread must lie in"):
+            AodDistribution.laplacian(0.0, math.radians(spread_deg))
     with pytest.raises(ValueError):
         AodDistribution(kind="gaussian")
 
@@ -395,20 +425,11 @@ def test_equivalent_spacing_no_solution_reports_range():
         equivalent_spacing(SpacingQuery(0.01, lap))
 
 
-def test_equivalent_spacing_wavelength_units():
-    iso = AodDistribution.isotropic()
-    d_unit = equivalent_spacing(SpacingQuery(0.5, iso))
-    d_meters = equivalent_spacing(SpacingQuery(0.5, iso, wavelength=0.12))
-    assert d_meters == pytest.approx(0.12 * d_unit, rel=1e-9)
-
-
 def test_spacing_query_validation():
     iso = AodDistribution.isotropic()
     for bad in (0.0, -0.2, 1.5):
         with pytest.raises(ValueError):
             SpacingQuery(bad, iso)
-    with pytest.raises(ValueError):
-        SpacingQuery(0.5, iso, wavelength=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,8 @@ def test_parse_rejects_bad_user_lines():
         parse_scenario("[users]\nu = mean_aod_deg=0\n")
     with pytest.raises(ConfigError, match="key=value"):
         parse_scenario("[users]\nu = 80 0\n")
+    with pytest.raises(ConfigError, match=r"^\[users\] user u: path loss"):
+        parse_scenario("[users]\nu = path_loss_db=-5 mean_aod_deg=0\n")
 
 
 def test_parse_rejects_bad_numbers():
