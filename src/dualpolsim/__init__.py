@@ -27,7 +27,6 @@ from .pattern import (
     InfiniteXpdError,
     PatternFormatError,
     RadiationPattern,
-    Xpd,
     gain_at,
     load_pattern,
     scale_to_xpd,
@@ -72,7 +71,7 @@ __all__ = [
     "equivalent_spacing", "matrix_sqrt_psd", "spatial_corr",
     "spatial_corr_matrix",
     # pattern
-    "InfiniteXpdError", "PatternFormatError", "RadiationPattern", "Xpd",
+    "InfiniteXpdError", "PatternFormatError", "RadiationPattern",
     "gain_at", "load_pattern", "scale_to_xpd", "xpd_at",
     # chanmodel
     "PropagationGains", "build_effective", "draw_fading_batch",

@@ -84,9 +84,9 @@ class PropagationGains:
 
     def xpd(self) -> tuple[float, float]:
         """Per-port linear XPD (copolar over opposite-polarization leakage)."""
-        if self.beta[1] == 0.0 or self.beta[0] == 0.0:
-            return (math.inf, math.inf)
-        return (float(self.alpha[0] / self.beta[1]), float(self.alpha[1] / self.beta[0]))
+        return tuple(
+            float(a / b) if b else math.inf for a, b in zip(self.alpha, self.beta[::-1])
+        )
 
 
 def draw_fading_batch(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -36,16 +36,6 @@ _NUMERIC_ERRORS = (
 )
 
 
-def _parse_float_list(raw: str) -> tuple[float, ...]:
-    try:
-        vals = tuple(float(tok) for tok in raw.replace(",", " ").split())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {raw!r}")
-    if not all(math.isfinite(v) for v in vals):
-        raise argparse.ArgumentTypeError(f"expected finite numbers, got {raw!r}")
-    return vals
-
-
 def _laplacian(mean_aod_deg: float, spread_deg: float) -> correlation.AodDistribution:
     """Laplacian AoD law from CLI degrees; a bad value is a config error."""
     try:
@@ -67,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table1", help="XPD to correlation and equivalent spacing")
-    p_table.add_argument("--xpd", type=_parse_float_list, default=(3, 5, 10, 20, 30),
+    p_table.add_argument("--xpd", default="3,5,10,20,30",
                          metavar="DB[,DB...]", help="XPD values in dB")
     p_table.add_argument("--spread", type=float, default=harness.DEFAULT_TABLE_SPREAD_DEG,
                          metavar="DEG", help="Laplacian AoD spread for the d_lap column")
@@ -95,9 +85,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_table1(args) -> int:
-    harness._check_db(args.xpd, "--xpd")
+    xpd = harness._floats(args.xpd, "--xpd")
+    harness._check_db(xpd, "--xpd")
+    harness._check_xpd_labels(xpd, "--xpd")
     _laplacian(0.0, args.spread)  # validates --spread before any solve
-    rows = harness._summary_table(args.xpd, args.spread)
+    rows = harness._summary_table(xpd, args.spread)
     text = harness.format_table_csv(rows)
     if args.out is None:
         sys.stdout.write(text)
@@ -110,9 +102,8 @@ def _cmd_table1(args) -> int:
 def _cmd_cdf(args) -> int:
     scenario = harness.parse_scenario(args.config.read_text())
     if args.models is not None:
-        models = tuple(tok.strip() for tok in args.models.replace(",", " ").split())
         try:
-            scenario = dataclasses.replace(scenario, models=models)
+            scenario = dataclasses.replace(scenario, models=harness._models(args.models))
         except ValueError as exc:
             raise harness.ConfigError(str(exc)) from None
     report = harness.run(scenario)
@@ -141,9 +132,8 @@ def _cmd_xpd(args) -> int:
         raise harness.ConfigError(f"--azimuth: expected a finite angle, got {args.azimuth}")
     pat = pattern.load_pattern(args.file.read_text())
     phi = math.radians(args.azimuth)
-    for port in (1, 2):
-        value = pattern.xpd_at(pat, phi, port)
-        print(f"port{port}_xpd_db={value.db():.4f}")
+    for port, value in enumerate(pattern.xpd_at(pat, phi).tolist(), start=1):
+        print(f"port{port}_xpd_db={10.0 * math.log10(value):.4f}")
     return EXIT_OK
 
 

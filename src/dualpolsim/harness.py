@@ -44,7 +44,7 @@ from .correlation import (
 from .chanmodel import PropagationGains
 from .link import MODELS, LinkParams, UserChannel, cdf, evaluate_user
 from .pattern import (
-    MAX_ABS_DB, InfiniteXpdError, RadiationPattern, gain_at, load_pattern, scale_to_xpd,
+    MAX_ABS_DB, RadiationPattern, gain_at, load_pattern, scale_to_xpd,
 )
 
 __all__ = [
@@ -151,10 +151,13 @@ class Scenario:
     def __post_init__(self) -> None:
         if len(self.users) == 0:
             raise ValueError("scenario needs at least one user")
-        if len(self.xpd_sweep_db) == 0:
-            raise ValueError("scenario needs at least one XPD value")
+        _check_xpd_labels(self.xpd_sweep_db, "xpd_db")
         if self.trials_per_user < 1:
             raise ValueError("trials_per_user must be >= 1")
+        if len(self.models) == 0:
+            raise ValueError("scenario needs at least one model")
+        if len(set(self.models)) != len(self.models):
+            raise ValueError(f"models {list(self.models)} name a model twice")
         bad = [m for m in self.models if m not in MODELS]
         if bad:
             raise ValueError(f"unknown models {bad}; expected subset of {MODELS}")
@@ -212,6 +215,19 @@ def _floats(raw: str, where: str) -> tuple[float, ...]:
     if not all(math.isfinite(v) for v in vals):
         raise ConfigError(f"{where}: expected finite numbers, got {raw!r}")
     return vals
+
+
+def _models(raw: str) -> tuple[str, ...]:
+    """Model tags of a comma- or space-separated list."""
+    return tuple(raw.replace(",", " ").split())
+
+
+def _check_xpd_labels(values, where: str) -> None:
+    """Reject an empty XPD list or one whose ``{:g}`` file labels repeat."""
+    labels = [f"{x:g}" for x in values]
+    if not labels or len(set(labels)) != len(labels):
+        raise ConfigError(f"{where}: need at least one XPD value and no two that "
+                          f"print alike, got {labels}")
 
 
 def _check_db(values, where: str) -> None:
@@ -322,8 +338,7 @@ def parse_scenario(source: str) -> Scenario:
         else DEFAULT_XPD_SWEEP_DB
     )
     _check_db(xpd_sweep, "[sweep] xpd_db")
-    models_raw = sweep.get("models", "ii")
-    models = tuple(tok.strip() for tok in models_raw.replace(",", " ").split())
+    models = _models(sweep.get("models", "ii"))
     trials = _one_int(sweep.get("trials_per_user", "1000"),
                       "[sweep] trials_per_user")
     pattern_file = sweep.get("pattern_file") or None
@@ -456,18 +471,14 @@ def _user_channel(
     """
     loss = 10.0 ** (user.path_loss_db / 10.0)
     if scaled is not None:
-        phi = user.mean_aod
-        co = [gain_at(scaled, phi, t, "co") for t in (1, 2)]
-        cross = [gain_at(scaled, phi, t, "cross") for t in (1, 2)]
-        if 0.0 in cross:
-            raise InfiniteXpdError(f"cross-polarized gain of port {cross.index(0.0) + 1} "
-                                   f"is zero at azimuth {phi:.6g}")
-        # cross-polarized power radiated by port t arrives through the
-        # opposite polarization, hence the swapped beta indexing
-        gains = PropagationGains(
-            alpha=np.array(co) / loss, beta=np.array(cross[::-1]) / loss, path_loss=loss
-        )
-        chi = (co[0] / cross[0], co[1] / cross[1])
+        co, cross = gain_at(scaled, user.mean_aod)
+        # cross is never zero here: load_pattern bounds every gain to
+        # +-MAX_ABS_DB dBi, dB interpolation of positive gains is positive
+        # and scale_to_xpd multiplies by positive finite scales.
+        # Cross-polarized power radiated by port t arrives through the
+        # opposite polarization, hence the swapped beta indexing.
+        gains = PropagationGains(alpha=co / loss, beta=cross[::-1] / loss, path_loss=loss)
+        chi = tuple((co / cross).tolist())
     else:
         chi_lin = 10.0 ** (xpd_db / 10.0)
         gains = PropagationGains.from_xpd(chi_lin, path_loss=loss)
@@ -535,7 +546,9 @@ def run(scenario: Scenario) -> RunReport:
     # sorted user id, so the config listing order cannot change results
     ordered_users = sorted(scenario.users, key=lambda u: u.user_id)
 
-    results: dict[tuple[str, float, str], np.ndarray] = {}
+    # Scenario guarantees unique models and XPD labels, so no key repeats
+    pooled = {(model, xpd_db): [] for xpd_db in scenario.xpd_sweep_db
+              for model in scenario.models}
     for xi, xpd_db in enumerate(scenario.xpd_sweep_db):
         scaled = None
         if pattern is not None:
@@ -559,15 +572,8 @@ def run(scenario: Scenario) -> RunReport:
                     raise type(exc)(
                         f"user {user.user_id}, xpd {xpd_db:g} dB, model {model}: {exc}"
                     ) from exc
-                results[(model, xpd_db, user.user_id)] = result.throughput
-
-    cdf_series = {}
-    for xpd_db in scenario.xpd_sweep_db:
-        for model in scenario.models:
-            pooled = np.concatenate(
-                [results[(model, xpd_db, u.user_id)] for u in ordered_users]
-            )
-            cdf_series[(model, xpd_db)] = cdf(pooled)
+                pooled[(model, xpd_db)].append(result.throughput)
+    cdf_series = {key: cdf(np.concatenate(parts)) for key, parts in pooled.items()}
 
     metadata = {
         "version": __version__,

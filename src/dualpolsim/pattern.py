@@ -4,6 +4,9 @@ A pattern holds co- and cross-polarized power gains sampled uniformly
 around the azimuth cut for both ports. Gains are stored linear; files
 carry them in dBi. Patterns are immutable after construction and all
 operations are pure, so they can be shared freely across workers.
+One lookup at an azimuth serves both ports: :func:`gain_at` returns the
+co- and cross-polarized gains and :func:`xpd_at` the XPDs, each as a
+(2,) array indexed by port - 1.
 
 File format (plain text CSV):
 
@@ -22,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "RadiationPattern",
-    "Xpd",
     "PatternFormatError",
     "InfiniteXpdError",
     "load_pattern",
@@ -112,24 +114,6 @@ class RadiationPattern:
         return float(self.step * (self.co.sum() + self.cross.sum()))
 
 
-@dataclass(frozen=True)
-class Xpd:
-    """Cross-polarization discrimination at one azimuth of one port."""
-
-    value: float
-    port: int
-    azimuth: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.value) and self.value > 0):
-            raise ValueError(f"XPD must be a positive finite ratio, got {self.value}")
-        if self.port not in (1, 2):
-            raise ValueError("port must be 1 or 2")
-
-    def db(self) -> float:
-        return 10.0 * math.log10(self.value)
-
-
 def load_pattern(source: str) -> RadiationPattern:
     """Parse pattern-file content into a :class:`RadiationPattern`.
 
@@ -210,19 +194,8 @@ def load_pattern(source: str) -> RadiationPattern:
     )
 
 
-def _interp_gain(pattern: RadiationPattern, azimuth: float, gains: np.ndarray) -> float:
-    """Periodic interpolation, linear in dB between bracketing samples."""
-    phi = float(_wrap_angle(azimuth))
-    u = (phi - pattern.angles[0]) / pattern.step
-    n = pattern.n_samples
-    i0 = int(math.floor(u)) % n
-    frac = u - math.floor(u)
-    if frac < 1e-12:
-        return float(gains[i0])
-    if frac > 1.0 - 1e-12:
-        return float(gains[(i0 + 1) % n])
-    g_a = float(gains[i0])
-    g_b = float(gains[(i0 + 1) % n])
+def _db_lerp(g_a: float, g_b: float, frac: float) -> float:
+    """Interpolate linearly in dB from ``g_a`` (frac 0) to ``g_b`` (frac 1)."""
     if g_a <= 0.0 or g_b <= 0.0:
         # dB interpolation is undefined at a null; fall back to linear
         return (1.0 - frac) * g_a + frac * g_b
@@ -230,39 +203,43 @@ def _interp_gain(pattern: RadiationPattern, azimuth: float, gains: np.ndarray) -
     return 10.0 ** (db / 10.0)
 
 
-def gain_at(pattern: RadiationPattern, azimuth: float, port: int, pol: str) -> float:
-    """Linear gain of ``port`` at ``azimuth`` for polarization ``co``/``cross``.
+def gain_at(pattern: RadiationPattern, azimuth: float) -> tuple[np.ndarray, np.ndarray]:
+    """Linear ``(co, cross)`` gains at ``azimuth``, each of shape (2,), one per port.
 
     Interpolates linearly in the dB domain between the two bracketing
     samples, periodically across +-pi; queries at sample angles return
-    the stored value exactly.
+    the stored values exactly.
     """
-    if port not in (1, 2):
-        raise ValueError("port must be 1 or 2")
-    if pol == "co":
-        gains = pattern.co[port - 1]
-    elif pol == "cross":
-        gains = pattern.cross[port - 1]
-    else:
-        raise ValueError("pol must be 'co' or 'cross'")
-    return _interp_gain(pattern, azimuth, gains)
+    phi = float(_wrap_angle(azimuth))
+    u = (phi - pattern.angles[0]) / pattern.step
+    n = pattern.n_samples
+    i0 = int(math.floor(u)) % n
+    frac = u - math.floor(u)
+    if frac < 1e-12 or frac > 1.0 - 1e-12:
+        i = i0 if frac < 0.5 else (i0 + 1) % n
+        return pattern.co[:, i].copy(), pattern.cross[:, i].copy()
+    i1 = (i0 + 1) % n
+    return tuple(
+        np.array([_db_lerp(g_a, g_b, frac) for g_a, g_b in cut[:, [i0, i1]].tolist()])
+        for cut in (pattern.co, pattern.cross)
+    )
 
 
-def xpd_at(pattern: RadiationPattern, azimuth: float, port: int) -> Xpd:
-    """Co-to-cross gain ratio of ``port`` in the direction ``azimuth``.
+def xpd_at(pattern: RadiationPattern, azimuth: float) -> np.ndarray:
+    """Co-to-cross gain ratio of each port in the direction ``azimuth``, shape (2,).
 
     Raises
     ------
     InfiniteXpdError
-        If the cross-polarized gain vanishes at the queried direction.
+        If a port's cross-polarized gain vanishes at the queried direction.
     """
-    co = gain_at(pattern, azimuth, port, "co")
-    cross = gain_at(pattern, azimuth, port, "cross")
-    if cross == 0.0:
+    co, cross = gain_at(pattern, azimuth)
+    if 0.0 in cross:
         raise InfiniteXpdError(
-            f"cross-polarized gain of port {port} is zero at azimuth {azimuth:.6g}"
+            f"cross-polarized gain of port {int(np.argmin(cross)) + 1} "
+            f"is zero at azimuth {azimuth:.6g}"
         )
-    return Xpd(value=co / cross, port=port, azimuth=float(_wrap_angle(azimuth)))
+    return co / cross
 
 
 def scale_to_xpd(
@@ -281,16 +258,10 @@ def scale_to_xpd(
         raise ValueError("target XPD must be finite (in dB)")
     target = 10.0 ** (target_xpd_db / 10.0)
 
-    co_new = np.array(pattern.co)
-    cross_new = np.array(pattern.cross)
-    for port in (1, 2):
-        current = xpd_at(pattern, reference_azimuth, port).value
-        ratio = target / current
-        p_co = float(pattern.co[port - 1].sum())
-        p_cross = float(pattern.cross[port - 1].sum())
-        cross_scale = (p_co + p_cross) / (ratio * p_co + p_cross)
-        co_scale = ratio * cross_scale
-        co_new[port - 1] *= co_scale
-        cross_new[port - 1] *= cross_scale
-
-    return RadiationPattern(angles=pattern.angles, co=co_new, cross=cross_new)
+    ratio = target / xpd_at(pattern, reference_azimuth)
+    p_co = pattern.co.sum(axis=1)
+    p_cross = pattern.cross.sum(axis=1)
+    cross_scale = (p_co + p_cross) / (ratio * p_co + p_cross)
+    co_scale = ratio * cross_scale
+    return RadiationPattern(angles=pattern.angles, co=pattern.co * co_scale[:, None],
+                            cross=pattern.cross * cross_scale[:, None])

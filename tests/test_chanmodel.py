@@ -99,6 +99,9 @@ def test_propagation_gains_xpd_indexing():
     chi1, chi2 = gains.xpd()
     assert chi1 == pytest.approx(1.0 / 0.125)
     assert chi2 == pytest.approx(0.5 / 0.25)
+    # each port is infinite only when its own leakage vanishes
+    gains = PropagationGains(alpha=np.array([1.0, 1.0]), beta=np.array([0.0, 0.5]))
+    assert gains.xpd() == (2.0, math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -230,11 +230,16 @@ def test_bad_pattern_values_exit_2(tmp_path, capsys, command, row):
         "[generator]\naod_spread_deg = 20, 1e20\n",
         USER + "[sweep]\ntable_spread_deg = 1.4\n",
         USER + "[sweep]\ntable_spread_deg = 361\n",
+        USER + "[sweep]\nxpd_db = 10, 10.0\n",
+        USER + "[sweep]\nxpd_db = 10.0000001, 10.0000002\n",
+        USER + "[sweep]\nmodels = ii, ii\n",
+        USER + "[sweep]\nmodels =\n",
     ],
     ids=["xpd-nan", "xpd-inf", "xpd-huge", "sector-center", "mean-aod", "spread-inf",
          "table-spread-inf", "distance-inf", "bandwidth-inf", "throughput-cap-overflow",
          "noise-density-nan", "spread-narrow", "spread-wide", "generator-spread-narrow",
-         "generator-spread-wide", "table-spread-narrow", "table-spread-wide"],
+         "generator-spread-wide", "table-spread-narrow", "table-spread-wide",
+         "xpd-repeated", "xpd-same-label", "models-repeated", "models-empty"],
 )
 def test_cdf_non_finite_or_out_of_range_numbers_exit_2(tmp_path, capsys, text):
     config = tmp_path / "scenario.ini"
@@ -259,13 +264,22 @@ def test_cdf_non_finite_or_out_of_range_numbers_exit_2(tmp_path, capsys, text):
         ["table1", "--spread", "400"],
         ["spacing", "--rho", "0.5", "--dist", "lap", "--spread", "1e-300"],
         ["spacing", "--rho", "0.5", "--dist", "lap", "--spread", "1e20"],
+        ["table1", "--xpd", ","],
+        ["table1", "--xpd", "10,10.0"],
+        ["table1", "--xpd", "10.0000001,10.0000002"],
+        ["cdf", "--config", "{config}", "--models", ",", "--out", "{out}"],
+        ["cdf", "--config", "{config}", "--models", "ii,ii", "--out", "{out}"],
     ],
     ids=["xpd-nan", "xpd-huge", "table-spread-0", "spacing-spread-0", "mean-aod",
          "azimuth-nan", "table-spread-narrow", "table-spread-wide", "spacing-spread-tiny",
-         "spacing-spread-huge"],
+         "spacing-spread-huge", "xpd-empty", "xpd-repeated", "xpd-same-label",
+         "models-empty", "models-repeated"],
 )
 def test_invalid_cli_numbers_exit_2(pattern_file, capsys, argv):
-    argv = [str(pattern_file) if a == "{pattern}" else a for a in argv]
+    config = pattern_file.parent / "scenario.ini"
+    config.write_text(USER + "[sweep]\nxpd_db = 10\ntrials_per_user = 2\n")
+    paths = {"{pattern}": pattern_file, "{config}": config, "{out}": pattern_file.parent / "o"}
+    argv = [str(paths.get(a, a)) for a in argv]
     assert _exit_code(argv) == EXIT_CONFIG
     assert "Traceback" not in capsys.readouterr().err
 

@@ -2,6 +2,7 @@
 
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from dualpolsim.harness import (
     write_report,
 )
 from dualpolsim.link import LinkParams
+from dualpolsim.pattern import gain_at, load_pattern, scale_to_xpd, xpd_at
 
 TABLE_RHO = (0.9432, 0.8545, 0.5750, 0.1980, 0.0632)
 TABLE_D_ISO = (0.076, 0.124, 0.220, 0.326, 0.364)
@@ -378,6 +380,21 @@ def test_run_rescales_pattern_once_per_xpd(tmp_path, monkeypatch):
     assert calls == {"scale_to_xpd": 2, "_user_channel": 2 * 3}
 
 
+def test_user_channel_matches_pattern_lookup(tmp_path):
+    scenario = _pattern_scenario(tmp_path)
+    pattern = load_pattern(Path(scenario.pattern_file).read_text())
+    for xpd_db in scenario.xpd_sweep_db:
+        scaled = scale_to_xpd(pattern, xpd_db, math.radians(scenario.pattern_reference_deg))
+        for user in scenario.users:
+            channel = harness._user_channel(user, xpd_db, scaled)
+            co, cross = gain_at(scaled, user.mean_aod)
+            loss = 10.0 ** (user.path_loss_db / 10.0)
+            # bit for bit: the channel is read off the same single lookup
+            assert channel.xpd == tuple(xpd_at(scaled, user.mean_aod))
+            assert np.array_equal(channel.gains.alpha, co / loss)
+            assert np.array_equal(channel.gains.beta, cross[::-1] / loss)
+
+
 def test_run_attaches_context_to_channel_errors(tmp_path, monkeypatch):
     def broken_gain(*args):
         raise ValueError("gain lookup failed")
@@ -426,6 +443,12 @@ def test_scenario_validation():
         Scenario(users=(user,), xpd_sweep_db=())
     with pytest.raises(ValueError):
         Scenario(users=(user,), models=("x",))
+    with pytest.raises(ValueError, match="at least one model"):
+        Scenario(users=(user,), models=())
+    with pytest.raises(ValueError, match="twice"):
+        Scenario(users=(user,), models=("ii", "ii"))
+    with pytest.raises(ValueError, match="print alike"):
+        Scenario(users=(user,), xpd_sweep_db=(10.0000001, 10.0000002))
     with pytest.raises(ValueError):
         Scenario(users=(user,), trials_per_user=0)
 

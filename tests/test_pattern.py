@@ -12,7 +12,6 @@ from dualpolsim.pattern import (
     InfiniteXpdError,
     PatternFormatError,
     RadiationPattern,
-    Xpd,
     gain_at,
     load_pattern,
     scale_to_xpd,
@@ -65,8 +64,9 @@ def pattern_total_power(pat):
 def test_load_pattern_converts_dbi_to_linear():
     pat = load_pattern(flat_file())
     # 10^(6/10) and 10^(-14/10)
-    assert_allclose(gain_at(pat, 0.0, 1, "co"), 3.9810717055349722, rtol=1e-12)
-    assert_allclose(gain_at(pat, 0.0, 1, "cross"), 0.039810717055349734, rtol=1e-12)
+    co, cross = gain_at(pat, 0.0)
+    assert_allclose(co[0], 3.9810717055349722, rtol=1e-12)
+    assert_allclose(cross[0], 0.039810717055349734, rtol=1e-12)
 
 
 def test_load_pattern_single_row_is_too_few():
@@ -156,8 +156,9 @@ def test_gain_at_exact_on_samples():
     pat = directional_pattern()
     for idx in (0, 5, 33, 71):
         phi = float(pat.angles[idx])
-        assert gain_at(pat, phi, 1, "co") == pat.co[0, idx]
-        assert gain_at(pat, phi, 2, "cross") == pat.cross[1, idx]
+        co, cross = gain_at(pat, phi)
+        assert np.array_equal(co, pat.co[:, idx])
+        assert np.array_equal(cross, pat.cross[:, idx])
 
 
 def test_gain_at_db_midpoint():
@@ -168,18 +169,18 @@ def test_gain_at_db_midpoint():
     co[:, 1] = 10.0  # 10 dBi at the second sample, 0 dBi elsewhere
     pat = RadiationPattern(angles=angles, co=co, cross=np.ones((2, n)))
     mid = float(angles[0] + math.pi / n)
-    assert_allclose(gain_at(pat, mid, 1, "co"), 3.1622776601683795, rtol=1e-12)
+    assert_allclose(gain_at(pat, mid)[0][0], 3.1622776601683795, rtol=1e-12)
 
 
 def test_gain_at_periodic_at_pi():
     pat = directional_pattern()
     # the seam itself maps to one sample, so equality is exact
-    assert gain_at(pat, math.pi, 1, "co") == gain_at(pat, -math.pi, 1, "co")
+    assert gain_at(pat, math.pi)[0][0] == gain_at(pat, -math.pi)[0][0]
     for phi in (-2.9, 0.4, 1.7):
         # phi + 2*pi is already rounded before the call, so allow the
         # corresponding last-ulp wiggle in the interpolated value
-        assert gain_at(pat, phi, 2, "co") == pytest.approx(
-            gain_at(pat, phi + 2 * math.pi, 2, "co"), rel=1e-12
+        assert gain_at(pat, phi)[0][1] == pytest.approx(
+            gain_at(pat, phi + 2 * math.pi)[0][1], rel=1e-12
         )
 
 
@@ -190,23 +191,15 @@ def test_gain_at_wraparound_interpolation():
     lo = 10 * math.log10(pat.co[0, -1])
     hi = 10 * math.log10(pat.co[0, 0])
     expected = 10 ** (((2 / 3) * lo + (1 / 3) * hi) / 10)
-    assert gain_at(pat, phi, 1, "co") == pytest.approx(expected, rel=1e-12)
-
-
-def test_gain_at_validates_arguments():
-    pat = directional_pattern()
-    with pytest.raises(ValueError, match="port"):
-        gain_at(pat, 0.0, 3, "co")
-    with pytest.raises(ValueError, match="pol"):
-        gain_at(pat, 0.0, 1, "copolar")
+    assert gain_at(pat, phi)[0][0] == pytest.approx(expected, rel=1e-12)
 
 
 @given(st.floats(min_value=-10.0, max_value=10.0))
 @settings(max_examples=200, deadline=None)
 def test_gain_at_two_pi_periodic(phi):
     pat = _SHARED_PATTERN
-    assert gain_at(pat, phi, 1, "co") == pytest.approx(
-        gain_at(pat, phi + 2 * math.pi, 1, "co"), rel=1e-12
+    assert gain_at(pat, phi)[0][0] == pytest.approx(
+        gain_at(pat, phi + 2 * math.pi)[0][0], rel=1e-12
     )
 
 
@@ -220,16 +213,16 @@ _SHARED_PATTERN = directional_pattern()
 
 def test_xpd_equal_gains_is_unity():
     pat = load_pattern(flat_file(co_db=3.0, cross_db=3.0))
-    result = xpd_at(pat, 0.7, 1)
-    assert result.value == pytest.approx(1.0, rel=1e-12)
-    assert result.db() == pytest.approx(0.0, abs=1e-12)
+    value = xpd_at(pat, 0.7)[0]
+    assert value == pytest.approx(1.0, rel=1e-12)
+    assert 10 * math.log10(value) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_xpd_twenty_db():
     pat = load_pattern(flat_file(co_db=6.0, cross_db=-14.0))
-    result = xpd_at(pat, 0.0, 2)
-    assert result.value == pytest.approx(100.0, rel=1e-12)
-    assert result.db() == pytest.approx(20.0, abs=1e-12)
+    value = xpd_at(pat, 0.0)[1]
+    assert value == pytest.approx(100.0, rel=1e-12)
+    assert 10 * math.log10(value) == pytest.approx(20.0, abs=1e-12)
 
 
 def test_xpd_zero_cross_gain_signals_infinite():
@@ -237,26 +230,17 @@ def test_xpd_zero_cross_gain_signals_infinite():
     angles = -math.pi + 2 * math.pi / n * np.arange(n)
     pat = RadiationPattern(angles=angles, co=np.ones((2, n)), cross=np.zeros((2, n)))
     with pytest.raises(InfiniteXpdError):
-        xpd_at(pat, 0.0, 1)
+        xpd_at(pat, 0.0)
 
 
 def test_xpd_invariant_under_joint_scaling():
     pat = directional_pattern()
     scaled = RadiationPattern(angles=pat.angles, co=pat.co * 7.3, cross=pat.cross * 7.3)
     for phi in (-2.0, 0.0, 1.3):
-        for port in (1, 2):
-            assert xpd_at(scaled, phi, port).value == pytest.approx(
-                xpd_at(pat, phi, port).value, rel=1e-12
+        for port in (0, 1):
+            assert xpd_at(scaled, phi)[port] == pytest.approx(
+                xpd_at(pat, phi)[port], rel=1e-12
             )
-
-
-def test_xpd_type_validation():
-    with pytest.raises(ValueError):
-        Xpd(value=0.0, port=1, azimuth=0.0)
-    with pytest.raises(ValueError):
-        Xpd(value=math.inf, port=1, azimuth=0.0)
-    with pytest.raises(ValueError):
-        Xpd(value=1.0, port=3, azimuth=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -274,18 +258,17 @@ def test_scale_to_xpd_fixed_point():
 def test_scale_to_xpd_zero_db_target():
     pat = directional_pattern()
     out = scale_to_xpd(pat, 0.0, reference_azimuth=0.3)
-    for port in (1, 2):
-        co = gain_at(out, 0.3, port, "co")
-        cross = gain_at(out, 0.3, port, "cross")
-        assert co == pytest.approx(cross, rel=1e-9)
+    co, cross = gain_at(out, 0.3)
+    for port in (0, 1):
+        assert co[port] == pytest.approx(cross[port], rel=1e-9)
     assert pattern_total_power(out) == pytest.approx(pattern_total_power(pat), rel=1e-9)
 
 
 def test_scale_to_xpd_twenty_to_ten_db():
     pat = load_pattern(flat_file(co_db=6.0, cross_db=-14.0))
     out = scale_to_xpd(pat, 10.0, reference_azimuth=0.0)
-    for port in (1, 2):
-        assert xpd_at(out, 0.0, port).db() == pytest.approx(10.0, abs=1e-9)
+    for value in xpd_at(out, 0.0):
+        assert 10 * math.log10(value) == pytest.approx(10.0, abs=1e-9)
     assert pattern_total_power(out) == pytest.approx(pattern_total_power(pat), rel=1e-9)
 
 
@@ -311,8 +294,8 @@ def test_scale_to_xpd_rejects_non_finite_target():
 @settings(max_examples=60, deadline=None)
 def test_scale_to_xpd_roundtrip_property(target_db, ref):
     out = scale_to_xpd(_SHARED_PATTERN, target_db, ref)
-    for port in (1, 2):
-        assert abs(xpd_at(out, ref, port).db() - target_db) <= 1e-9
+    for value in xpd_at(out, ref):
+        assert abs(10 * math.log10(value) - target_db) <= 1e-9
     assert pattern_total_power(out) == pytest.approx(
         pattern_total_power(_SHARED_PATTERN), rel=1e-9
     )
