@@ -28,6 +28,7 @@ Four effective-channel constructions are selectable per trial batch:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -134,6 +135,11 @@ class UserChannel:
         if len(self.tap_powers) == 0 or min(self.tap_powers) < 0 or sum(self.tap_powers) <= 0:
             raise ValueError("tap powers must be nonnegative with a positive sum")
 
+    @functools.cached_property
+    def xpd_corr(self) -> correlation.CorrelationMatrix:
+        """Transmit correlation implied by ``xpd``; models ii, iii and iv share it."""
+        return correlation.dualpole_corr_exact(*self.xpd)
+
 
 def _zf_kernel(
     h: np.ndarray, noise_power: float, max_condition: float = MAX_CONDITION
@@ -198,15 +204,13 @@ def _effective_batch(
         return chanmodel.build_effective(user.gains, fading)
     if model == "ii":
         fading = draw_fading_batch(rng, n_trials)
-        corr = correlation.dualpole_corr_exact(*user.xpd)
-        return chanmodel.kronecker_effective(fading, user.gains.alpha, corr)
+        return chanmodel.kronecker_effective(fading, user.gains.alpha, user.xpd_corr)
     omni_alpha = np.array([user.omni_gain, user.omni_gain])
     if model == "iv":
         fading = draw_fading_batch(rng, n_trials)
-        corr = correlation.dualpole_corr_exact(*user.xpd)
-        return chanmodel.kronecker_effective(fading, omni_alpha, corr)
+        return chanmodel.kronecker_effective(fading, omni_alpha, user.xpd_corr)
     if model == "iii":
-        target = abs(correlation.dualpole_corr_exact(*user.xpd).coefficient)
+        target = abs(user.xpd_corr.coefficient)
         spacing = correlation.equivalent_spacing(SpacingQuery(target, user.aod))
         corr = correlation.spatial_corr_matrix(spacing, user.aod)
         taps = [

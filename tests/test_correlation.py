@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from dualpolsim import correlation
 from dualpolsim.correlation import (
     AodDistribution,
     CorrelationMatrix,
@@ -100,6 +101,29 @@ def test_bessel_j0_even_and_scalar():
     assert isinstance(bessel_j0(1.0), float)
     assert bessel_j0(np.array([0.0, 1.0])).shape == (2,)
     assert bessel_j0(0.0) == 1.0
+
+
+def test_bessel_jn_matches_mpmath():
+    # every order a 64-wavelength scan uses, scalar path and grid tables
+    orders = sorted({*range(0, 501, 7), 1, 2, 499, 500})
+    for x in (0.0, 1e-30, 0.5, J0_FIRST_ZERO, 16.0, 100.5, 2.0 * math.pi * 64.0):
+        jn = correlation._bessel_jn(x, 500)
+        for n in orders:
+            assert abs(jn[n] - float(mpmath.besselj(n, x))) < 1e-13, (x, n)
+    for chunk, step, n in ((0, 0, 0), (0, 0, 7), (0, 255, 20), (0, 255, 61),
+                           (24, 0, 300), (24, 255, 0), (24, 255, 401), (24, 255, 470)):
+        table = correlation._grid_table(chunk)
+        d = (chunk * 256 + 1 + step) * 0.01
+        assert abs(table[step, n] - float(mpmath.besselj(n, 2.0 * math.pi * d))) < 1e-13
+        assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 2.0 * math.pi * 64.0 + 0.01])
+def test_bessel_j0_rejects_arguments_outside_its_range(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        bessel_j0(bad)
+    with pytest.raises(ValueError, match="must be finite"):
+        bessel_j0(np.array([1.0, bad]))
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +347,21 @@ def test_spatial_corr_laplacian_matches_mpmath_oracle():
             assert abs(got - laplacian_rho_mpmath(d, mu, sigma)) < 1e-8, (spread_deg, mu, d)
 
 
+def test_spatial_corr_slope_matches_mpmath_central_difference():
+    # the central difference's truncation error is h^2 / 6 times the
+    # third derivative, at most (2 pi)^3: 4e-9 at h = 1e-5
+    h = 1e-5
+    for spread_deg, mu, d in [(1.5, 0.0, 0.1), (1.5, 1.0, 0.9), (26.0, -2.5, 1.3),
+                              (26.0, 0.4, 2.6), (360.0, 1.0, 0.4), (360.0, -2.5, 2.9)]:
+        sigma = math.radians(spread_deg)
+        dist = AodDistribution.laplacian(mu, sigma)
+        a, b = correlation._series(dist, correlation._series_order(2.0 * math.pi * d))
+        _, slope = correlation._rho_and_slope(d, a.tolist(), b.tolist())
+        numeric = (laplacian_rho_mpmath(d + h, mu, sigma)
+                   - laplacian_rho_mpmath(d - h, mu, sigma)) / (2.0 * h)
+        assert abs(slope - numeric) < 1e-8, (spread_deg, mu, d)
+
+
 def test_spatial_corr_magnitude_bounded():
     rng = np.random.default_rng(93)
     for _ in range(50):
@@ -333,6 +372,14 @@ def test_spatial_corr_magnitude_bounded():
 def test_spatial_corr_rejects_negative_distance():
     with pytest.raises(ValueError):
         spatial_corr(-0.1, AodDistribution.isotropic())
+
+
+@pytest.mark.parametrize("d", [math.inf, math.nan, 64.01, 1e6])
+def test_spatial_corr_rejects_non_finite_or_distant_spacing(d):
+    for dist in (AodDistribution.isotropic(), AodDistribution.laplacian(0.3, 0.4)):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 64\] wavelengths"):
+            spatial_corr(d, dist)
+        assert abs(spatial_corr(64.0, dist)) <= 1.0
 
 
 def test_spatial_corr_matrix_is_hermitian_unit_diagonal():
@@ -423,6 +470,42 @@ def test_equivalent_spacing_no_solution_reports_range():
     lap = AodDistribution.laplacian(0.0, math.radians(26.0))
     with pytest.raises(NoSolutionError, match="achievable range"):
         equivalent_spacing(SpacingQuery(0.01, lap))
+
+
+def test_equivalent_spacing_isotropic_root_between_scan_steps():
+    # |J0| at the scan steps either side of its first zero is 0.0087 and
+    # 0.024, so these targets are only met between two steps
+    zero = J0_FIRST_ZERO / (2.0 * math.pi)
+    for target in (1e-6, 1e-3, 5e-3):
+        d = equivalent_spacing(SpacingQuery(target, AodDistribution.isotropic()))
+        assert abs(abs(bessel_j0(2.0 * math.pi * d)) - target) <= 5e-7
+        assert d < zero
+
+
+def test_equivalent_spacing_first_branch_property():
+    # each solve returns a root on the first branch of |rho| or gives up
+    rng = np.random.default_rng(2027)
+    laws = [AodDistribution.isotropic()] + [
+        AodDistribution.laplacian(math.radians(mean_deg), math.radians(spread_deg))
+        for spread_deg in (1.5, 26.0, 360.0)
+        for mean_deg in (-180.0, -120.0, -45.0, 0.0, 30.0, 90.0, 180.0)
+    ]
+    outcomes = {"solved": 0, "unreachable": 0}
+    for dist in laws:
+        for target in rng.uniform(0.02, 0.98, 3):
+            try:
+                d = equivalent_spacing(SpacingQuery(float(target), dist))
+            except NoSolutionError:
+                outcomes["unreachable"] += 1
+                continue
+            outcomes["solved"] += 1
+            assert abs(abs(spatial_corr(d, dist)) - target) <= 5e-7
+            below = np.arange(1, int(d / 0.01) + 1) * 0.01
+            below = below[below < d]
+            if below.size > 200:  # the 20 steps next to d and a sample of the rest
+                below = np.concatenate((below[-20:], rng.choice(below[:-20], 180, replace=False)))
+            assert all(abs(spatial_corr(s, dist)) > target for s in below), (dist, target)
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_spacing_query_validation():
