@@ -1,24 +1,22 @@
 """Fading generation and effective 2x2 channel construction.
 
 Every function returns plain complex arrays of shape ``(..., 2, 2)``:
-a batch of fading matrices in, a batch of effective channels out.
-Three channel constructions are provided:
+a batch of fading matrices in, a batch of effective channels out. Each
+construction is H_eff = H_w M, one i.i.d. Rayleigh draw H_w times a 2x2
+*mixing matrix* M per (user, model, tap):
 
-* :func:`build_effective` combines per-port co- and cross-polarized
-  propagation gains with one i.i.d. Rayleigh draw: column t is
-  sqrt(alpha[t]) times the fading of port t plus sqrt(beta[t']) times
-  the fading of the opposite port t' (the cross-polarized radiation of
-  port t travels the other polarization's channel).
-* :func:`kronecker_effective` imposes a transmit correlation on a
-  scaled i.i.d. matrix by right-multiplication with the principal PSD
-  square root of the correlation.
-* :func:`multitap_effective` sums per-tap Kronecker matrices with
-  power-delay-profile weights normalized to unit total power.
+* :func:`build_effective`: M = [[sqrt(alpha0), sqrt(beta0)],
+  [sqrt(beta1), sqrt(alpha1)]], the copolar and cross-polar gains;
+* :func:`kronecker_effective`: M = diag(sqrt(alpha)) sqrt(R), with the
+  principal PSD square root of the transmit correlation R;
+* :func:`multitap_effective`: the sum over independent taps of
+  M = sqrt(p / sum p) diag(sqrt(alpha)) sqrt(R).
 
 All functions are pure given an explicit numpy ``Generator``; Monte
 Carlo runs derive independent per-task generators from a master seed so
 results are reproducible for a fixed seed and task layout. Leading
-batch dimensions broadcast through every operation.
+batch dimensions broadcast through every operation. Effective channels
+are views laid out along the batch, not C-contiguous arrays.
 """
 
 from __future__ import annotations
@@ -96,25 +94,31 @@ def draw_fading_batch(rng: np.random.Generator, n: int) -> np.ndarray:
     entries already have uniformly distributed phase. A given generator
     state yields a fixed batch, so runs are reproducible.
     """
-    re = rng.standard_normal((n, 2, 2))
-    im = rng.standard_normal((n, 2, 2))
-    return (re + 1j * im) / math.sqrt(2.0)
+    h = np.empty((n, 2, 2), dtype=complex)
+    h.real, h.imag = rng.standard_normal((2, n, 2, 2))  # all real parts, then all imaginary
+    h /= math.sqrt(2.0)
+    return h
+
+
+def _mix(h: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``h @ m`` for a stack ``h`` of shape (..., 2, 2) and one complex 2x2 ``m``."""
+    rows = h.reshape(-1, 2)  # the result is laid out along the stack, for long loops later
+    return (m[0][:, None] * rows[:, 0] + m[1][:, None] * rows[:, 1]).T.reshape(h.shape)
 
 
 def build_effective(gains: PropagationGains, h: np.ndarray) -> np.ndarray:
-    """Effective channel of the dual-polarized port pair.
+    """Effective channel ``h @ M`` of the dual-polarized port pair.
 
     Column t is sqrt(alpha[t]) times the fading ``h`` of port t (the
     copolar part) plus sqrt(beta[t']) times the fading of the opposite
     port t' (the cross-polar part).
     """
-    return h * np.sqrt(gains.alpha) + h[..., ::-1] * np.sqrt(gains.beta[::-1])
+    a, b = np.sqrt(gains.alpha), np.sqrt(gains.beta)
+    return _mix(h, np.array([[a[0], b[0]], [b[1], a[1]]], dtype=complex))
 
 
-def kronecker_effective(
-    h: np.ndarray, alpha: np.ndarray, corr: CorrelationMatrix
-) -> np.ndarray:
-    """Correlated channel ``(h * sqrt(alpha)) @ sqrt(corr)``.
+def kronecker_effective(h: np.ndarray, alpha: np.ndarray, corr: CorrelationMatrix) -> np.ndarray:
+    """Correlated channel ``h @ M`` with M = diag(sqrt(alpha)) sqrt(corr).
 
     ``alpha`` holds the per-port copolarized power gains. The principal
     PSD square root is applied on the transmit side, so the transmit
@@ -125,7 +129,7 @@ def kronecker_effective(
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (2,):
         raise ValueError("alpha must hold one gain per port")
-    return (h * np.sqrt(alpha)) @ matrix_sqrt_psd(corr)
+    return _mix(h, np.sqrt(alpha)[:, None] * matrix_sqrt_psd(corr))
 
 
 def multitap_effective(
@@ -134,10 +138,10 @@ def multitap_effective(
 ) -> np.ndarray:
     """Tapped-delay-line effective channel with normalized tap weights.
 
-    Each ``(power, h, corr)`` tap contributes ``sqrt(power / sum(powers))``
-    times its own :func:`kronecker_effective` matrix; fading is
-    independent per tap. A single tap with identity correlation passes
-    its matrix through unchanged.
+    Each ``(power, h, corr)`` tap contributes its own
+    :func:`kronecker_effective` matrix with the gains ``alpha`` scaled
+    by ``power / sum(powers)``; fading is independent per tap. A single
+    tap with identity correlation passes its matrix through unchanged.
     """
     if len(taps) == 0:
         raise ValueError("at least one tap is required")
@@ -147,10 +151,8 @@ def multitap_effective(
     total = powers.sum()
     if total <= 0:
         raise ValueError("tap powers must not all be zero")
-    return sum(
-        math.sqrt(power / total) * kronecker_effective(h, alpha, corr)
-        for power, h, corr in taps
-    )
+    return sum(kronecker_effective(h, np.multiply(alpha, power / total), corr)
+               for power, h, corr in taps)
 
 
 def empirical_tx_correlation(h: np.ndarray, normalize: bool = True) -> np.ndarray:

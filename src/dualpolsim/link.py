@@ -15,6 +15,8 @@ F^2 / D = (kappa + 1/kappa)^2. Row i of inv(H) has energy c_{1-i} / D,
 so stream i sees SINR_i = D / (c_{1-i} p_n). A realization counts as
 rank deficient when an entry is not finite or kappa reaches
 ``MAX_CONDITION``, i.e. unless D (MAX_CONDITION + 1/MAX_CONDITION)^2 > F^2.
+The kernel forms this SINR on every row and keeps it on the full-rank
+rows with one ``np.where``, raising no floating-point warning.
 
 Four effective-channel constructions are selectable per trial batch:
 
@@ -80,6 +82,8 @@ class LinkParams:
             raise ValueError("overhead fraction must lie in [0, 1)")
         if not self.max_spectral_efficiency > 0:
             raise ValueError("max spectral efficiency must be positive")
+        if not math.isfinite(self.noise_density_dbm_hz):
+            raise ValueError("noise density must be finite")
         if not math.isfinite(self.max_throughput()):
             raise ValueError("bandwidth times the spectral efficiency cap must be finite")
 
@@ -152,24 +156,23 @@ def _zf_kernel(
     # with kappa = s_max / s_min, F^2 / D = (kappa + 1/kappa)^2, which grows
     # with kappa; a non-finite entry makes F inf or NaN, failing the test
     bound = (max_condition + 1.0 / max_condition) ** 2
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         power = h.real ** 2 + h.imag ** 2
-        col = power.sum(axis=1)  # c_j
+        col = power[:, 0] + power[:, 1]  # c_j
         frob = col[:, 0] + col[:, 1]  # F
         det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
         det_sq = det.real ** 2 + det.imag ** 2  # D
         good = det_sq * bound > frob * frob
-    sinr_all = np.zeros(col.shape)
-    # row i of inv(H) has energy c_{1-i} / D
-    sinr_all[good] = det_sq[good, None] / (col[good, ::-1] * noise_power)
+        # row i of inv(H) has energy c_{1-i} / D
+        sinr_all = np.where(good[:, None], det_sq[:, None] / (col[:, ::-1] * noise_power), 0.0)
     return good, sinr_all
 
 
 def _capped_throughput(sinrs: np.ndarray, params: LinkParams) -> np.ndarray:
-    """Truncated-capacity throughput over the last axis (streams) of ``sinrs``."""
+    """Truncated-capacity throughput, summed over the streams on the last axis of ``sinrs``."""
     bw_term = params.effective_bandwidth * (1.0 - params.overhead_fraction)
     se = np.minimum(np.log2(1.0 + sinrs), params.max_spectral_efficiency)
-    return bw_term * se.sum(axis=-1)
+    return bw_term * (se[..., 0] + se[..., 1])
 
 
 def zf_weights(h_eff: np.ndarray, max_condition: float = MAX_CONDITION) -> np.ndarray:
@@ -199,25 +202,20 @@ def _effective_batch(
     user: UserChannel, model: str, rng: np.random.Generator, n_trials: int
 ) -> np.ndarray:
     """Stack of effective channels for one model, shape (n_trials, 2, 2)."""
-    if model == "i":
-        fading = draw_fading_batch(rng, n_trials)
-        return chanmodel.build_effective(user.gains, fading)
-    if model == "ii":
-        fading = draw_fading_batch(rng, n_trials)
-        return chanmodel.kronecker_effective(fading, user.gains.alpha, user.xpd_corr)
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
     omni_alpha = np.array([user.omni_gain, user.omni_gain])
-    if model == "iv":
-        fading = draw_fading_batch(rng, n_trials)
-        return chanmodel.kronecker_effective(fading, omni_alpha, user.xpd_corr)
     if model == "iii":
         target = abs(user.xpd_corr.coefficient)
         spacing = correlation.equivalent_spacing(SpacingQuery(target, user.aod))
         corr = correlation.spatial_corr_matrix(spacing, user.aod)
-        taps = [
-            (p, draw_fading_batch(rng, n_trials), corr) for p in user.tap_powers
-        ]
+        taps = [(p, draw_fading_batch(rng, n_trials), corr) for p in user.tap_powers]
         return chanmodel.multitap_effective(taps, omni_alpha)
-    raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+    fading = draw_fading_batch(rng, n_trials)
+    if model == "i":
+        return chanmodel.build_effective(user.gains, fading)
+    alpha = user.gains.alpha if model == "ii" else omni_alpha
+    return chanmodel.kronecker_effective(fading, alpha, user.xpd_corr)
 
 
 def evaluate_user(

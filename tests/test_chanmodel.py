@@ -268,6 +268,60 @@ def test_multitap_errors():
 
 
 # ---------------------------------------------------------------------------
+# mixing kernel against explicit matrix products
+# ---------------------------------------------------------------------------
+
+BATCH_SHAPES = [(7,), (3, 4), ()]
+
+
+def _complex_stack(rng, shape):
+    return rng.standard_normal(shape + (2, 2)) + 1j * rng.standard_normal(shape + (2, 2))
+
+
+def _sqrt_ref(corr):
+    # principal root through an eigendecomposition of R itself, not conj(R)
+    w, v = np.linalg.eigh(corr.matrix)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+@pytest.mark.parametrize("shape", BATCH_SHAPES)
+def test_build_effective_matches_matmul(shape):
+    h = _complex_stack(np.random.default_rng(101), shape)
+    alpha, beta = np.array([0.8, 0.3]), np.array([0.05, 0.2])
+    # column t: sqrt(alpha[t]) h[:, t] + sqrt(beta[t']) h[:, t']
+    m = np.sqrt([[alpha[0], beta[0]], [beta[1], alpha[1]]])
+    eff = build_effective(PropagationGains(alpha=alpha, beta=beta), h)
+    assert eff.shape == h.shape
+    assert_allclose(eff, np.matmul(h, m), rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("shape", BATCH_SHAPES)
+def test_kronecker_effective_matches_matmul(shape):
+    h = _complex_stack(np.random.default_rng(102), shape)
+    alpha = np.array([0.6, 1.7])
+    corr = CorrelationMatrix.from_coefficient(0.4 - 0.5j)
+    want = np.einsum("...rk,kc->...rc", h * np.sqrt(alpha), _sqrt_ref(corr))
+    eff = kronecker_effective(h, alpha, corr)
+    assert eff.shape == h.shape
+    assert_allclose(eff, want, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("shape", BATCH_SHAPES)
+def test_multitap_effective_matches_matmul(shape):
+    rng = np.random.default_rng(103)
+    alpha = np.array([1.3, 0.4])
+    taps = [
+        (0.5, _complex_stack(rng, shape), CorrelationMatrix.from_coefficient(0.7j)),
+        (0.3, _complex_stack(rng, shape), CorrelationMatrix.from_coefficient(-0.2 + 0.6j)),
+        (0.2, _complex_stack(rng, shape), CorrelationMatrix.from_coefficient(0.0)),
+    ]
+    want = sum(
+        math.sqrt(p) * np.matmul(h * np.sqrt(alpha), _sqrt_ref(corr)) for p, h, corr in taps
+    )
+    assert_allclose(multitap_effective(taps, alpha), want, rtol=1e-14, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
 # estimator plumbing
 # ---------------------------------------------------------------------------
 

@@ -118,6 +118,16 @@ def test_bessel_jn_matches_mpmath():
         assert not table.flags.writeable
 
 
+@pytest.mark.parametrize("chunk", [0, 1, 12, 24])
+def test_grid_table_equals_scalar_recurrence(chunk):
+    table = correlation._grid_table(chunk)
+    first = chunk * 256 + 1
+    assert table.flags.c_contiguous and not table.flags.writeable
+    for step in range(table.shape[0]):
+        x = 2.0 * math.pi * (first + step) * 0.01
+        assert table[step].tolist() == correlation._bessel_jn(x, table.shape[1] - 1), step
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 2.0 * math.pi * 64.0 + 0.01])
 def test_bessel_j0_rejects_arguments_outside_its_range(bad):
     with pytest.raises(ValueError, match="must be finite"):

@@ -1,6 +1,7 @@
 """Tests for the zero-forcing receiver, throughput map and Monte Carlo loop."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,7 +122,9 @@ def test_zf_kernel_matches_svd_and_inverse():
          non_finite]
     )
 
-    good, sinrs = _zf_kernel(h, noise)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # bad rows are masked out without a warning
+        good, sinrs = _zf_kernel(h, noise)
     want_good, want_sinrs = _svd_inv_oracle(h, noise)
     assert np.array_equal(good, want_good)
     assert good.sum() == len(gauss) + 3
@@ -182,6 +185,9 @@ def test_link_params_validation():
         LinkParams(overhead_fraction=1.0)
     with pytest.raises(ValueError):
         LinkParams(max_spectral_efficiency=-1.0)
+    for density in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="noise density"):
+            LinkParams(noise_density_dbm_hz=density)
 
 
 # ---------------------------------------------------------------------------
