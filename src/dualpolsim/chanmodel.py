@@ -140,11 +140,15 @@ def multitap_effective(
 
     Each ``(power, h, corr)`` tap contributes its own
     :func:`kronecker_effective` matrix with the gains ``alpha`` scaled
-    by ``power / sum(powers)``; fading is independent per tap. A single
-    tap with identity correlation passes its matrix through unchanged.
+    by ``power / sum(powers)``; fading is independent per tap, so every
+    tap's stack must have the same shape (no draw is shared by
+    broadcasting). A single tap with identity correlation passes its
+    matrix through unchanged.
     """
     if len(taps) == 0:
         raise ValueError("at least one tap is required")
+    if len({np.shape(h) for _, h, _ in taps}) > 1:
+        raise ValueError("every tap needs a fading stack of the same shape")
     powers = np.array([p for p, _, _ in taps], dtype=float)
     if np.any(powers < 0):
         raise ValueError("tap powers must be >= 0")

@@ -38,14 +38,12 @@ _NUMERIC_ERRORS = (
 
 def _laplacian(mean_aod_deg: float, spread_deg: float) -> correlation.AodDistribution:
     """Laplacian AoD law from CLI degrees; a bad value is a config error."""
-    try:
+    with harness._config_errors(
+        f"AoD law with mean {mean_aod_deg:g} deg, spread {spread_deg:g} deg: "
+    ):
         return correlation.AodDistribution.laplacian(
             math.radians(mean_aod_deg), math.radians(spread_deg)
         )
-    except ValueError as exc:
-        raise harness.ConfigError(
-            f"AoD law with mean {mean_aod_deg:g} deg, spread {spread_deg:g} deg: {exc}"
-        ) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,9 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table1", help="XPD to correlation and equivalent spacing")
-    p_table.add_argument("--xpd", default="3,5,10,20,30",
-                         metavar="DB[,DB...]", help="XPD values in dB")
-    p_table.add_argument("--spread", type=float, default=harness.DEFAULT_TABLE_SPREAD_DEG,
+    p_table.add_argument("--xpd", metavar="DB[,DB...]", help="XPD values in dB",
+                         default=",".join(map("{:g}".format, harness.DEFAULT_XPD_SWEEP_DB)))
+    p_table.add_argument("--spread", type=float, default=harness.DEFAULT_SPREAD_DEG,
                          metavar="DEG", help="Laplacian AoD spread for the d_lap column")
     p_table.add_argument("--out", type=Path, default=None, metavar="FILE",
                          help="write CSV here instead of stdout")
@@ -73,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sp = sub.add_parser("spacing", help="equivalent antenna spacing for a correlation")
     p_sp.add_argument("--rho", type=float, required=True, metavar="R")
     p_sp.add_argument("--dist", choices=("iso", "lap"), default="iso")
-    p_sp.add_argument("--spread", type=float, default=harness.DEFAULT_TABLE_SPREAD_DEG,
+    p_sp.add_argument("--spread", type=float, default=harness.DEFAULT_SPREAD_DEG,
                       metavar="DEG")
     p_sp.add_argument("--mean-aod", type=float, default=0.0, metavar="DEG")
 
@@ -102,10 +100,8 @@ def _cmd_table1(args) -> int:
 def _cmd_cdf(args) -> int:
     scenario = harness.parse_scenario(args.config.read_text())
     if args.models is not None:
-        try:
+        with harness._config_errors(""):
             scenario = dataclasses.replace(scenario, models=harness._models(args.models))
-        except ValueError as exc:
-            raise harness.ConfigError(str(exc)) from None
     report = harness.run(scenario)
     written = harness.write_report(report, args.out)
     for path in written:
@@ -118,10 +114,8 @@ def _cmd_spacing(args) -> int:
         dist = correlation.AodDistribution.isotropic()
     else:
         dist = _laplacian(args.mean_aod, args.spread)
-    try:
+    with harness._config_errors(""):
         query = correlation.SpacingQuery(target_rho=args.rho, distribution=dist)
-    except ValueError as exc:
-        raise harness.ConfigError(str(exc)) from None
     d = correlation.equivalent_spacing(query)
     print(f"{d:.6f}")
     return EXIT_OK

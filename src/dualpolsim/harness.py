@@ -9,6 +9,12 @@ A scenario is an INI-style text file with sections
 * ``[link]``    -- system constants (all optional, LTE defaults),
 * ``[seed]``    -- master seed.
 
+The parser maps each key through one table onto a keyword argument of
+:class:`UserSpec`, :class:`GeneratorBounds`, :class:`Scenario` or
+:class:`~dualpolsim.link.LinkParams`. Those dataclasses hold every
+default and every range rule, so one built in code is checked exactly
+as a parsed one.
+
 Running a scenario produces, per (model, XPD) pair, a pooled empirical
 throughput CDF over all users, plus a summary table mapping each XPD to
 its correlation coefficient and equivalent antenna spacings. Outputs
@@ -25,6 +31,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -61,7 +68,9 @@ __all__ = [
 ]
 
 DEFAULT_XPD_SWEEP_DB = (3.0, 5.0, 10.0, 20.0, 30.0)
-DEFAULT_TABLE_SPREAD_DEG = 26.0
+#: Laplacian AoD spread of the paper's reference scenario.
+DEFAULT_SPREAD_DEG = 26.0
+DEFAULT_USER_COUNT = 100
 
 
 class ConfigError(ValueError):
@@ -70,12 +79,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class UserSpec:
-    """One simulated user position, reduced to link-relevant quantities."""
+    """One simulated user position, reduced to link-relevant quantities; angles in radians."""
 
     user_id: str
     path_loss_db: float
     mean_aod: float
-    aod_spread: float
+    aod_spread: float = math.radians(DEFAULT_SPREAD_DEG)
     tap_powers: tuple[float, ...] = (1.0,)
 
     def __post_init__(self) -> None:
@@ -83,12 +92,14 @@ class UserSpec:
             raise ValueError(
                 f"user {self.user_id}: path loss must lie in [0, {MAX_ABS_DB:g}] dB"
             )
+        if not -math.pi <= self.mean_aod <= math.pi:
+            raise ValueError(f"user {self.user_id}: mean AoD must lie in [-180, 180] degrees")
         lo, hi = LAPLACIAN_SPREAD_DEG
         if not math.radians(lo) <= self.aod_spread <= math.radians(hi):
             raise ValueError(
                 f"user {self.user_id}: AoD spread must lie in [{lo:g}, {hi:g}] degrees"
             )
-        if len(self.tap_powers) == 0 or min(self.tap_powers) < 0 or sum(self.tap_powers) <= 0:
+        if not all(0 <= p < math.inf for p in self.tap_powers) or sum(self.tap_powers) <= 0:
             raise ValueError(f"user {self.user_id}: invalid tap powers")
 
 
@@ -106,7 +117,7 @@ class GeneratorBounds:
     reference_loss_db: float = 41.0
     sector_deg: float = 120.0
     sector_center_deg: float = 0.0
-    aod_spread_deg: tuple[float, float] = (26.0, 26.0)
+    aod_spread_deg: tuple[float, float] = (DEFAULT_SPREAD_DEG, DEFAULT_SPREAD_DEG)
     tap_powers: tuple[float, ...] = (1.0,)
 
     def __post_init__(self) -> None:
@@ -146,12 +157,15 @@ class Scenario:
     trials_per_user: int = 1000
     pattern_file: str | None = None
     pattern_reference_deg: float = 0.0
-    table_spread_deg: float = DEFAULT_TABLE_SPREAD_DEG
+    table_spread_deg: float = DEFAULT_SPREAD_DEG
 
     def __post_init__(self) -> None:
         if len(self.users) == 0:
             raise ValueError("scenario needs at least one user")
+        if len({u.user_id for u in self.users}) != len(self.users):
+            raise ValueError("user ids must be unique: substreams are keyed by them")
         _check_xpd_labels(self.xpd_sweep_db, "xpd_db")
+        _check_db(self.xpd_sweep_db, "xpd_db")
         if self.trials_per_user < 1:
             raise ValueError("trials_per_user must be >= 1")
         if len(self.models) == 0:
@@ -161,6 +175,13 @@ class Scenario:
         bad = [m for m in self.models if m not in MODELS]
         if bad:
             raise ValueError(f"unknown models {bad}; expected subset of {MODELS}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not math.isfinite(self.pattern_reference_deg):
+            raise ValueError("pattern_reference_deg must be finite")
+        lo, hi = LAPLACIAN_SPREAD_DEG
+        if not lo <= self.table_spread_deg <= hi:
+            raise ValueError(f"table_spread_deg must lie in [{lo:g}, {hi:g}] degrees")
 
 
 @dataclass(frozen=True)
@@ -188,24 +209,6 @@ class RunReport:
 # config parsing
 # ---------------------------------------------------------------------------
 
-_SECTION_KEYS = {
-    "generator": {
-        "count", "distance_m", "path_loss_exponent", "reference_loss_db",
-        "sector_deg", "sector_center_deg", "aod_spread_deg", "tap_powers",
-    },
-    "sweep": {
-        "xpd_db", "models", "trials_per_user", "pattern_file",
-        "pattern_reference_deg", "table_spread_deg",
-    },
-    "link": {
-        "bandwidth_hz", "overhead", "max_spectral_efficiency",
-        "noise_density_dbm_hz",
-    },
-    "seed": {"value"},
-}
-
-_USER_KEYS = {"path_loss_db", "mean_aod_deg", "spread_deg", "taps"}
-
 
 def _floats(raw: str, where: str) -> tuple[float, ...]:
     try:
@@ -231,8 +234,8 @@ def _check_xpd_labels(values, where: str) -> None:
 
 
 def _check_db(values, where: str) -> None:
-    """Reject dB values beyond +-:data:`MAX_ABS_DB`, naming ``where``."""
-    if any(abs(v) > MAX_ABS_DB for v in values):
+    """Reject dB values beyond +-:data:`MAX_ABS_DB` or NaN, naming ``where``."""
+    if not all(abs(v) <= MAX_ABS_DB for v in values):
         raise ConfigError(f"{where}: dB values must lie within +-{MAX_ABS_DB:g} dB")
 
 
@@ -252,52 +255,101 @@ def _one_int(raw: str, where: str) -> int:
 
 def _range(raw: str, where: str) -> tuple[float, float]:
     vals = _floats(raw, where)
-    if len(vals) == 1:
-        return (vals[0], vals[0])
-    if len(vals) == 2:
-        return (vals[0], vals[1])
-    raise ConfigError(f"{where}: expected one or two numbers, got {raw!r}")
+    if len(vals) not in (1, 2):
+        raise ConfigError(f"{where}: expected one or two numbers, got {raw!r}")
+    return (vals[0], vals[-1])
+
+
+def _one_angle(raw: str, where: str) -> float:
+    """One angle written in degrees, returned in radians."""
+    return math.radians(_one_float(raw, where))
+
+
+# Per section, file key -> (keyword of the dataclass the section builds,
+# reader of its text); [sweep] and [seed] both build the Scenario, and
+# [generator] ``count`` is the size argument of generate_users.
+_KEYS = {
+    "generator": {
+        "count": ("count", _one_int),
+        "distance_m": ("distance_m", _range),
+        "path_loss_exponent": ("path_loss_exponent", _one_float),
+        "reference_loss_db": ("reference_loss_db", _one_float),
+        "sector_deg": ("sector_deg", _one_float),
+        "sector_center_deg": ("sector_center_deg", _one_float),
+        "aod_spread_deg": ("aod_spread_deg", _range),
+        "tap_powers": ("tap_powers", _floats),
+    },
+    "sweep": {
+        "xpd_db": ("xpd_sweep_db", _floats),
+        "models": ("models", lambda raw, where: _models(raw)),
+        "trials_per_user": ("trials_per_user", _one_int),
+        "pattern_file": ("pattern_file", lambda raw, where: raw or None),
+        "pattern_reference_deg": ("pattern_reference_deg", _one_float),
+        "table_spread_deg": ("table_spread_deg", _one_float),
+    },
+    "link": {
+        "bandwidth_hz": ("effective_bandwidth", _one_float),
+        "overhead": ("overhead_fraction", _one_float),
+        "max_spectral_efficiency": ("max_spectral_efficiency", _one_float),
+        "noise_density_dbm_hz": ("noise_density_dbm_hz", _one_float),
+    },
+    "seed": {"value": ("seed", _one_int)},
+}
+
+# The key=value tokens of one [users] line, which builds a UserSpec.
+_USER_KEYS = {
+    "path_loss_db": ("path_loss_db", _one_float),
+    "mean_aod_deg": ("mean_aod", _one_angle),
+    "spread_deg": ("aod_spread", _one_angle),
+    "taps": ("tap_powers", _floats),
+}
+
+
+def _read(items, keys: dict, where: str) -> dict:
+    """Keyword arguments of the ``(key, text)`` pairs ``items`` read through ``keys``."""
+    kwargs = {}
+    for key, raw in items:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+        name, reader = keys[key]
+        kwargs[name] = reader(raw, f"{where} {key}")
+    return kwargs
+
+
+@contextmanager
+def _config_errors(prefix: str):
+    """Re-raise a ``ValueError`` as a :class:`ConfigError` whose message starts with ``prefix``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def _parse_user_line(user_id: str, raw: str) -> UserSpec:
     where = f"[users] {user_id}"
-    fields = {}
+    tokens = {}
     for token in raw.split():
-        if "=" not in token:
+        key, eq, value = token.partition("=")
+        if not eq:
             raise ConfigError(f"{where}: expected key=value tokens, got {token!r}")
-        key, _, value = token.partition("=")
-        if key not in _USER_KEYS:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-        fields[key] = value
-    missing = {"path_loss_db", "mean_aod_deg"} - fields.keys()
+        tokens[key] = value
+    kwargs = _read(tokens.items(), _USER_KEYS, where)
+    missing = {"path_loss_db", "mean_aod_deg"} - tokens.keys()
     if missing:
         raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
-    mean_aod_deg = _one_float(fields["mean_aod_deg"], f"{where} mean_aod_deg")
-    if not -180.0 <= mean_aod_deg <= 180.0:
-        raise ConfigError(f"{where} mean_aod_deg: must lie in [-180, 180] degrees")
-    path_loss_db = _one_float(fields["path_loss_db"], f"{where} path_loss_db")
-    spread_deg = _one_float(fields.get("spread_deg", "26"), f"{where} spread_deg")
-    tap_powers = _floats(fields.get("taps", "1"), f"{where} taps")
-    try:
-        return UserSpec(
-            user_id=user_id,
-            path_loss_db=path_loss_db,
-            mean_aod=math.radians(mean_aod_deg),
-            aod_spread=math.radians(spread_deg),
-            tap_powers=tap_powers,
-        )
-    except ValueError as exc:
-        # UserSpec messages already name the user
-        raise ConfigError(f"[users] {exc}") from None
+    with _config_errors("[users] "):  # UserSpec messages already name the user
+        return UserSpec(user_id, **kwargs)
 
 
 def parse_scenario(source: str) -> Scenario:
     """Parse and validate scenario text into a :class:`Scenario`.
 
-    Omitted link parameters fall back to the LTE defaults. Raises
+    Each section's keys become keyword arguments of the dataclass it
+    builds; omitted keys keep the dataclass defaults (the LTE defaults
+    for ``[link]``) and the dataclasses check every range. Raises
     :class:`ConfigError` naming the offending section and key for
-    unknown keys, out-of-range values, duplicate user ids and missing
-    required sections.
+    unknown keys, malformed or out-of-range values, duplicate user ids
+    and missing required sections.
     """
     parser = configparser.ConfigParser(interpolation=None, strict=True)
     try:
@@ -307,16 +359,9 @@ def parse_scenario(source: str) -> Scenario:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
 
-    known_sections = set(_SECTION_KEYS) | {"users"}
     for section in parser.sections():
-        if section not in known_sections:
+        if section not in _KEYS and section != "users":
             raise ConfigError(f"unknown section [{section}]")
-        if section == "users":
-            continue
-        for key in parser[section]:
-            if key not in _SECTION_KEYS[section]:
-                raise ConfigError(f"unknown key {key!r} in [{section}]")
-
     has_users = parser.has_section("users")
     has_gen = parser.has_section("generator")
     if not has_users and not has_gen:
@@ -324,105 +369,30 @@ def parse_scenario(source: str) -> Scenario:
     if has_users and has_gen:
         raise ConfigError("provide either [users] or [generator], not both")
 
-    seed = 0
-    if parser.has_section("seed"):
-        seed = _one_int(parser["seed"].get("value", "0"), "[seed] value")
-        if seed < 0:
-            raise ConfigError("[seed] value: must be >= 0")
+    kwargs = {name: _read(parser[name].items(), keys, f"[{name}]")
+              for name, keys in _KEYS.items() if parser.has_section(name)}
+    scenario_kwargs = {**kwargs.get("sweep", {}), **kwargs.get("seed", {})}
+    with _config_errors("[link]: "):
+        link = LinkParams(**kwargs.get("link", {}))
 
-    # sweep
-    sweep = parser["sweep"] if parser.has_section("sweep") else {}
-    xpd_sweep = (
-        _floats(sweep["xpd_db"], "[sweep] xpd_db")
-        if "xpd_db" in sweep
-        else DEFAULT_XPD_SWEEP_DB
-    )
-    _check_db(xpd_sweep, "[sweep] xpd_db")
-    models = _models(sweep.get("models", "ii"))
-    trials = _one_int(sweep.get("trials_per_user", "1000"),
-                      "[sweep] trials_per_user")
-    pattern_file = sweep.get("pattern_file") or None
-    pattern_ref = _one_float(sweep.get("pattern_reference_deg", "0"),
-                             "[sweep] pattern_reference_deg")
-    table_spread = _one_float(
-        sweep.get("table_spread_deg", str(DEFAULT_TABLE_SPREAD_DEG)),
-        "[sweep] table_spread_deg",
-    )
-    lo, hi = LAPLACIAN_SPREAD_DEG
-    if not lo <= table_spread <= hi:
-        raise ConfigError(f"[sweep] table_spread_deg: must lie in [{lo:g}, {hi:g}] degrees")
-
-    # link
-    link_kwargs = {}
-    if parser.has_section("link"):
-        sec = parser["link"]
-        mapping = {
-            "bandwidth_hz": "effective_bandwidth",
-            "overhead": "overhead_fraction",
-            "max_spectral_efficiency": "max_spectral_efficiency",
-            "noise_density_dbm_hz": "noise_density_dbm_hz",
-        }
-        for key, attr in mapping.items():
-            if key in sec:
-                link_kwargs[attr] = _one_float(sec[key], f"[link] {key}")
-        if "noise_density_dbm_hz" in link_kwargs:
-            _check_db([link_kwargs["noise_density_dbm_hz"]], "[link] noise_density_dbm_hz")
-    try:
-        link = LinkParams(**link_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[link]: {exc}") from None
-
-    # users
     if has_users:
         users = tuple(_parse_user_line(uid, raw) for uid, raw in parser["users"].items())
         if not users:
             raise ConfigError("[users] section is empty")
     else:
-        sec = parser["generator"]
-        count = _one_int(sec.get("count", "100"), "[generator] count")
-        if count < 1:
-            raise ConfigError("[generator] count: must be >= 1")
-        try:
-            bounds = GeneratorBounds(
-                distance_m=_range(sec.get("distance_m", "3, 60"),
-                                  "[generator] distance_m"),
-                path_loss_exponent=_one_float(sec.get("path_loss_exponent", "3.0"),
-                                              "[generator] path_loss_exponent"),
-                reference_loss_db=_one_float(sec.get("reference_loss_db", "41.0"),
-                                             "[generator] reference_loss_db"),
-                sector_deg=_one_float(sec.get("sector_deg", "120"),
-                                      "[generator] sector_deg"),
-                sector_center_deg=_one_float(sec.get("sector_center_deg", "0"),
-                                             "[generator] sector_center_deg"),
-                aod_spread_deg=_range(sec.get("aod_spread_deg", "26"),
-                                      "[generator] aod_spread_deg"),
-                tap_powers=_floats(sec.get("tap_powers", "1.0"),
-                                   "[generator] tap_powers"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[generator]: {exc}") from None
+        generator = kwargs["generator"]
+        count = generator.pop("count", DEFAULT_USER_COUNT)
         # population substream: keyed away from the per-task streams,
-        # which use small (xpd, model, user) indices
-        population_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA0D]))
-        try:
-            users = tuple(generate_users(count, population_rng, bounds))
-        except ValueError as exc:
-            raise ConfigError(f"[generator]: {exc}") from None
+        # which use small (xpd, model, user) indices; a negative seed
+        # fails here, before Scenario sees it
+        with _config_errors("[seed] value: "):
+            seq = np.random.SeedSequence([scenario_kwargs.get("seed", Scenario.seed), 0xA0D])
+        with _config_errors("[generator]: "):
+            users = tuple(generate_users(count, np.random.default_rng(seq),
+                                         GeneratorBounds(**generator)))
 
-    try:
-        return Scenario(
-            users=users,
-            xpd_sweep_db=xpd_sweep,
-            models=models,
-            link=link,
-            seed=seed,
-            trials_per_user=trials,
-            pattern_file=pattern_file,
-            pattern_reference_deg=pattern_ref,
-            table_spread_deg=table_spread,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    with _config_errors(""):
+        return Scenario(users=users, link=link, **scenario_kwargs)
 
 
 def generate_users(
@@ -549,30 +519,26 @@ def run(scenario: Scenario) -> RunReport:
     # Scenario guarantees unique models and XPD labels, so no key repeats
     pooled = {(model, xpd_db): [] for xpd_db in scenario.xpd_sweep_db
               for model in scenario.models}
-    for xi, xpd_db in enumerate(scenario.xpd_sweep_db):
-        scaled = None
-        if pattern is not None:
-            try:
+    where = ""  # the step running: its error is re-raised naming it
+    try:
+        for xi, xpd_db in enumerate(scenario.xpd_sweep_db):
+            where = at_xpd = f"xpd {xpd_db:g} dB"
+            scaled = None
+            if pattern is not None:
                 scaled = scale_to_xpd(pattern, xpd_db,
                                       math.radians(scenario.pattern_reference_deg))
-            except (ValueError, ArithmeticError) as exc:
-                raise type(exc)(f"xpd {xpd_db:g} dB: {exc}") from exc
-        for ui, user in enumerate(ordered_users):
-            try:
+            for ui, user in enumerate(ordered_users):
+                where = at_user = f"user {user.user_id}, {at_xpd}"
                 channel = _user_channel(user, xpd_db, scaled)
-            except (ValueError, ArithmeticError) as exc:
-                raise type(exc)(f"user {user.user_id}, xpd {xpd_db:g} dB: {exc}") from exc
-            for mi, model in enumerate(scenario.models):
-                rng = _task_rng(scenario.seed, xi, mi, ui)
-                try:
+                for mi, model in enumerate(scenario.models):
+                    where = f"{at_user}, model {model}"
+                    rng = _task_rng(scenario.seed, xi, mi, ui)
                     result = evaluate_user(
                         channel, model, rng, scenario.trials_per_user, scenario.link
                     )
-                except (ValueError, ArithmeticError) as exc:
-                    raise type(exc)(
-                        f"user {user.user_id}, xpd {xpd_db:g} dB, model {model}: {exc}"
-                    ) from exc
-                pooled[(model, xpd_db)].append(result.throughput)
+                    pooled[(model, xpd_db)].append(result.throughput)
+    except (ValueError, ArithmeticError) as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
     cdf_series = {key: cdf(np.concatenate(parts)) for key, parts in pooled.items()}
 
     metadata = {

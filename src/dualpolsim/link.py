@@ -39,6 +39,7 @@ import numpy as np
 from . import chanmodel, correlation
 from .chanmodel import PropagationGains, draw_fading_batch
 from .correlation import AodDistribution, SpacingQuery
+from .pattern import MAX_ABS_DB
 
 __all__ = [
     "MODELS",
@@ -67,7 +68,8 @@ class LinkParams:
 
     Defaults: 8.4 MHz effective bandwidth, 25.22 percent overhead,
     5 bit/s/Hz per-stream cap (64-QAM at rate 5/6) and -174 dBm/Hz
-    noise density.
+    noise density, which must lie within +-:data:`MAX_ABS_DB`; the
+    noise power over the bandwidth must be positive and finite.
     """
 
     effective_bandwidth: float = 8.4e6
@@ -82,8 +84,10 @@ class LinkParams:
             raise ValueError("overhead fraction must lie in [0, 1)")
         if not self.max_spectral_efficiency > 0:
             raise ValueError("max spectral efficiency must be positive")
-        if not math.isfinite(self.noise_density_dbm_hz):
-            raise ValueError("noise density must be finite")
+        if not abs(self.noise_density_dbm_hz) <= MAX_ABS_DB:
+            raise ValueError(f"noise density must lie within +-{MAX_ABS_DB:g} dBm/Hz")
+        if not 0.0 < self.noise_power() < math.inf:
+            raise ValueError("noise power over the bandwidth must be positive and finite")
         if not math.isfinite(self.max_throughput()):
             raise ValueError("bandwidth times the spectral efficiency cap must be finite")
 

@@ -265,6 +265,11 @@ def test_multitap_errors():
         multitap_effective([(0.0, fading, identity)], np.ones(2))
     with pytest.raises(ValueError, match=">= 0"):
         multitap_effective([(-0.5, fading, identity), (1.0, fading, identity)], np.ones(2))
+    # one tap's single draw must not be broadcast over another tap's trials
+    rng = np.random.default_rng(1)
+    with pytest.raises(ValueError, match="same shape"):
+        multitap_effective([(0.5, draw_fading_batch(rng, 1), identity),
+                            (0.5, draw_fading_batch(rng, 5), identity)], np.ones(2))
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,7 @@ def test_bad_pattern_values_exit_2(tmp_path, capsys, command, row):
         USER + "[link]\nbandwidth_hz = inf\n",
         USER + "[link]\nbandwidth_hz = 1e308\n",
         USER + "[link]\nnoise_density_dbm_hz = nan\n",
+        USER + "[link]\nbandwidth_hz = 1e290\nnoise_density_dbm_hz = 300\n",
         "[users]\nu = path_loss_db=80 mean_aod_deg=0 spread_deg=1\n",
         "[users]\nu = path_loss_db=80 mean_aod_deg=0 spread_deg=400\n",
         "[generator]\naod_spread_deg = 0.1, 20\n",
@@ -237,9 +238,9 @@ def test_bad_pattern_values_exit_2(tmp_path, capsys, command, row):
     ],
     ids=["xpd-nan", "xpd-inf", "xpd-huge", "sector-center", "mean-aod", "spread-inf",
          "table-spread-inf", "distance-inf", "bandwidth-inf", "throughput-cap-overflow",
-         "noise-density-nan", "spread-narrow", "spread-wide", "generator-spread-narrow",
-         "generator-spread-wide", "table-spread-narrow", "table-spread-wide",
-         "xpd-repeated", "xpd-same-label", "models-repeated", "models-empty"],
+         "noise-density-nan", "noise-power-overflow", "spread-narrow", "spread-wide",
+         "generator-spread-narrow", "generator-spread-wide", "table-spread-narrow",
+         "table-spread-wide", "xpd-repeated", "xpd-same-label", "models-repeated", "models-empty"],
 )
 def test_cdf_non_finite_or_out_of_range_numbers_exit_2(tmp_path, capsys, text):
     config = tmp_path / "scenario.ini"

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,16 @@ def test_parse_seed_is_exact_64_bit():
     assert scenario.seed == big
     with pytest.raises(ConfigError, match=">= 0"):
         parse_scenario(MINIMAL_CONFIG + "[seed]\nvalue = -5\n")
+    with pytest.raises(ConfigError, match=r"^\[seed\] value"):
+        parse_scenario("[generator]\ncount = 2\n[seed]\nvalue = -5\n")
+
+
+def test_readme_scenario_examples_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.M | re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        parse_scenario(block)
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +462,17 @@ def test_scenario_validation():
         Scenario(users=(user,), xpd_sweep_db=(10.0000001, 10.0000002))
     with pytest.raises(ValueError):
         Scenario(users=(user,), trials_per_user=0)
+    # the ranges a scenario file is held to hold for a Scenario built in code
+    with pytest.raises(ValueError, match="300 dB"):
+        Scenario(users=(user,), xpd_sweep_db=(1e6,))
+    with pytest.raises(ValueError, match=">= 0"):
+        Scenario(users=(user,), seed=-1)
+    with pytest.raises(ValueError, match="table_spread_deg"):
+        Scenario(users=(user,), table_spread_deg=1.4)
+    with pytest.raises(ValueError, match="pattern_reference_deg"):
+        Scenario(users=(user,), pattern_reference_deg=math.nan)
+    with pytest.raises(ValueError, match="unique"):
+        Scenario(users=(user, UserSpec("u", 90.0, 1.0, 0.4)))
 
 
 def test_user_spec_validation():
@@ -460,3 +482,8 @@ def test_user_spec_validation():
         UserSpec("u", 80.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         UserSpec("u", 80.0, 0.0, 0.4, tap_powers=())
+    with pytest.raises(ValueError, match="mean AoD"):
+        UserSpec("u", 80.0, 4.0, 0.4)
+    for taps in ((math.nan,), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="tap powers"):
+            UserSpec("u", 80.0, 0.0, 0.4, tap_powers=taps)

@@ -185,9 +185,13 @@ def test_link_params_validation():
         LinkParams(overhead_fraction=1.0)
     with pytest.raises(ValueError):
         LinkParams(max_spectral_efficiency=-1.0)
-    for density in (math.nan, math.inf, -math.inf):
+    # beyond +-300 dBm/Hz the noise power underflows to 0 or overflows
+    for density in (math.nan, math.inf, -math.inf, -4000.0, 3070.0, 3100.0):
         with pytest.raises(ValueError, match="noise density"):
             LinkParams(noise_density_dbm_hz=density)
+    for bandwidth, density in ((1e290, 300.0), (1e-300, -300.0)):
+        with pytest.raises(ValueError, match="noise power"):
+            LinkParams(effective_bandwidth=bandwidth, noise_density_dbm_hz=density)
 
 
 # ---------------------------------------------------------------------------
