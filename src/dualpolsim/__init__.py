@@ -38,7 +38,6 @@ from .chanmodel import (
     draw_fading_batch,
     empirical_tx_correlation,
     kronecker_effective,
-    multitap_effective,
 )
 from .link import (
     MODELS,
@@ -75,7 +74,7 @@ __all__ = [
     "gain_at", "load_pattern", "scale_to_xpd", "xpd_at",
     # chanmodel
     "PropagationGains", "build_effective", "draw_fading_batch",
-    "empirical_tx_correlation", "kronecker_effective", "multitap_effective",
+    "empirical_tx_correlation", "kronecker_effective",
     # link
     "MODELS", "LinkParams", "LinkResult", "RankDeficientError",
     "UserChannel", "cdf", "evaluate_user", "zf_weights",

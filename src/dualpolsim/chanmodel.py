@@ -3,14 +3,12 @@
 Every function returns plain complex arrays of shape ``(..., 2, 2)``:
 a batch of fading matrices in, a batch of effective channels out. Each
 construction is H_eff = H_w M, one i.i.d. Rayleigh draw H_w times a 2x2
-*mixing matrix* M per (user, model, tap):
+*mixing matrix* M per (user, model):
 
 * :func:`build_effective`: M = [[sqrt(alpha0), sqrt(beta0)],
   [sqrt(beta1), sqrt(alpha1)]], the copolar and cross-polar gains;
 * :func:`kronecker_effective`: M = diag(sqrt(alpha)) sqrt(R), with the
-  principal PSD square root of the transmit correlation R;
-* :func:`multitap_effective`: the sum over independent taps of
-  M = sqrt(p / sum p) diag(sqrt(alpha)) sqrt(R).
+  principal PSD square root of the transmit correlation R.
 
 All functions are pure given an explicit numpy ``Generator``; Monte
 Carlo runs derive independent per-task generators from a master seed so
@@ -23,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +31,6 @@ __all__ = [
     "draw_fading_batch",
     "build_effective",
     "kronecker_effective",
-    "multitap_effective",
     "empirical_tx_correlation",
 ]
 
@@ -80,12 +76,6 @@ class PropagationGains:
         return cls(alpha=np.array([a, a]), beta=np.array([a / chi, a / chi]),
                    path_loss=path_loss)
 
-    def xpd(self) -> tuple[float, float]:
-        """Per-port linear XPD (copolar over opposite-polarization leakage)."""
-        return tuple(
-            float(a / b) if b else math.inf for a, b in zip(self.alpha, self.beta[::-1])
-        )
-
 
 def draw_fading_batch(rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw ``n`` independent i.i.d. CN(0, 1) 2x2 fading matrices, shape (n, 2, 2).
@@ -130,33 +120,6 @@ def kronecker_effective(h: np.ndarray, alpha: np.ndarray, corr: CorrelationMatri
     if alpha.shape != (2,):
         raise ValueError("alpha must hold one gain per port")
     return _mix(h, np.sqrt(alpha)[:, None] * matrix_sqrt_psd(corr))
-
-
-def multitap_effective(
-    taps: Sequence[tuple[float, np.ndarray, CorrelationMatrix]],
-    alpha: np.ndarray,
-) -> np.ndarray:
-    """Tapped-delay-line effective channel with normalized tap weights.
-
-    Each ``(power, h, corr)`` tap contributes its own
-    :func:`kronecker_effective` matrix with the gains ``alpha`` scaled
-    by ``power / sum(powers)``; fading is independent per tap, so every
-    tap's stack must have the same shape (no draw is shared by
-    broadcasting). A single tap with identity correlation passes its
-    matrix through unchanged.
-    """
-    if len(taps) == 0:
-        raise ValueError("at least one tap is required")
-    if len({np.shape(h) for _, h, _ in taps}) > 1:
-        raise ValueError("every tap needs a fading stack of the same shape")
-    powers = np.array([p for p, _, _ in taps], dtype=float)
-    if np.any(powers < 0):
-        raise ValueError("tap powers must be >= 0")
-    total = powers.sum()
-    if total <= 0:
-        raise ValueError("tap powers must not all be zero")
-    return sum(kronecker_effective(h, np.multiply(alpha, power / total), corr)
-               for power, h, corr in taps)
 
 
 def empirical_tx_correlation(h: np.ndarray, normalize: bool = True) -> np.ndarray:

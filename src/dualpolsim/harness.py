@@ -85,7 +85,6 @@ class UserSpec:
     path_loss_db: float
     mean_aod: float
     aod_spread: float = math.radians(DEFAULT_SPREAD_DEG)
-    tap_powers: tuple[float, ...] = (1.0,)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.path_loss_db <= MAX_ABS_DB:
@@ -99,8 +98,6 @@ class UserSpec:
             raise ValueError(
                 f"user {self.user_id}: AoD spread must lie in [{lo:g}, {hi:g}] degrees"
             )
-        if not all(0 <= p < math.inf for p in self.tap_powers) or sum(self.tap_powers) <= 0:
-            raise ValueError(f"user {self.user_id}: invalid tap powers")
 
 
 @dataclass(frozen=True)
@@ -118,7 +115,6 @@ class GeneratorBounds:
     sector_deg: float = 120.0
     sector_center_deg: float = 0.0
     aod_spread_deg: tuple[float, float] = (DEFAULT_SPREAD_DEG, DEFAULT_SPREAD_DEG)
-    tap_powers: tuple[float, ...] = (1.0,)
 
     def __post_init__(self) -> None:
         lo, hi = self.distance_m
@@ -226,11 +222,15 @@ def _models(raw: str) -> tuple[str, ...]:
 
 
 def _check_xpd_labels(values, where: str) -> None:
-    """Reject an empty XPD list or one whose ``{:g}`` file labels repeat."""
+    """Reject an empty XPD list or one whose values or ``{:g}`` file labels repeat.
+
+    Equal values with distinct labels, such as 0 and -0, would share one
+    pooled (model, XPD) cell.
+    """
     labels = [f"{x:g}" for x in values]
-    if not labels or len(set(labels)) != len(labels):
+    if not labels or len(set(labels)) != len(labels) or len(set(values)) != len(values):
         raise ConfigError(f"{where}: need at least one XPD value and no two that "
-                          f"print alike, got {labels}")
+                          f"are equal or print alike, got {labels}")
 
 
 def _check_db(values, where: str) -> None:
@@ -277,7 +277,6 @@ _KEYS = {
         "sector_deg": ("sector_deg", _one_float),
         "sector_center_deg": ("sector_center_deg", _one_float),
         "aod_spread_deg": ("aod_spread_deg", _range),
-        "tap_powers": ("tap_powers", _floats),
     },
     "sweep": {
         "xpd_db": ("xpd_sweep_db", _floats),
@@ -301,7 +300,6 @@ _USER_KEYS = {
     "path_loss_db": ("path_loss_db", _one_float),
     "mean_aod_deg": ("mean_aod", _one_angle),
     "spread_deg": ("aod_spread", _one_angle),
-    "taps": ("tap_powers", _floats),
 }
 
 
@@ -332,6 +330,8 @@ def _parse_user_line(user_id: str, raw: str) -> UserSpec:
         key, eq, value = token.partition("=")
         if not eq:
             raise ConfigError(f"{where}: expected key=value tokens, got {token!r}")
+        if key in tokens:
+            raise ConfigError(f"duplicate key {key!r} in {where}")
         tokens[key] = value
     kwargs = _read(tokens.items(), _USER_KEYS, where)
     missing = {"path_loss_db", "mean_aod_deg"} - tokens.keys()
@@ -420,7 +420,6 @@ def generate_users(
             path_loss_db=float(losses[k]),
             mean_aod=float(mean_aods[k]),
             aod_spread=float(spreads[k]),
-            tap_powers=bounds.tap_powers,
         )
         for k in range(count)
     ]
@@ -458,7 +457,6 @@ def _user_channel(
         xpd=chi,
         omni_gain=1.0 / loss,
         aod=AodDistribution.laplacian(user.mean_aod, user.aod_spread),
-        tap_powers=user.tap_powers,
     )
 
 

@@ -22,8 +22,8 @@ Four effective-channel constructions are selectable per trial batch:
 
 * ``i``   physical dual-polarization channel (copolar plus cross-polar),
 * ``ii``  correlated channel with the XPD-implied transmit correlation,
-* ``iii`` omnidirectional tapped-delay channel spatially correlated at
-          the XPD-equivalent antenna spacing,
+* ``iii`` correlated channel with the spatial correlation of two
+          omnidirectional antennas at the XPD-equivalent spacing,
 * ``iv``  correlated channel with the XPD-implied correlation on
           omnidirectional gains.
 """
@@ -125,23 +125,19 @@ class UserChannel:
 
     ``gains`` drive the physical model; ``xpd`` the correlation-based
     models; ``omni_gain`` is the per-port gain of the two-omni-antenna
-    reference; ``aod`` and ``tap_powers`` feed the spatially correlated
-    tapped-delay model.
+    reference; ``aod`` sets the spatial correlation of model iii.
     """
 
     gains: PropagationGains
     xpd: tuple[float, float]
     omni_gain: float
     aod: AodDistribution
-    tap_powers: tuple[float, ...] = (1.0,)
 
     def __post_init__(self) -> None:
         if not all(x > 0 for x in self.xpd):
             raise ValueError("per-port XPD must be positive (linear)")
         if not self.omni_gain > 0:
             raise ValueError("omni gain must be positive")
-        if len(self.tap_powers) == 0 or min(self.tap_powers) < 0 or sum(self.tap_powers) <= 0:
-            raise ValueError("tap powers must be nonnegative with a positive sum")
 
     @functools.cached_property
     def xpd_corr(self) -> correlation.CorrelationMatrix:
@@ -208,18 +204,18 @@ def _effective_batch(
     """Stack of effective channels for one model, shape (n_trials, 2, 2)."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+    if model == "i":
+        return chanmodel.build_effective(user.gains, draw_fading_batch(rng, n_trials))
     omni_alpha = np.array([user.omni_gain, user.omni_gain])
-    if model == "iii":
+    if model == "ii":
+        alpha, corr = user.gains.alpha, user.xpd_corr
+    elif model == "iii":
         target = abs(user.xpd_corr.coefficient)
         spacing = correlation.equivalent_spacing(SpacingQuery(target, user.aod))
-        corr = correlation.spatial_corr_matrix(spacing, user.aod)
-        taps = [(p, draw_fading_batch(rng, n_trials), corr) for p in user.tap_powers]
-        return chanmodel.multitap_effective(taps, omni_alpha)
-    fading = draw_fading_batch(rng, n_trials)
-    if model == "i":
-        return chanmodel.build_effective(user.gains, fading)
-    alpha = user.gains.alpha if model == "ii" else omni_alpha
-    return chanmodel.kronecker_effective(fading, alpha, user.xpd_corr)
+        alpha, corr = omni_alpha, correlation.spatial_corr_matrix(spacing, user.aod)
+    else:
+        alpha, corr = omni_alpha, user.xpd_corr
+    return chanmodel.kronecker_effective(draw_fading_batch(rng, n_trials), alpha, corr)
 
 
 def evaluate_user(

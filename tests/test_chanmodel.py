@@ -12,7 +12,6 @@ from dualpolsim.chanmodel import (
     draw_fading_batch,
     empirical_tx_correlation,
     kronecker_effective,
-    multitap_effective,
 )
 from dualpolsim.correlation import (
     AodDistribution,
@@ -89,19 +88,6 @@ def test_propagation_gains_from_xpd_roundtrip():
     gains = PropagationGains.from_xpd(10.0, path_loss=100.0)
     assert_allclose(gains.alpha, [0.01, 0.01])
     assert_allclose(gains.beta, [0.001, 0.001])
-    assert gains.xpd() == pytest.approx((10.0, 10.0))
-
-
-def test_propagation_gains_xpd_indexing():
-    # port 1's XPD compares its copolar gain with the leakage arriving
-    # through polarization 2
-    gains = PropagationGains(alpha=np.array([1.0, 0.5]), beta=np.array([0.25, 0.125]))
-    chi1, chi2 = gains.xpd()
-    assert chi1 == pytest.approx(1.0 / 0.125)
-    assert chi2 == pytest.approx(0.5 / 0.25)
-    # each port is infinite only when its own leakage vanishes
-    gains = PropagationGains(alpha=np.array([1.0, 1.0]), beta=np.array([0.0, 0.5]))
-    assert gains.xpd() == (2.0, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -170,22 +156,14 @@ def test_kronecker_full_correlation_is_rank_one():
     assert s[1] < 1e-12 * s[0]
 
 
-@pytest.mark.parametrize(
-    "construct",
-    [
-        kronecker_effective,
-        lambda h, alpha, corr: multitap_effective([(1.0, h, corr)], alpha),
-    ],
-    ids=["kronecker", "multitap-single-tap"],
-)
-def test_kronecker_empirical_transmit_correlation(construct):
+def test_kronecker_empirical_transmit_correlation():
     # a complex rho pins the convention: sqrt(R).T would impose conj(R),
     # whose off-diagonal is off by 2 * 0.644 here
     lap = AodDistribution.laplacian(math.radians(30.0), math.radians(26.0))
     target = spatial_corr_matrix(0.3, lap)  # rho = 0.511 - 0.644j
     assert abs(target.coefficient.imag) > 0.5
     draws = draw_fading_batch(np.random.default_rng(31), 100_000)
-    eff = construct(draws, np.ones(2), target)
+    eff = kronecker_effective(draws, np.ones(2), target)
     est = empirical_tx_correlation(eff, normalize=False)
     assert np.max(np.abs(est - target.matrix)) < 0.02
 
@@ -205,71 +183,6 @@ def test_build_effective_empirical_correlation_formula():
     est = empirical_tx_correlation(eff)
     expected = 2.0 * math.sqrt(chi) / (chi + 1.0)
     assert abs(abs(est[0, 1]) - expected) < 0.02
-
-
-# ---------------------------------------------------------------------------
-# multitap
-# ---------------------------------------------------------------------------
-
-
-def test_multitap_single_tap_identity():
-    identity = CorrelationMatrix.from_coefficient(0.0)
-    fading = one_draw(51)
-    alpha = np.array([1.5, 1.5])
-    eff = multitap_effective([(0.7, fading, identity)], alpha)
-    assert_allclose(eff, fading * np.sqrt(alpha), atol=1e-15)
-
-
-def test_multitap_power_preservation():
-    # two equal-power independent taps keep the average Frobenius power
-    identity = CorrelationMatrix.from_coefficient(0.0)
-    alpha = np.ones(2)
-    rng = np.random.default_rng(61)
-    one = draw_fading_batch(rng, 100_000)
-    single = multitap_effective([(1.0, one, identity)], alpha)
-    t1 = draw_fading_batch(rng, 100_000)
-    t2 = draw_fading_batch(rng, 100_000)
-    double = multitap_effective([(0.5, t1, identity), (0.5, t2, identity)], alpha)
-    p_single = np.mean(np.sum(np.abs(single) ** 2, axis=(1, 2)))
-    p_double = np.mean(np.sum(np.abs(double) ** 2, axis=(1, 2)))
-    assert abs(p_double / p_single - 1.0) < 0.03
-
-
-def test_multitap_linearity_in_each_tap():
-    corr = CorrelationMatrix.from_coefficient(0.3)
-    alpha = np.array([1.0, 2.0])
-    rng = np.random.default_rng(71)
-    f1, f2 = draw_fading_batch(rng, 2)
-    base = multitap_effective([(2.0, f1, corr), (1.0, f2, corr)], alpha)
-    bumped = multitap_effective([(2.0, 2.0 * f1, corr), (1.0, f2, corr)], alpha)
-    contribution = math.sqrt(2.0 / 3.0) * kronecker_effective(f1, alpha, corr)
-    assert_allclose(bumped, base + contribution, rtol=1e-12)
-
-
-def test_multitap_normalizes_tap_weights():
-    # scaling all powers by a constant leaves the output unchanged
-    corr = CorrelationMatrix.from_coefficient(0.2)
-    rng = np.random.default_rng(81)
-    f1, f2 = draw_fading_batch(rng, 2)
-    a = multitap_effective([(0.6, f1, corr), (0.3, f2, corr)], np.ones(2))
-    b = multitap_effective([(6.0, f1, corr), (3.0, f2, corr)], np.ones(2))
-    assert_allclose(a, b, rtol=1e-12)
-
-
-def test_multitap_errors():
-    with pytest.raises(ValueError, match="at least one tap"):
-        multitap_effective([], np.ones(2))
-    identity = CorrelationMatrix.from_coefficient(0.0)
-    fading = one_draw(0)
-    with pytest.raises(ValueError, match="not all be zero"):
-        multitap_effective([(0.0, fading, identity)], np.ones(2))
-    with pytest.raises(ValueError, match=">= 0"):
-        multitap_effective([(-0.5, fading, identity), (1.0, fading, identity)], np.ones(2))
-    # one tap's single draw must not be broadcast over another tap's trials
-    rng = np.random.default_rng(1)
-    with pytest.raises(ValueError, match="same shape"):
-        multitap_effective([(0.5, draw_fading_batch(rng, 1), identity),
-                            (0.5, draw_fading_batch(rng, 5), identity)], np.ones(2))
 
 
 # ---------------------------------------------------------------------------
@@ -309,21 +222,6 @@ def test_kronecker_effective_matches_matmul(shape):
     eff = kronecker_effective(h, alpha, corr)
     assert eff.shape == h.shape
     assert_allclose(eff, want, rtol=1e-14, atol=1e-14)
-
-
-@pytest.mark.parametrize("shape", BATCH_SHAPES)
-def test_multitap_effective_matches_matmul(shape):
-    rng = np.random.default_rng(103)
-    alpha = np.array([1.3, 0.4])
-    taps = [
-        (0.5, _complex_stack(rng, shape), CorrelationMatrix.from_coefficient(0.7j)),
-        (0.3, _complex_stack(rng, shape), CorrelationMatrix.from_coefficient(-0.2 + 0.6j)),
-        (0.2, _complex_stack(rng, shape), CorrelationMatrix.from_coefficient(0.0)),
-    ]
-    want = sum(
-        math.sqrt(p) * np.matmul(h * np.sqrt(alpha), _sqrt_ref(corr)) for p, h, corr in taps
-    )
-    assert_allclose(multitap_effective(taps, alpha), want, rtol=1e-14, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

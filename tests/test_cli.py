@@ -235,12 +235,17 @@ def test_bad_pattern_values_exit_2(tmp_path, capsys, command, row):
         USER + "[sweep]\nxpd_db = 10.0000001, 10.0000002\n",
         USER + "[sweep]\nmodels = ii, ii\n",
         USER + "[sweep]\nmodels =\n",
+        USER + "[sweep]\nxpd_db = 0, -0\n",
+        "[users]\nu = path_loss_db=80 mean_aod_deg=0 path_loss_db=120\n",
+        "[users]\nu = path_loss_db=80 mean_aod_deg=0 taps=1.0\n",
+        "[generator]\ntap_powers = 1.0\n",
     ],
     ids=["xpd-nan", "xpd-inf", "xpd-huge", "sector-center", "mean-aod", "spread-inf",
          "table-spread-inf", "distance-inf", "bandwidth-inf", "throughput-cap-overflow",
          "noise-density-nan", "noise-power-overflow", "spread-narrow", "spread-wide",
          "generator-spread-narrow", "generator-spread-wide", "table-spread-narrow",
-         "table-spread-wide", "xpd-repeated", "xpd-same-label", "models-repeated", "models-empty"],
+         "table-spread-wide", "xpd-repeated", "xpd-same-label", "models-repeated", "models-empty",
+         "xpd-signed-zero", "user-key-repeated", "user-taps", "generator-tap-powers"],
 )
 def test_cdf_non_finite_or_out_of_range_numbers_exit_2(tmp_path, capsys, text):
     config = tmp_path / "scenario.ini"
@@ -268,13 +273,14 @@ def test_cdf_non_finite_or_out_of_range_numbers_exit_2(tmp_path, capsys, text):
         ["table1", "--xpd", ","],
         ["table1", "--xpd", "10,10.0"],
         ["table1", "--xpd", "10.0000001,10.0000002"],
+        ["table1", "--xpd", "0,-0"],
         ["cdf", "--config", "{config}", "--models", ",", "--out", "{out}"],
         ["cdf", "--config", "{config}", "--models", "ii,ii", "--out", "{out}"],
     ],
     ids=["xpd-nan", "xpd-huge", "table-spread-0", "spacing-spread-0", "mean-aod",
          "azimuth-nan", "table-spread-narrow", "table-spread-wide", "spacing-spread-tiny",
          "spacing-spread-huge", "xpd-empty", "xpd-repeated", "xpd-same-label",
-         "models-empty", "models-repeated"],
+         "xpd-signed-zero", "models-empty", "models-repeated"],
 )
 def test_invalid_cli_numbers_exit_2(pattern_file, capsys, argv):
     config = pattern_file.parent / "scenario.ini"
@@ -331,14 +337,12 @@ def scenario_texts(draw):
             tokens = [f"path_loss_db={draw(NUMBERS)!r}", f"mean_aod_deg={draw(NUMBERS)!r}"]
             if draw(st.booleans()):
                 tokens.append(f"spread_deg={draw(NUMBERS)!r}")
-            if draw(st.booleans()):
-                tokens.append("taps=" + _numbers(draw).replace(" ", ""))
             lines.append(f"u{k} = " + " ".join(tokens))
     else:
         lines += ["[generator]", f"count = {draw(st.integers(1, 3))}"]
-        for key in ("distance_m", "aod_spread_deg", "tap_powers"):
+        for key in ("distance_m", "aod_spread_deg"):
             if draw(st.booleans()):
-                lines.append(f"{key} = {_numbers(draw, ascending=key != 'tap_powers')}")
+                lines.append(f"{key} = {_numbers(draw, ascending=True)}")
         for key in ("path_loss_exponent", "reference_loss_db", "sector_deg",
                     "sector_center_deg"):
             if draw(st.booleans()):

@@ -36,8 +36,8 @@ office = path_loss_db=80 mean_aod_deg=10
 
 SMALL_RUN_CONFIG = """
 [users]
-near = path_loss_db=72 mean_aod_deg=-15 spread_deg=24 taps=1.0
-far = path_loss_db=88 mean_aod_deg=30 spread_deg=28 taps=0.7,0.3
+near = path_loss_db=72 mean_aod_deg=-15 spread_deg=24
+far = path_loss_db=88 mean_aod_deg=30 spread_deg=28
 
 [sweep]
 xpd_db = 3, 5, 10, 20, 30
@@ -78,7 +78,6 @@ def test_parse_full_generator_config():
         reference_loss_db = 40
         sector_deg = 90
         aod_spread_deg = 20, 40
-        tap_powers = 0.8, 0.2
 
         [sweep]
         xpd_db = 10
@@ -97,7 +96,6 @@ def test_parse_full_generator_config():
     assert scenario.models == ("i", "iv")
     assert scenario.link.effective_bandwidth == 9e6
     assert scenario.link.overhead_fraction == 0.3
-    assert all(u.tap_powers == (0.8, 0.2) for u in scenario.users)
     assert all(math.radians(20) <= u.aod_spread <= math.radians(40)
                for u in scenario.users)
 
@@ -119,6 +117,10 @@ def test_parse_rejects_unknown_key_and_section():
         parse_scenario(MINIMAL_CONFIG + "[link]\nbandwith_hz = 1e6\n")
     with pytest.raises(ConfigError, match=r"unknown section \[linc\]"):
         parse_scenario(MINIMAL_CONFIG + "[linc]\nbandwidth_hz = 1e6\n")
+    with pytest.raises(ConfigError, match=r"unknown key 'taps' in \[users\] u"):
+        parse_scenario("[users]\nu = path_loss_db=80 mean_aod_deg=0 taps=1.0\n")
+    with pytest.raises(ConfigError, match=r"unknown key 'tap_powers' in \[generator\]"):
+        parse_scenario("[generator]\ncount = 2\ntap_powers = 1.0\n")
 
 
 def test_parse_rejects_duplicate_user_id():
@@ -148,6 +150,8 @@ def test_parse_rejects_bad_user_lines():
         parse_scenario("[users]\nu = 80 0\n")
     with pytest.raises(ConfigError, match=r"^\[users\] user u: path loss"):
         parse_scenario("[users]\nu = path_loss_db=-5 mean_aod_deg=0\n")
+    with pytest.raises(ConfigError, match=r"duplicate key 'path_loss_db' in \[users\] a"):
+        parse_scenario("[users]\na = path_loss_db=80 mean_aod_deg=0 path_loss_db=120\n")
 
 
 def test_parse_rejects_bad_numbers():
@@ -264,10 +268,10 @@ def test_run_outputs_are_byte_identical(tmp_path):
 
 def test_run_is_independent_of_user_listing_order(tmp_path):
     swapped = SMALL_RUN_CONFIG.replace(
-        "near = path_loss_db=72 mean_aod_deg=-15 spread_deg=24 taps=1.0\n"
-        "far = path_loss_db=88 mean_aod_deg=30 spread_deg=28 taps=0.7,0.3",
-        "far = path_loss_db=88 mean_aod_deg=30 spread_deg=28 taps=0.7,0.3\n"
-        "near = path_loss_db=72 mean_aod_deg=-15 spread_deg=24 taps=1.0",
+        "near = path_loss_db=72 mean_aod_deg=-15 spread_deg=24\n"
+        "far = path_loss_db=88 mean_aod_deg=30 spread_deg=28",
+        "far = path_loss_db=88 mean_aod_deg=30 spread_deg=28\n"
+        "near = path_loss_db=72 mean_aod_deg=-15 spread_deg=24",
     )
     assert swapped != SMALL_RUN_CONFIG
     a = run(parse_scenario(SMALL_RUN_CONFIG))
@@ -278,7 +282,7 @@ def test_run_is_independent_of_user_listing_order(tmp_path):
 
 def test_run_attaches_context_to_module_errors():
     # at 30 deg spread the first local minimum of |rho| (~0.156) sits
-    # above the 30 dB coefficient, so the tapped model cannot resolve a
+    # above the 30 dB coefficient, so model iii cannot resolve a
     # spacing for this user; the run must name the failing task
     cfg = """
     [users]
@@ -458,8 +462,9 @@ def test_scenario_validation():
         Scenario(users=(user,), models=())
     with pytest.raises(ValueError, match="twice"):
         Scenario(users=(user,), models=("ii", "ii"))
-    with pytest.raises(ValueError, match="print alike"):
-        Scenario(users=(user,), xpd_sweep_db=(10.0000001, 10.0000002))
+    for xpd in ((10.0000001, 10.0000002), (0.0, -0.0)):
+        with pytest.raises(ValueError, match="print alike"):
+            Scenario(users=(user,), xpd_sweep_db=xpd)
     with pytest.raises(ValueError):
         Scenario(users=(user,), trials_per_user=0)
     # the ranges a scenario file is held to hold for a Scenario built in code
@@ -480,10 +485,5 @@ def test_user_spec_validation():
         UserSpec("u", -5.0, 0.0, 0.4)
     with pytest.raises(ValueError):
         UserSpec("u", 80.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        UserSpec("u", 80.0, 0.0, 0.4, tap_powers=())
     with pytest.raises(ValueError, match="mean AoD"):
         UserSpec("u", 80.0, 4.0, 0.4)
-    for taps in ((math.nan,), (1.0, math.inf)):
-        with pytest.raises(ValueError, match="tap powers"):
-            UserSpec("u", 80.0, 0.0, 0.4, tap_powers=taps)

@@ -8,7 +8,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dualpolsim.chanmodel import PropagationGains, draw_fading_batch, kronecker_effective
-from dualpolsim.correlation import AodDistribution, dualpole_corr_exact
+from dualpolsim.correlation import (
+    AodDistribution,
+    SpacingQuery,
+    dualpole_corr_exact,
+    equivalent_spacing,
+    spatial_corr_matrix,
+)
 from dualpolsim.link import (
     MAX_CONDITION,
     LinkParams,
@@ -19,6 +25,7 @@ from dualpolsim.link import (
     evaluate_user,
     zf_weights,
     _capped_throughput,
+    _effective_batch,
     _zf_kernel,
 )
 
@@ -30,14 +37,13 @@ MAX_THROUGHPUT = 62_815_200.0
 MIXED_THROUGHPUT = 37_689_120.0
 
 
-def make_user(chi=10.0, path_loss_db=85.0, taps=(1.0,), spread_deg=26.0):
+def make_user(chi=10.0, path_loss_db=85.0, spread_deg=26.0):
     loss = 10.0 ** (path_loss_db / 10.0)
     return UserChannel(
         gains=PropagationGains.from_xpd(chi, path_loss=loss),
         xpd=(chi, chi),
         omni_gain=1.0 / loss,
         aod=AodDistribution.laplacian(0.0, math.radians(spread_deg)),
-        tap_powers=taps,
     )
 
 
@@ -240,12 +246,20 @@ def test_evaluate_user_zero_xpd_records_zero_throughput():
 
 def test_evaluate_user_model_iii_runs_and_matches_iv_in_mean():
     # with the spacing solved from the user's own AoD law, the spatially
-    # correlated tapped model shares the distribution of the
-    # correlation-based omni model
-    user = make_user(chi=10.0, path_loss_db=88.0, taps=(0.6, 0.3, 0.1))
+    # correlated model shares the distribution of the correlation-based
+    # omni model
+    user = make_user(chi=10.0, path_loss_db=88.0)
     mean_iii = np.mean(evaluate_user(user, "iii", np.random.default_rng(15), 20_000).throughput)
     mean_iv = np.mean(evaluate_user(user, "iv", np.random.default_rng(16), 20_000).throughput)
     assert abs(mean_iii - mean_iv) / mean_iv < 0.03
+    # model iii is exactly one Kronecker draw on the omni gains with the
+    # spatial correlation at the equivalent spacing
+    spacing = equivalent_spacing(SpacingQuery(abs(user.xpd_corr.coefficient), user.aod))
+    want = kronecker_effective(draw_fading_batch(np.random.default_rng(15), 500),
+                               np.full(2, user.omni_gain),
+                               spatial_corr_matrix(spacing, user.aod))
+    got = _effective_batch(user, "iii", np.random.default_rng(15), 500)
+    assert np.array_equal(got, want)
 
 
 def test_evaluate_user_rejects_unknown_model():
@@ -256,10 +270,6 @@ def test_evaluate_user_rejects_unknown_model():
 
 
 def test_user_channel_validation():
-    with pytest.raises(ValueError):
-        make_user(taps=())
-    with pytest.raises(ValueError):
-        make_user(taps=(0.0,))
     with pytest.raises(ValueError):
         make_user(chi=-2.0)
 
