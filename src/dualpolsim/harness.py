@@ -71,10 +71,23 @@ DEFAULT_XPD_SWEEP_DB = (3.0, 5.0, 10.0, 20.0, 30.0)
 #: Laplacian AoD spread of the paper's reference scenario.
 DEFAULT_SPREAD_DEG = 26.0
 DEFAULT_USER_COUNT = 100
+#: Most samples one pooled (model, XPD) CDF may hold: users x trials per user.
+MAX_CDF_SAMPLES = 10**8
+#: Rows per block in which a CDF file is formatted and written.
+_CDF_BLOCK_ROWS = 8192
 
 
 class ConfigError(ValueError):
     """Raised for malformed scenario configuration; names the location."""
+
+
+def _check_samples(users: int, trials_per_user: int) -> None:
+    """Reject a population whose pooled CDFs would exceed :data:`MAX_CDF_SAMPLES`."""
+    if users * trials_per_user > MAX_CDF_SAMPLES:
+        raise ValueError(
+            f"users x trials_per_user = {users} x {trials_per_user} exceeds the "
+            f"{MAX_CDF_SAMPLES:.0e} samples a pooled CDF may hold"
+        )
 
 
 @dataclass(frozen=True)
@@ -164,6 +177,7 @@ class Scenario:
         _check_db(self.xpd_sweep_db, "xpd_db")
         if self.trials_per_user < 1:
             raise ValueError("trials_per_user must be >= 1")
+        _check_samples(len(self.users), self.trials_per_user)
         if len(self.models) == 0:
             raise ValueError("scenario needs at least one model")
         if len(set(self.models)) != len(self.models):
@@ -382,6 +396,8 @@ def parse_scenario(source: str) -> Scenario:
     else:
         generator = kwargs["generator"]
         count = generator.pop("count", DEFAULT_USER_COUNT)
+        with _config_errors("[generator] count: "):  # before a user is drawn
+            _check_samples(count, scenario_kwargs.get("trials_per_user", Scenario.trials_per_user))
         # population substream: keyed away from the per-task streams,
         # which use small (xpd, model, user) indices; a negative seed
         # fails here, before Scenario sees it
@@ -573,19 +589,61 @@ def format_table_csv(rows) -> str:
     return out.getvalue()
 
 
+def _format_column(fmt: str, column: np.ndarray) -> str:
+    """``fmt % v`` for each value ``v`` of ``column``, concatenated by one ``%`` call."""
+    return (fmt * column.size) % tuple(column.tolist())
+
+
+def _cdf_blocks(series, prob_texts: dict):
+    """Yield the CSV text of one CDF series: the header, then blocks of rows.
+
+    Each row reads ``%.3f,%.10g`` of its (value, cumulative probability)
+    pair. ``prob_texts`` maps the bytes of a probability column to the
+    ``,p\\n`` texts of its rows; a column already in it is not formatted
+    again. Within a block of :data:`_CDF_BLOCK_ROWS` rows, each run of
+    values with equal bit patterns is formatted once; bit patterns and
+    not values, so that -0.0 keeps its own text beside 0.0.
+    """
+    arr = np.asarray(series, dtype=float).reshape(len(series), 2)
+    values, probs = arr[:, 0], arr[:, 1]
+    key = probs.tobytes()
+    if key not in prob_texts:
+        prob_texts[key] = _format_column(",%.10g\n", probs).splitlines(keepends=True)
+    row_probs = prob_texts[key]
+    bits = values.view(np.int64)
+    yield "throughput_bps,cum_prob\n"
+    for start in range(0, len(arr), _CDF_BLOCK_ROWS):
+        block = slice(start, start + _CDF_BLOCK_ROWS)
+        block_bits = bits[block]
+        run_starts = np.empty(block_bits.size, dtype=bool)
+        run_starts[0] = True
+        np.not_equal(block_bits[1:], block_bits[:-1], out=run_starts[1:])
+        # "%.3f" text holds no whitespace, not even for nan or inf
+        run_texts = np.array(_format_column("%.3f\n", values[block][run_starts]).split(),
+                             dtype=object)
+        rows = [None] * (2 * run_starts.size)
+        rows[0::2] = run_texts[np.cumsum(run_starts) - 1].tolist()
+        rows[1::2] = row_probs[block]
+        yield "".join(rows)
+
+
 def format_cdf_csv(series) -> str:
-    """CSV text of an (N, 2) array of (value, cumulative probability) rows."""
-    arr = np.asarray(series, dtype=float)
-    return "throughput_bps,cum_prob\n" + ("%.3f,%.10g\n" * len(arr)) % tuple(
-        arr.ravel().tolist()
-    )
+    """CSV text of an (N, 2) array of (value, cumulative probability) rows.
+
+    Rows read ``%.3f,%.10g``. The text is the same as that of the file
+    :func:`write_report` writes for the series.
+    """
+    return "".join(_cdf_blocks(series, {}))
 
 
 def write_report(report: RunReport, out_dir) -> list[Path]:
     """Write table, per-(model, XPD) CDFs and metadata under ``out_dir``.
 
     CSV content is a pure function of the scenario and seed; only the
-    metadata file carries a timestamp.
+    metadata file carries a timestamp. Each CDF file is streamed in
+    blocks of rows, with the text of :func:`format_cdf_csv`. A
+    probability column shared by several CDFs (every CDF of a run has
+    users x trials rows) is formatted once per call.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -595,9 +653,11 @@ def write_report(report: RunReport, out_dir) -> list[Path]:
     table_path.write_text(format_table_csv(report.table_rows))
     written.append(table_path)
 
+    prob_texts = {}
     for (model, xpd_db), series in sorted(report.cdf_series.items()):
         path = out_dir / f"cdf_{model}_{xpd_db:g}.csv"
-        path.write_text(format_cdf_csv(series))
+        with path.open("w") as f:
+            f.writelines(_cdf_blocks(series, prob_texts))
         written.append(path)
 
     meta_path = out_dir / "run_metadata.txt"

@@ -239,13 +239,16 @@ def test_bad_pattern_values_exit_2(tmp_path, capsys, command, row):
         "[users]\nu = path_loss_db=80 mean_aod_deg=0 path_loss_db=120\n",
         "[users]\nu = path_loss_db=80 mean_aod_deg=0 taps=1.0\n",
         "[generator]\ntap_powers = 1.0\n",
+        "[generator]\ncount = 1000000000000000\n",
+        USER + "[sweep]\ntrials_per_user = 1000000000000000\n",
     ],
     ids=["xpd-nan", "xpd-inf", "xpd-huge", "sector-center", "mean-aod", "spread-inf",
          "table-spread-inf", "distance-inf", "bandwidth-inf", "throughput-cap-overflow",
          "noise-density-nan", "noise-power-overflow", "spread-narrow", "spread-wide",
          "generator-spread-narrow", "generator-spread-wide", "table-spread-narrow",
          "table-spread-wide", "xpd-repeated", "xpd-same-label", "models-repeated", "models-empty",
-         "xpd-signed-zero", "user-key-repeated", "user-taps", "generator-tap-powers"],
+         "xpd-signed-zero", "user-key-repeated", "user-taps", "generator-tap-powers",
+         "generator-count-huge", "trials-huge"],
 )
 def test_cdf_non_finite_or_out_of_range_numbers_exit_2(tmp_path, capsys, text):
     config = tmp_path / "scenario.ini"

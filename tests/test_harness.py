@@ -23,7 +23,7 @@ from dualpolsim.harness import (
     run,
     write_report,
 )
-from dualpolsim.link import LinkParams
+from dualpolsim.link import LinkParams, cdf
 from dualpolsim.pattern import gain_at, load_pattern, scale_to_xpd, xpd_at
 
 TABLE_RHO = (0.9432, 0.8545, 0.5750, 0.1980, 0.0632)
@@ -159,6 +159,21 @@ def test_parse_rejects_bad_numbers():
         parse_scenario(MINIMAL_CONFIG + "[sweep]\ntrials_per_user = ten\n")
     with pytest.raises(ConfigError, match="unknown models"):
         parse_scenario(MINIMAL_CONFIG + "[sweep]\nmodels = ii, v\n")
+
+
+@pytest.mark.parametrize(
+    "text, product",
+    [("[generator]\ncount = 100001\n", "100001 x 1000"),
+     ("[generator]\ncount = 2\n[sweep]\ntrials_per_user = 50000001\n", "2 x 50000001")],
+)
+def test_parse_rejects_oversized_population_before_drawing_it(monkeypatch, text, product):
+    def no_draw(*args):
+        raise AssertionError("generate_users ran")
+
+    monkeypatch.setattr(harness, "generate_users", no_draw)
+    prefix = r"\[generator\] count: users x trials_per_user = "
+    with pytest.raises(ConfigError, match=prefix + product):
+        parse_scenario(text)
 
 
 def test_parse_seed_is_exact_64_bit():
@@ -443,6 +458,73 @@ def test_format_cdf_csv_matches_per_row_formatter(small_report):
     assert format_cdf_csv(run_series) == _per_row_cdf_csv(run_series)
 
 
+def _cdf_rows(values, probs=None):
+    values = np.asarray(values, dtype=float)
+    if probs is None:
+        probs = np.arange(1, values.size + 1) / values.size
+    return np.column_stack((values, probs))
+
+
+def _writer_cases():
+    cap = LinkParams().max_throughput()
+    block = harness._CDF_BLOCK_ROWS
+    # a run of 7 capped values spans rows block - 3 .. block + 3
+    across = np.concatenate((np.linspace(0.0, 0.9 * cap, block - 3), np.full(7, cap),
+                             np.linspace(1.1 * cap, 2.0 * cap, 5)))
+    shuffled = np.random.default_rng(7).permutation(np.repeat([0.0, 1.0 / 3.0, cap, 2.5], 9))
+    negative_nan = np.copysign(np.nan, -1.0)
+    return {
+        "signed-zero": _cdf_rows([-0.0, 0.0, 0.0, -0.0, -0.0], [-0.0, 0.0, 0.2, 0.2, 1.0]),
+        "non-finite": _cdf_rows([np.nan, negative_nan, np.nan, np.inf, np.inf, -np.inf],
+                                [0.1, np.nan, -np.inf, np.inf, 0.5, 1.0]),
+        "empty": np.empty((0, 2)),
+        "one-row": _cdf_rows([cap]),
+        "across-blocks": _cdf_rows(across),
+        "unsorted": _cdf_rows(shuffled),
+        "probs-not-i-over-n": _cdf_rows(np.sort(shuffled),
+                                        np.random.default_rng(8).uniform(0.0, 1.0, 36)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_writer_cases()))
+def test_format_cdf_csv_edge_series_match_per_row_formatter(case):
+    series = _writer_cases()[case]
+    assert format_cdf_csv(series) == _per_row_cdf_csv(series)
+
+
+def test_write_report_cdf_files_match_per_row_formatter(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    cap = LinkParams().max_throughput()
+
+    def capped(n):
+        return np.minimum(rng.uniform(0.0, 1.5 * cap, n), cap)
+
+    series = {
+        ("i", 3.0): cdf(capped(5)),
+        ("ii", 3.0): cdf(capped(7)),
+        ("iv", 3.0): cdf(capped(5)),  # shares the probability column of ("i", 3.0)
+        ("i", 10.0): cdf(capped(7)),
+        ("ii", 10.0): _cdf_rows(np.sort(capped(5)), rng.uniform(0.0, 1.0, 5)),
+        ("iv", 10.0): _writer_cases()["across-blocks"],
+    }
+    report = harness.RunReport(table_rows=(), cdf_series=series, metadata={})
+    prob_columns = []
+    format_column = harness._format_column
+
+    def counting(fmt, column):
+        if fmt.startswith(","):
+            prob_columns.append(column.size)
+        return format_column(fmt, column)
+
+    monkeypatch.setattr(harness, "_format_column", counting)
+    write_report(report, tmp_path)
+    for (model, xpd_db), rows in series.items():
+        written = (tmp_path / f"cdf_{model}_{xpd_db:g}.csv").read_bytes()
+        assert written == _per_row_cdf_csv(rows).encode(), (model, xpd_db)
+    # one probability column per distinct column: 5/5, 7/7, random 5 and the long one
+    assert sorted(prob_columns) == sorted([5, 7, 5, len(series[("iv", 10.0)])])
+
+
 def test_format_table_csv_header():
     text = format_table_csv([])
     assert text.splitlines()[0] == (
@@ -478,6 +560,9 @@ def test_scenario_validation():
         Scenario(users=(user,), pattern_reference_deg=math.nan)
     with pytest.raises(ValueError, match="unique"):
         Scenario(users=(user, UserSpec("u", 90.0, 1.0, 0.4)))
+    Scenario(users=(user,), trials_per_user=harness.MAX_CDF_SAMPLES)
+    with pytest.raises(ValueError, match="users x trials_per_user = 1 x 100000001 exceeds"):
+        Scenario(users=(user,), trials_per_user=harness.MAX_CDF_SAMPLES + 1)
 
 
 def test_user_spec_validation():
