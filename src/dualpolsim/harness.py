@@ -21,14 +21,16 @@ its correlation coefficient and equivalent antenna spacings. Outputs
 are plain CSV plus one metadata text file.
 
 Reproducibility: every (user, xpd, model) task draws from its own
-generator seeded by the master seed and the task indices, so reports
-are byte-identical for identical (config, seed) and pooling order does
-not matter.
+generator keyed by its content: the master seed, the XPD value, the
+model and the user id. Reports are byte-identical for identical
+(config, seed), and a subset of a sweep (fewer XPDs, models or users, in
+any order) reproduces the full sweep's samples of that subset.
 """
 
 from __future__ import annotations
 
 import configparser
+import hashlib
 import io
 import math
 from contextlib import contextmanager
@@ -399,8 +401,8 @@ def parse_scenario(source: str) -> Scenario:
         with _config_errors("[generator] count: "):  # before a user is drawn
             _check_samples(count, scenario_kwargs.get("trials_per_user", Scenario.trials_per_user))
         # population substream: keyed away from the per-task streams,
-        # which use small (xpd, model, user) indices; a negative seed
-        # fails here, before Scenario sees it
+        # whose keys hold an XPD bit pattern and a user-id hash; a
+        # negative seed fails here, before Scenario sees it
         with _config_errors("[seed] value: "):
             seq = np.random.SeedSequence([scenario_kwargs.get("seed", Scenario.seed), 0xA0D])
         with _config_errors("[generator]: "):
@@ -476,9 +478,9 @@ def _user_channel(
     )
 
 
-def _task_rng(seed: int, xpd_index: int, model_index: int, user_index: int):
-    seq = np.random.SeedSequence([seed, xpd_index, model_index, user_index])
-    return np.random.default_rng(seq)
+def _user_key(user_id: str) -> int:
+    """64-bit hash of a user id, the user's part of its substream keys."""
+    return int.from_bytes(hashlib.blake2b(user_id.encode(), digest_size=8).digest(), "little")
 
 
 def _summary_table(xpd_sweep_db, spread_deg: float) -> tuple[TableRow, ...]:
@@ -512,8 +514,9 @@ def run(scenario: Scenario) -> RunReport:
     """Execute the full sweep and assemble a report.
 
     For every XPD value and requested model, each user is evaluated for
-    ``trials_per_user`` independent realizations on its own seeded
-    substream; throughput samples are pooled across users into one
+    ``trials_per_user`` independent realizations on a substream keyed by
+    ``[seed, XPD float64 bits, model index in MODELS, user-id hash]``;
+    throughput samples are pooled across users into one
     empirical CDF per (model, XPD). A summary table covering the sweep
     is always included. Module errors are re-raised with the failing
     user and XPD attached.
@@ -526,27 +529,30 @@ def run(scenario: Scenario) -> RunReport:
         except OSError as exc:
             raise ConfigError(f"cannot read pattern file {path}: {exc}") from None
 
-    # canonical user order: substreams and pooling are keyed by the
-    # sorted user id, so the config listing order cannot change results
+    # canonical user order, so that the first failing user is the same
+    # whatever the config listing order; substreams follow the user id
     ordered_users = sorted(scenario.users, key=lambda u: u.user_id)
+    user_keys = [_user_key(user.user_id) for user in ordered_users]
 
     # Scenario guarantees unique models and XPD labels, so no key repeats
     pooled = {(model, xpd_db): [] for xpd_db in scenario.xpd_sweep_db
               for model in scenario.models}
     where = ""  # the step running: its error is re-raised naming it
     try:
-        for xi, xpd_db in enumerate(scenario.xpd_sweep_db):
+        for xpd_db in scenario.xpd_sweep_db:
             where = at_xpd = f"xpd {xpd_db:g} dB"
+            xpd_key = int(np.float64(xpd_db).view(np.uint64))
             scaled = None
             if pattern is not None:
                 scaled = scale_to_xpd(pattern, xpd_db,
                                       math.radians(scenario.pattern_reference_deg))
-            for ui, user in enumerate(ordered_users):
+            for user, user_key in zip(ordered_users, user_keys):
                 where = at_user = f"user {user.user_id}, {at_xpd}"
                 channel = _user_channel(user, xpd_db, scaled)
-                for mi, model in enumerate(scenario.models):
+                for model in scenario.models:
                     where = f"{at_user}, model {model}"
-                    rng = _task_rng(scenario.seed, xi, mi, ui)
+                    rng = np.random.default_rng(
+                        [scenario.seed, xpd_key, MODELS.index(model), user_key])
                     result = evaluate_user(
                         channel, model, rng, scenario.trials_per_user, scenario.link
                     )

@@ -6,19 +6,31 @@ reciprocal of the noise power amplified by the corresponding inverse
 row. Throughput maps SINR through truncated per-stream Shannon capacity
 capped at the maximum supported spectral efficiency.
 
-Monte Carlo batches never form an SVD or an inverse. For a 2x2 channel
-H with F = ||H||_F^2, D = |det H|^2 and column energies
-c_j = ||H[:, j]||^2, the squared singular values are
+Zero forcing needs no SVD and no inverse. For a 2x2 channel H with
+column energies c_j = ||H[:, j]||^2, F = c_0 + c_1 = ||H||_F^2 and
+D = |det H|^2, the squared singular values are
 s_max^2 = (F + sqrt(F^2 - 4 D)) / 2 and s_min^2 = D / s_max^2, so the
 condition number kappa = s_max / s_min satisfies
 F^2 / D = (kappa + 1/kappa)^2. Row i of inv(H) has energy c_{1-i} / D,
 so stream i sees SINR_i = D / (c_{1-i} p_n). A realization counts as
-rank deficient when an entry is not finite or kappa reaches
+rank deficient when a term is not finite or kappa reaches
 ``MAX_CONDITION``, i.e. unless D (MAX_CONDITION + 1/MAX_CONDITION)^2 > F^2.
 The kernel forms this SINR on every row and keeps it on the full-rank
 rows with one ``np.where``, raising no floating-point warning.
 
-Four effective-channel constructions are selectable per trial batch:
+Monte Carlo batches never form a channel. Every model is H = H_w M,
+i.i.d. CN(0, 1) fading H_w times one 2x2 mixing matrix M per (user,
+model), so c_j = m_j^H G m_j with the Gram matrix G = H_w^H H_w, and
+D = |det H_w|^2 |det M|^2. G is drawn directly by the Bartlett
+decomposition of the complex Wishart law (Goodman, Ann. Math. Statist.
+34 (1963) 152-177; Tulino and Verdu, Random Matrix Theory and Wireless
+Communications, 2004): with H_w = QR, r_11^2 ~ Gamma(2, 1),
+r_22^2 ~ Exp(1) and r_12 ~ CN(0, 1) are independent, G = R^H R and
+|det H_w|^2 = r_11^2 r_22^2. A trial costs three exponentials and two
+normals, and each model one real (4, 2) weight matrix applied to the
+trials' (G_00, G_11, Re G_01, Im G_01).
+
+Four mixing matrices are selectable per trial batch:
 
 * ``i``   physical dual-polarization channel (copolar plus cross-polar),
 * ``ii``  correlated channel with the XPD-implied transmit correlation,
@@ -37,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chanmodel, correlation
-from .chanmodel import PropagationGains, draw_fading_batch
+from .chanmodel import PropagationGains
 from .correlation import AodDistribution, SpacingQuery
 from .pattern import MAX_ABS_DB
 
@@ -144,28 +156,41 @@ class UserChannel:
         """Transmit correlation implied by ``xpd``; models ii, iii and iv share it."""
         return correlation.dualpole_corr_exact(*self.xpd)
 
+    @functools.cached_property
+    def xpd_corr_root(self) -> np.ndarray:
+        """Principal PSD square root of :attr:`xpd_corr`; models ii and iv share it."""
+        return correlation.matrix_sqrt_psd(self.xpd_corr)
 
-def _zf_kernel(
-    h: np.ndarray, noise_power: float, max_condition: float = MAX_CONDITION
+
+def _zf_sinr(
+    col: np.ndarray, det_sq: np.ndarray, noise_power: float,
+    max_condition: float = MAX_CONDITION,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form zero forcing of a stack of 2x2 channels, shape (n, 2, 2).
+    """Closed-form zero forcing of channels given by their module-docstring terms.
 
-    Returns the full-rank mask, shape (n,), and the per-stream SINRs,
-    shape (n, 2), which are zero where the mask is false.
+    ``col`` holds the column energies c_j, shape (2, n), and ``det_sq``
+    D = |det H|^2, shape (n,). Returns the full-rank mask, shape (n,),
+    and the per-stream SINRs, shape (2, n), which are zero where the
+    mask is false.
     """
     # with kappa = s_max / s_min, F^2 / D = (kappa + 1/kappa)^2, which grows
-    # with kappa; a non-finite entry makes F inf or NaN, failing the test
+    # with kappa; a non-finite term makes F or D inf or NaN, failing the test
     bound = (max_condition + 1.0 / max_condition) ** 2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        power = h.real ** 2 + h.imag ** 2
-        col = power[:, 0] + power[:, 1]  # c_j
-        frob = col[:, 0] + col[:, 1]  # F
-        det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
-        det_sq = det.real ** 2 + det.imag ** 2  # D
+        frob = col[0] + col[1]
         good = det_sq * bound > frob * frob
         # row i of inv(H) has energy c_{1-i} / D
-        sinr_all = np.where(good[:, None], det_sq[:, None] / (col[:, ::-1] * noise_power), 0.0)
-    return good, sinr_all
+        sinr = np.where(good, det_sq / (col[::-1] * noise_power), 0.0)
+    return good, sinr
+
+
+def _explicit_terms(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column energies, shape (2, ...), and |det h|^2 of explicit 2x2 channels ``h``."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        power = h.real ** 2 + h.imag ** 2
+        det = h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]
+        col = np.moveaxis(power[..., 0, :] + power[..., 1, :], -1, 0)
+        return col, det.real ** 2 + det.imag ** 2
 
 
 def _capped_throughput(sinrs: np.ndarray, params: LinkParams) -> np.ndarray:
@@ -189,8 +214,8 @@ def zf_weights(h_eff: np.ndarray, max_condition: float = MAX_CONDITION) -> np.nd
     h_eff = np.asarray(h_eff, dtype=complex)
     if h_eff.shape != (2, 2):
         raise ValueError("effective channel must be 2x2")
-    good, _ = _zf_kernel(h_eff[None], 1.0, max_condition)
-    if not good[0]:
+    good, _ = _zf_sinr(*_explicit_terms(h_eff), 1.0, max_condition)
+    if not good:
         raise RankDeficientError(
             f"effective channel is rank deficient (condition number at least "
             f"{max_condition:g} or non-finite entries)"
@@ -198,24 +223,54 @@ def zf_weights(h_eff: np.ndarray, max_condition: float = MAX_CONDITION) -> np.nd
     return np.linalg.inv(h_eff).T
 
 
-def _effective_batch(
-    user: UserChannel, model: str, rng: np.random.Generator, n_trials: int
-) -> np.ndarray:
-    """Stack of effective channels for one model, shape (n_trials, 2, 2)."""
+def _mixing(user: UserChannel, model: str) -> np.ndarray:
+    """Mixing matrix M of one model for one user: the model's channel is H_w M."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
     if model == "i":
-        return chanmodel.build_effective(user.gains, draw_fading_batch(rng, n_trials))
-    omni_alpha = np.array([user.omni_gain, user.omni_gain])
+        return chanmodel.dualpol_mixing(user.gains)
     if model == "ii":
-        alpha, corr = user.gains.alpha, user.xpd_corr
-    elif model == "iii":
-        target = abs(user.xpd_corr.coefficient)
-        spacing = correlation.equivalent_spacing(SpacingQuery(target, user.aod))
-        alpha, corr = omni_alpha, correlation.spatial_corr_matrix(spacing, user.aod)
-    else:
-        alpha, corr = omni_alpha, user.xpd_corr
-    return chanmodel.kronecker_effective(draw_fading_batch(rng, n_trials), alpha, corr)
+        return chanmodel.kronecker_mixing(user.gains.alpha, user.xpd_corr_root)
+    omni_alpha = np.array([user.omni_gain, user.omni_gain])
+    if model == "iv":
+        return chanmodel.kronecker_mixing(omni_alpha, user.xpd_corr_root)
+    target = abs(user.xpd_corr.coefficient)
+    spacing = correlation.equivalent_spacing(SpacingQuery(target, user.aod))
+    root = correlation.matrix_sqrt_psd(correlation.spatial_corr_matrix(spacing, user.aod))
+    return chanmodel.kronecker_mixing(omni_alpha, root)
+
+
+def _gram_weights(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """Real (4, 2) weights W and |det M|^2 of a mixing matrix M.
+
+    Column j of ``W.T @ (G_00, G_11, Re G_01, Im G_01)`` is
+    c_j = |m_0j|^2 G_00 + |m_1j|^2 G_11 + 2 Re(conj(m_0j) m_1j G_01),
+    the energy of column j of H_w M.
+    """
+    (m00, m01), (m10, m11) = m.tolist()  # Python scalars: cheaper than 2x2 array ops
+    cross0, cross1 = 2.0 * m00.conjugate() * m10, 2.0 * m01.conjugate() * m11
+    weights = np.array([[abs(m00) ** 2, abs(m01) ** 2], [abs(m10) ** 2, abs(m11) ** 2],
+                        [cross0.real, cross1.real], [-cross0.imag, -cross1.imag]])
+    return weights, abs(m00 * m11 - m01 * m10) ** 2
+
+
+def _draw_gram(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bartlett draw of ``n`` Gram matrices G = H_w^H H_w of i.i.d. CN(0, 1) 2x2 H_w.
+
+    Returns the features (G_00, G_11, Re G_01, Im G_01), shape (4, n),
+    and |det H_w|^2, shape (n,). A given generator state yields a fixed
+    draw.
+    """
+    exp = rng.standard_exponential((3, n))
+    features = np.empty((4, n))
+    r12 = rng.standard_normal((2, n), out=features[2:])
+    r12 *= math.sqrt(0.5)  # Re and Im of r_12 ~ CN(0, 1)
+    r12_sq = r12 * r12
+    g11 = np.add(r12_sq[0], r12_sq[1], out=features[1])
+    g11 += exp[2]  # G_11 = |r_12|^2 + r_22^2
+    r11_sq = np.add(exp[0], exp[1], out=features[0])  # G_00 = r_11^2 ~ Gamma(2, 1)
+    r12 *= np.sqrt(r11_sq)  # G_01 = r_11 r_12
+    return features, r11_sq * exp[2]
 
 
 def evaluate_user(
@@ -228,18 +283,20 @@ def evaluate_user(
     """Run ``n_trials`` independent realizations of one model for one user.
 
     Each realization goes through zero forcing, SINR and the throughput
-    map. Rank-deficient realizations are kept as zero-throughput
-    samples rather than aborting the run; at 0 dB XPD every sample is
-    one, which is the intended degenerate physics.
+    map, computed from a Gram-matrix draw (see the module docstring).
+    Rank-deficient realizations are kept as zero-throughput samples
+    rather than aborting the run; at 0 dB XPD every sample is one, which
+    is the intended degenerate physics: det M = 0 exactly.
 
     A fixed generator state yields bit-identical result arrays.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     params = params or LinkParams()
-    h = _effective_batch(user, model, rng, n_trials)
-    _, sinr_all = _zf_kernel(h, params.noise_power())
-    return LinkResult(sinr=sinr_all, throughput=_capped_throughput(sinr_all, params))
+    weights, det_m = _gram_weights(_mixing(user, model))
+    features, det_w = _draw_gram(rng, n_trials)
+    _, sinr = _zf_sinr(weights.T @ features, det_w * det_m, params.noise_power())
+    return LinkResult(sinr=sinr.T, throughput=_capped_throughput(sinr.T, params))
 
 
 def cdf(samples) -> np.ndarray:

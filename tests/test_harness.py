@@ -1,8 +1,10 @@
 """Tests for scenario parsing, user generation, runs and reports."""
 
+import dataclasses
 import io
 import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +295,57 @@ def test_run_is_independent_of_user_listing_order(tmp_path):
     b = run(parse_scenario(swapped))
     for key in a.cdf_series:
         assert np.array_equal(a.cdf_series[key], b.cdf_series[key])
+
+
+SUBSET_CONFIG = """
+[users]
+a = path_loss_db=72 mean_aod_deg=-15 spread_deg=24
+b = path_loss_db=80 mean_aod_deg=5
+c = path_loss_db=88 mean_aod_deg=30 spread_deg=28
+
+[sweep]
+xpd_db = 3, 10, 20
+models = i, ii, iii, iv
+trials_per_user = 30
+
+[seed]
+value = 77
+"""
+
+
+@pytest.fixture(scope="module")
+def full_sweep():
+    scenario = parse_scenario(SUBSET_CONFIG)
+    return scenario, run(scenario)
+
+
+def test_one_xpd_run_reproduces_the_full_sweep(full_sweep):
+    scenario, full = full_sweep
+    cell = run(dataclasses.replace(scenario, xpd_sweep_db=(10.0,)))
+    assert cell.cdf_series.keys() == {(m, 10.0) for m in scenario.models}
+    for key, series in cell.cdf_series.items():
+        assert format_cdf_csv(series) == format_cdf_csv(full.cdf_series[key])
+
+
+def test_reordered_models_reproduce_the_full_sweep(full_sweep):
+    scenario, full = full_sweep
+    reordered = run(dataclasses.replace(scenario, models=("iv", "ii", "iii", "i")))
+    assert reordered.cdf_series.keys() == full.cdf_series.keys()
+    for key, series in reordered.cdf_series.items():
+        assert np.array_equal(series, full.cdf_series[key])
+
+
+def test_run_without_a_user_pools_a_subset_of_the_full_sweep(full_sweep):
+    scenario, full = full_sweep
+    users = tuple(u for u in scenario.users if u.user_id != "b")
+    fewer = run(dataclasses.replace(scenario, users=users))
+    assert fewer.cdf_series.keys() == full.cdf_series.keys()
+    for key, series in fewer.cdf_series.items():
+        # the full run's samples are this run's plus user b's, as a multiset
+        left = Counter(full.cdf_series[key][:, 0].tolist())
+        left.subtract(series[:, 0].tolist())
+        assert min(left.values()) >= 0
+        assert left.total() == scenario.trials_per_user
 
 
 def test_run_attaches_context_to_module_errors():

@@ -13,10 +13,12 @@ from dualpolsim.correlation import (
     SpacingQuery,
     dualpole_corr_exact,
     equivalent_spacing,
+    matrix_sqrt_psd,
     spatial_corr_matrix,
 )
 from dualpolsim.link import (
     MAX_CONDITION,
+    MODELS,
     LinkParams,
     LinkResult,
     RankDeficientError,
@@ -25,8 +27,11 @@ from dualpolsim.link import (
     evaluate_user,
     zf_weights,
     _capped_throughput,
-    _effective_batch,
-    _zf_kernel,
+    _draw_gram,
+    _explicit_terms,
+    _gram_weights,
+    _mixing,
+    _zf_sinr,
 )
 
 # 10^(-174/10) mW/Hz * 8.4e6 Hz
@@ -44,6 +49,26 @@ def make_user(chi=10.0, path_loss_db=85.0, spread_deg=26.0):
         xpd=(chi, chi),
         omni_gain=1.0 / loss,
         aod=AodDistribution.laplacian(0.0, math.radians(spread_deg)),
+    )
+
+
+def zf_explicit(h, noise):
+    """Mask and per-stream SINRs, shape (n, 2), of the ZF kernel fed by explicit channels."""
+    good, sinrs = _zf_sinr(*_explicit_terms(h), noise)
+    return good, sinrs.T
+
+
+def make_skewed_user():
+    # unequal port gains and XPDs, and a mean AoD off broadside, so that
+    # every model's mixing matrix has distinct entries and model iii's a
+    # complex correlation
+    loss = 10.0 ** 8.0
+    alpha, beta = np.array([1.0, 0.6]) / loss, np.array([0.05, 0.12]) / loss
+    return UserChannel(
+        gains=PropagationGains(alpha=alpha, beta=beta, path_loss=loss),
+        xpd=(alpha[0] / beta[1], alpha[1] / beta[0]),
+        omni_gain=1.0 / loss,
+        aod=AodDistribution.laplacian(0.4, math.radians(26.0)),
     )
 
 
@@ -130,11 +155,82 @@ def test_zf_kernel_matches_svd_and_inverse():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # bad rows are masked out without a warning
-        good, sinrs = _zf_kernel(h, noise)
+        good, sinrs = zf_explicit(h, noise)
     want_good, want_sinrs = _svd_inv_oracle(h, noise)
     assert np.array_equal(good, want_good)
     assert good.sum() == len(gauss) + 3
     assert_allclose(sinrs, want_sinrs, rtol=1e-9, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Gram-matrix path
+# ---------------------------------------------------------------------------
+
+
+def _gram_features(h):
+    """(G_00, G_11, Re G_01, Im G_01) and |det h|^2 of explicit channels, G = h^H h."""
+    gram = np.einsum("nri,nrj->nij", h.conj(), h)
+    det = np.linalg.det(h)
+    features = np.stack((gram[:, 0, 0].real, gram[:, 1, 1].real,
+                         gram[:, 0, 1].real, gram[:, 0, 1].imag))
+    return features, np.abs(det) ** 2
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_gram_path_matches_explicit_kernel(model):
+    # the same fading seen through G = H_w^H H_w and |det H_w|^2 gives the
+    # SINRs of the kernel applied to the explicit channel H_w @ M
+    noise = LinkParams().noise_power()
+    m = _mixing(make_skewed_user(), model)
+    h = draw_fading_batch(np.random.default_rng(11), 2000)
+    features, det_w = _gram_features(h)
+    weights, det_m = _gram_weights(m)
+    good, sinrs = _zf_sinr(weights.T @ features, det_w * det_m, noise)
+    want_good, want_sinrs = zf_explicit(h @ m, noise)
+    assert good.all() and np.array_equal(good, want_good)
+    assert_allclose(sinrs.T, want_sinrs, rtol=1e-12, atol=0.0)
+
+
+def test_gram_weights_give_column_energies():
+    # one M whose columns mix both fading columns with complex weights
+    m = np.array([[0.8 + 0.3j, -0.2 + 0.5j], [0.1 - 0.7j, 1.1 + 0.0j]])
+    h = draw_fading_batch(np.random.default_rng(12), 50)
+    features, det_w = _gram_features(h)
+    weights, det_m = _gram_weights(m)
+    assert weights.shape == (4, 2) and weights.dtype == float
+    assert_allclose(weights.T @ features, np.sum(np.abs(h @ m) ** 2, axis=1).T, rtol=1e-12)
+    assert_allclose(det_w * det_m, np.abs(np.linalg.det(h @ m)) ** 2, rtol=1e-12)
+
+
+def test_draw_gram_moments_and_determinism():
+    n = 200_000
+    features, det_w = _draw_gram(np.random.default_rng(21), n)
+    again, det_again = _draw_gram(np.random.default_rng(21), n)
+    assert np.array_equal(features, again) and np.array_equal(det_w, det_again)
+    assert features.shape == (4, n) and det_w.shape == (n,)
+    # G_00 ~ Gamma(2, 1) and G_11 = Exp + Exp: mean 2, variance 2; Re and Im
+    # of G_01 = r_11 r_12: mean 0, variance 1; |det H_w|^2 = Gamma(2) Exp(1):
+    # mean 2, variance E[r_11^4] E[r_22^4] - 4 = 6 * 2 - 4 = 8
+    for values, mean, var in ((features[0], 2.0, 2.0), (features[1], 2.0, 2.0),
+                              (features[2], 0.0, 1.0), (features[3], 0.0, 1.0),
+                              (det_w, 2.0, 8.0)):
+        assert abs(values.mean() - mean) < 4.0 * math.sqrt(var / n)
+    # G is positive semidefinite with the drawn determinant
+    g01_sq = features[2] ** 2 + features[3] ** 2
+    assert_allclose(features[0] * features[1] - g01_sq, det_w, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("model", ["i", "ii"])
+def test_gram_draw_has_the_explicit_sinr_law(model):
+    stats = pytest.importorskip("scipy.stats")
+    n = 200_000
+    user = make_user(chi=10.0, path_loss_db=85.0)
+    noise = LinkParams().noise_power()
+    got = evaluate_user(user, model, np.random.default_rng(31), n).sinr
+    h = draw_fading_batch(np.random.default_rng(32), n) @ _mixing(user, model)
+    _, want = zf_explicit(h, noise)
+    for stream in range(2):
+        assert stats.ks_2samp(got[:, stream], want[:, stream]).pvalue > 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +244,7 @@ def test_noise_power_value():
 
 def test_sinr_identity_weights():
     # the identity channel has identity ZF weights: SINR 1/p_n per stream
-    _, values = _zf_kernel(np.eye(2, dtype=complex)[None], LinkParams().noise_power())
+    _, values = zf_explicit(np.eye(2, dtype=complex)[None], LinkParams().noise_power())
     assert_allclose(values[0], [1.0 / NOISE_POWER_MW] * 2, rtol=1e-12)
 
 
@@ -156,8 +252,8 @@ def test_sinr_quadratic_weight_scaling():
     # halving H doubles the ZF weights and quarters the SINR
     noise = LinkParams().noise_power()
     h = np.array([[[1.5, 0.2], [0.1, 0.9]]], dtype=complex)
-    _, base = _zf_kernel(h, noise)
-    _, halved = _zf_kernel(0.5 * h, noise)
+    _, base = zf_explicit(h, noise)
+    _, halved = zf_explicit(0.5 * h, noise)
     assert_allclose(halved, base / 4.0, rtol=1e-12)
 
 
@@ -252,14 +348,12 @@ def test_evaluate_user_model_iii_runs_and_matches_iv_in_mean():
     mean_iii = np.mean(evaluate_user(user, "iii", np.random.default_rng(15), 20_000).throughput)
     mean_iv = np.mean(evaluate_user(user, "iv", np.random.default_rng(16), 20_000).throughput)
     assert abs(mean_iii - mean_iv) / mean_iv < 0.03
-    # model iii is exactly one Kronecker draw on the omni gains with the
-    # spatial correlation at the equivalent spacing
+    # model iii mixes with the omni gains and the spatial correlation at
+    # the equivalent spacing
     spacing = equivalent_spacing(SpacingQuery(abs(user.xpd_corr.coefficient), user.aod))
-    want = kronecker_effective(draw_fading_batch(np.random.default_rng(15), 500),
-                               np.full(2, user.omni_gain),
-                               spatial_corr_matrix(spacing, user.aod))
-    got = _effective_batch(user, "iii", np.random.default_rng(15), 500)
-    assert np.array_equal(got, want)
+    want = (np.diag(np.sqrt(np.full(2, user.omni_gain)))
+            @ matrix_sqrt_psd(spatial_corr_matrix(spacing, user.aod)))
+    assert np.array_equal(_mixing(user, "iii"), want)
 
 
 def test_evaluate_user_rejects_unknown_model():
