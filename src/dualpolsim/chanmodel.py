@@ -41,7 +41,9 @@ class PropagationGains:
     ``alpha[t]`` is the copolarized gain of port t toward the user and
     ``beta[t]`` the cross-polarized gain arriving through polarization
     t (radiated by the opposite port). The XPD of port t is therefore
-    ``alpha[t] / beta[1 - t]``.
+    ``alpha[t] / beta[1 - t]``. The constructor reads each gain vector
+    into one read-only float array, checks its shape, then checks the
+    four gains as Python floats: finite, >= 0 and alpha[t] + beta[t] > 0.
     """
 
     alpha: np.ndarray
@@ -53,11 +55,12 @@ class PropagationGains:
         beta = np.array(self.beta, dtype=float)
         if alpha.shape != (2,) or beta.shape != (2,):
             raise ValueError("alpha and beta must each hold one value per port")
-        if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
+        (a0, a1), (b0, b1) = alpha.tolist(), beta.tolist()
+        if not all(map(math.isfinite, (a0, a1, b0, b1))):
             raise ValueError("gains must be finite")
-        if np.any(alpha < 0) or np.any(beta < 0):
+        if min(a0, a1, b0, b1) < 0:
             raise ValueError("gains must be >= 0")
-        if np.any(alpha + beta <= 0):
+        if a0 + b0 <= 0 or a1 + b1 <= 0:
             raise ValueError("each port needs some received power (alpha + beta > 0)")
         if not self.path_loss >= 1.0:
             raise ValueError("linear path loss must be >= 1")
@@ -72,8 +75,7 @@ class PropagationGains:
         if not (math.isfinite(chi) and chi > 0):
             raise ValueError("linear XPD must be positive and finite")
         a = 1.0 / path_loss
-        return cls(alpha=np.array([a, a]), beta=np.array([a / chi, a / chi]),
-                   path_loss=path_loss)
+        return cls(alpha=(a, a), beta=(a / chi, a / chi), path_loss=path_loss)
 
 
 def draw_fading_batch(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -102,8 +104,9 @@ def dualpol_mixing(gains: PropagationGains) -> np.ndarray:
     part) and sqrt(beta[t']) on the fading of the opposite port t' (the
     cross-polar part).
     """
-    a, b = np.sqrt(gains.alpha), np.sqrt(gains.beta)
-    return np.array([[a[0], b[0]], [b[1], a[1]]], dtype=complex)
+    a0, a1 = map(math.sqrt, gains.alpha.tolist())
+    b0, b1 = map(math.sqrt, gains.beta.tolist())
+    return np.array([[a0, b0], [b1, a1]], dtype=complex)
 
 
 def kronecker_mixing(alpha: np.ndarray, corr_root: np.ndarray) -> np.ndarray:

@@ -98,7 +98,7 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_cdf(args) -> int:
-    scenario = harness.parse_scenario(args.config.read_text())
+    scenario = harness.parse_scenario(harness._read_text(args.config))
     if args.models is not None:
         with harness._config_errors(""):
             scenario = dataclasses.replace(scenario, models=harness._models(args.models))
@@ -124,7 +124,7 @@ def _cmd_spacing(args) -> int:
 def _cmd_xpd(args) -> int:
     if not math.isfinite(args.azimuth):
         raise harness.ConfigError(f"--azimuth: expected a finite angle, got {args.azimuth}")
-    pat = pattern.load_pattern(args.file.read_text())
+    pat = pattern.load_pattern(harness._read_text(args.file))
     phi = math.radians(args.azimuth)
     for port, value in enumerate(pattern.xpd_at(pat, phi).tolist(), start=1):
         print(f"port{port}_xpd_db={10.0 * math.log10(value):.4f}")

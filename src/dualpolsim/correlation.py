@@ -21,6 +21,7 @@ scan grid, built on first use and shared by every caller.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -80,11 +81,12 @@ class CorrelationMatrix:
     """2x2 transmit correlation matrix with unit diagonal.
 
     The constructor checks shape, finiteness, an exactly-unit diagonal
-    and off-diagonal magnitudes <= 1. Hermitian positive
-    semidefiniteness is required wherever the matrix is actually used
-    as a correlation (see :func:`matrix_sqrt_psd`); it is not imposed
-    here because the high-XPD approximation with unequal port XPDs is
-    written asymmetrically.
+    and off-diagonal magnitudes <= 1 + 1e-12, on the four entries as
+    Python complexes, and stores one read-only complex array. Hermitian
+    positive semidefiniteness is required wherever the matrix is
+    actually used as a correlation (see :func:`matrix_sqrt_psd`); it is
+    not imposed here because the high-XPD approximation with unequal
+    port XPDs is written asymmetrically.
     """
 
     matrix: np.ndarray
@@ -93,11 +95,12 @@ class CorrelationMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise InvalidCorrelationError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
+        (m00, m01), (m10, m11) = m.tolist()
+        if not all(map(cmath.isfinite, (m00, m01, m10, m11))):
             raise InvalidCorrelationError("correlation matrix has non-finite entries")
-        if not np.array_equal(np.diagonal(m), np.ones(2)):
+        if m00 != 1.0 or m11 != 1.0:
             raise InvalidCorrelationError("correlation diagonal must be exactly 1")
-        if max(abs(m[0, 1]), abs(m[1, 0])) > 1.0 + 1e-12:
+        if max(abs(m01), abs(m10)) > 1.0 + 1e-12:
             raise InvalidCorrelationError("off-diagonal magnitude exceeds 1")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -105,15 +108,12 @@ class CorrelationMatrix:
     @classmethod
     def from_coefficient(cls, rho: complex) -> "CorrelationMatrix":
         """Hermitian matrix [[1, rho], [conj(rho), 1]]."""
-        return cls(np.array([[1.0, rho], [np.conj(rho), 1.0]], dtype=complex))
+        return cls([[1.0, rho], [rho.conjugate(), 1.0]])
 
     @property
     def coefficient(self) -> complex:
         """Upper off-diagonal entry."""
         return complex(self.matrix[0, 1])
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues (requires a Hermitian matrix)."""
@@ -179,17 +179,6 @@ class AodDistribution:
             (1.0 - np.exp(-up * (math.pi - mu))) / up
             + (1.0 - np.exp(-down * (math.pi + mu))) / down
         )
-
-    def pdf(self, phi: np.ndarray) -> np.ndarray:
-        """Density on [-pi, pi]; zero outside."""
-        phi = np.asarray(phi, dtype=float)
-        if self.kind == "isotropic":
-            dens = np.full(phi.shape, 1.0 / (2.0 * math.pi))
-        else:
-            b = math.sqrt(2.0) / self.angle_spread
-            dens = (b / 2.0) * np.exp(-b * np.abs(phi - self.mean_aod))
-            dens /= self._normalization()
-        return np.where((phi >= -math.pi) & (phi <= math.pi), dens, 0.0)
 
 
 @dataclass(frozen=True)
@@ -321,19 +310,24 @@ def matrix_sqrt_psd(corr: CorrelationMatrix | np.ndarray) -> np.ndarray:
     Uses the 2x2 closed form (M + s I) / sqrt(tr M + 2 s) with
     s = sqrt(det M), which squares to M by the Cayley-Hamilton identity
     M^2 = tr(M) M - det(M) I. Eigenvalues in [-1e-12, 0) are treated as
-    exact zeros; anything lower, or a non-Hermitian or non-finite input,
-    raises :class:`InvalidCorrelationError`. The zero matrix has the
-    zero root.
+    exact zeros; anything lower, a Hermitian defect above 1e-12 or a
+    non-finite entry raises :class:`InvalidCorrelationError`. The zero
+    matrix has the zero root. Checks and formula run on the four
+    entries as Python complexes; the result is bit for bit that of the
+    numpy expression ``(m + s * np.eye(2)) / math.sqrt(tr M + 2 s)``.
     """
     m = corr.matrix if isinstance(corr, CorrelationMatrix) else np.asarray(corr, dtype=complex)
     if m.shape != (2, 2):
         raise InvalidCorrelationError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    entries = m.ravel().tolist()
+    if not all(map(cmath.isfinite, entries)):
         raise InvalidCorrelationError("correlation matrix has non-finite entries")
-    if np.max(np.abs(m - m.conj().T)) > 1e-12:
+    m00, m01, m10, m11 = entries
+    if max(abs(m00 - m00.conjugate()), abs(m01 - m10.conjugate()),
+           abs(m11 - m11.conjugate())) > 1e-12:
         raise InvalidCorrelationError("correlation matrix is not Hermitian")
-    a, d = m[0, 0].real, m[1, 1].real
-    off = abs(m[0, 1])
+    a, d = m00.real, m11.real
+    off = abs(m01)
     eig_min = 0.5 * (a + d) - math.hypot(0.5 * (a - d), off)
     if eig_min < -1e-12:
         raise InvalidCorrelationError(
@@ -343,7 +337,14 @@ def matrix_sqrt_psd(corr: CorrelationMatrix | np.ndarray) -> np.ndarray:
     trace_term = a + d + 2.0 * s  # (sqrt(l1) + sqrt(l2))^2
     if trace_term <= 0.0:
         return np.zeros((2, 2), dtype=complex)
-    return (m + s * np.eye(2)) / math.sqrt(trace_term)
+    # bit for bit numpy's (m + s I) / sqrt(trace_term): adding s I adds
+    # 0.0 to every other part, so -0.0 becomes 0.0, and numpy divides a
+    # complex by a real as a product with the reciprocal
+    scale = 1.0 / math.sqrt(trace_term)
+    return np.array([
+        complex((z.real + shift) * scale, (z.imag + 0.0) * scale)
+        for z, shift in zip(entries, (s, 0.0, 0.0, s))
+    ]).reshape(2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -330,6 +330,14 @@ def _read(items, keys: dict, where: str) -> dict:
     return kwargs
 
 
+def _read_text(path: Path) -> str:
+    """UTF-8 text of an input file, whatever the locale; other bytes are a :class:`ConfigError`."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 @contextmanager
 def _config_errors(prefix: str):
     """Re-raise a ``ValueError`` as a :class:`ConfigError` whose message starts with ``prefix``."""
@@ -458,14 +466,15 @@ def _user_channel(
     """
     loss = 10.0 ** (user.path_loss_db / 10.0)
     if scaled is not None:
-        co, cross = gain_at(scaled, user.mean_aod)
+        (co0, co1), (cross0, cross1) = (g.tolist() for g in gain_at(scaled, user.mean_aod))
         # cross is never zero here: load_pattern bounds every gain to
         # +-MAX_ABS_DB dBi, dB interpolation of positive gains is positive
         # and scale_to_xpd multiplies by positive finite scales.
         # Cross-polarized power radiated by port t arrives through the
         # opposite polarization, hence the swapped beta indexing.
-        gains = PropagationGains(alpha=co / loss, beta=cross[::-1] / loss, path_loss=loss)
-        chi = tuple((co / cross).tolist())
+        gains = PropagationGains(alpha=(co0 / loss, co1 / loss),
+                                 beta=(cross1 / loss, cross0 / loss), path_loss=loss)
+        chi = (co0 / cross0, co1 / cross1)
     else:
         chi_lin = 10.0 ** (xpd_db / 10.0)
         gains = PropagationGains.from_xpd(chi_lin, path_loss=loss)
@@ -525,7 +534,7 @@ def run(scenario: Scenario) -> RunReport:
     if scenario.pattern_file is not None:
         path = Path(scenario.pattern_file)
         try:
-            pattern = load_pattern(path.read_text())
+            pattern = load_pattern(_read_text(path))
         except OSError as exc:
             raise ConfigError(f"cannot read pattern file {path}: {exc}") from None
 

@@ -53,8 +53,8 @@ class InfiniteXpdError(ArithmeticError):
 
 
 def _wrap_angle(phi: float | np.ndarray):
-    """Wrap radians into [-pi, pi)."""
-    return (np.asarray(phi) + math.pi) % _TWO_PI - math.pi
+    """Wrap radians into [-pi, pi); a float stays a float, an array an array."""
+    return (phi + math.pi) % _TWO_PI - math.pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +211,7 @@ def gain_at(pattern: RadiationPattern, azimuth: float) -> tuple[np.ndarray, np.n
     the stored values exactly.
     """
     phi = float(_wrap_angle(azimuth))
-    u = (phi - pattern.angles[0]) / pattern.step
+    u = (phi - pattern.angles[0].item()) / pattern.step
     n = pattern.n_samples
     i0 = int(math.floor(u)) % n
     frac = u - math.floor(u)
@@ -220,7 +220,8 @@ def gain_at(pattern: RadiationPattern, azimuth: float) -> tuple[np.ndarray, np.n
         return pattern.co[:, i].copy(), pattern.cross[:, i].copy()
     i1 = (i0 + 1) % n
     return tuple(
-        np.array([_db_lerp(g_a, g_b, frac) for g_a, g_b in cut[:, [i0, i1]].tolist()])
+        np.array([_db_lerp(g_a, g_b, frac)
+                  for g_a, g_b in zip(cut[:, i0].tolist(), cut[:, i1].tolist())])
         for cut in (pattern.co, pattern.cross)
     )
 

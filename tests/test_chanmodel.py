@@ -84,6 +84,39 @@ def test_propagation_gains_validation():
         PropagationGains(alpha=np.ones(2), beta=np.ones(2), path_loss=0.5)
 
 
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("alpha, beta, path_loss, message", [
+    ([_NAN, 1.0], [0.0, 0.0], 1.0, "gains must be finite"),
+    ([1.0, 1.0], [_INF, 0.0], 1.0, "gains must be finite"),
+    ([1.0, 1.0], [0.0, -_INF], 1.0, "gains must be finite"),
+    ([-1.0, 1.0], [0.0, 0.0], 1.0, "gains must be >= 0"),
+    ([1.0, 1.0], [0.0, -1e-300], 1.0, "gains must be >= 0"),
+    ([-0.0, 1.0], [0.0, 0.0], 1.0, "each port needs some received power (alpha + beta > 0)"),
+    ([1.0, 0.0], [1.0, 0.0], 1.0, "each port needs some received power (alpha + beta > 0)"),
+    ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], 1.0, "alpha and beta must each hold one value per port"),
+    ([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0], 1.0,
+     "alpha and beta must each hold one value per port"),
+    (1.0, [1.0, 1.0], 1.0, "alpha and beta must each hold one value per port"),
+    ([1.0, 1.0], [1.0, 1.0], 0.5, "linear path loss must be >= 1"),
+    ([1.0, 1.0], [1.0, 1.0], _NAN, "linear path loss must be >= 1"),
+])
+def test_propagation_gains_rejections_keep_type_and_message(alpha, beta, path_loss, message):
+    with pytest.raises(ValueError) as info:
+        PropagationGains(alpha=alpha, beta=beta, path_loss=path_loss)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_propagation_gains_keep_signed_zero_and_are_read_only():
+    # -0.0 is not below zero: accepted, and stored bit for bit
+    gains = PropagationGains(alpha=[-0.0, 1.0], beta=(1.0, 0.0))
+    assert gains.alpha.tobytes() == np.array([-0.0, 1.0]).tobytes()
+    assert gains.beta.dtype == float and gains.beta.shape == (2,)
+    with pytest.raises(ValueError):
+        gains.alpha[0] = 2.0
+
+
 def test_propagation_gains_from_xpd_roundtrip():
     gains = PropagationGains.from_xpd(10.0, path_loss=100.0)
     assert_allclose(gains.alpha, [0.01, 0.01])

@@ -94,6 +94,27 @@ def test_xpd_from_pattern_malformed_file(tmp_path, capsys):
     assert "too few samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("site", ["cdf-config", "cdf-pattern-file", "xpd-from-pattern"])
+def test_non_utf8_input_file_exits_2(tmp_path, capsys, site):
+    # a UTF-16 file with its byte-order mark: \xff\xfe starts no UTF-8 text
+    bad = tmp_path / "utf16.txt"
+    bad.write_bytes(b"\xff\xfe" + PATTERN_TEXT.encode("utf-16-le"))
+    if site == "xpd-from-pattern":
+        argv = ["xpd-from-pattern", "--file", str(bad), "--azimuth", "0"]
+    else:
+        config = bad
+        if site == "cdf-pattern-file":
+            config = tmp_path / "scenario.ini"
+            config.write_text("[users]\nu = path_loss_db=80 mean_aod_deg=0\n"
+                              f"[sweep]\nxpd_db = 10\npattern_file = {bad}\n",
+                              encoding="utf-8")
+        argv = ["cdf", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert _exit_code(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(bad) in err and "not UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_cdf_end_to_end(tmp_path, capsys):
     config = tmp_path / "scenario.ini"
     config.write_text(

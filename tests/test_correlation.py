@@ -279,6 +279,105 @@ def test_matrix_sqrt_rejects_non_hermitian():
         matrix_sqrt_psd(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
 
+def _numpy_root(m):
+    """Reference: the closed form of matrix_sqrt_psd as numpy array operations."""
+    a, d = m[0, 0].real, m[1, 1].real
+    off = abs(m[0, 1])
+    s = math.sqrt(max(a * d - off * off, 0.0))
+    if a + d + 2.0 * s <= 0.0:
+        return np.zeros((2, 2), dtype=complex)
+    return (m + s * np.eye(2)) / math.sqrt(a + d + 2.0 * s)
+
+
+@st.composite
+def hermitian_psd(draw):
+    """Hermitian matrices with minimum eigenvalue >= -1e-12, signed zeros included."""
+    kind = draw(st.sampled_from(["interior", "rank-one", "zero", "eigenvalue-below-zero"]))
+    a, d = draw(st.floats(0.0, 1e3)), draw(st.floats(0.0, 1e3))
+    if kind == "zero":
+        a = d = mag = 0.0
+    elif kind == "rank-one":
+        mag = math.sqrt(a * d)
+    elif kind == "interior":
+        mag = draw(st.floats(0.0, 1.0)) * math.sqrt(a * d)
+    else:  # a = d and |m01| = a + eps: eigenvalue a - |m01| in [-1e-12, 0)
+        d = a = draw(st.floats(0.5, 2.0))
+        mag = a + draw(st.floats(1e-15, 0.9e-12))
+    if draw(st.booleans()):
+        phase = draw(st.floats(-math.pi, math.pi))
+        off = complex(mag * math.cos(phase), mag * math.sin(phase))
+    else:  # an exactly real coefficient, with a signed zero imaginary part
+        off = complex(draw(st.sampled_from([mag, -mag])), draw(st.sampled_from([0.0, -0.0])))
+    diag_imag = st.sampled_from([0.0, -0.0])
+    return np.array([[complex(a, draw(diag_imag)), off],
+                     [off.conjugate(), complex(d, draw(diag_imag))]])
+
+
+@given(hermitian_psd())
+@settings(max_examples=500, deadline=None)
+def test_matrix_sqrt_is_bitwise_the_numpy_formula(m):
+    root = matrix_sqrt_psd(m)
+    assert root.dtype == complex and root.shape == (2, 2)
+    assert root.tobytes() == _numpy_root(m).tobytes()
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("build", [CorrelationMatrix, matrix_sqrt_psd],
+                         ids=["CorrelationMatrix", "matrix_sqrt_psd"])
+@pytest.mark.parametrize("m, message", [
+    (np.eye(3), "expected a 2x2 matrix, got shape (3, 3)"),
+    (np.ones(2), "expected a 2x2 matrix, got shape (2,)"),
+    ([[1.0, _NAN], [_NAN, 1.0]], "correlation matrix has non-finite entries"),
+    ([[1.0, complex(0.0, _INF)], [complex(0.0, -_INF), 1.0]],
+     "correlation matrix has non-finite entries"),
+    ([[complex(-_INF, 0.0), 0.0], [0.0, 1.0]], "correlation matrix has non-finite entries"),
+])
+def test_correlation_checks_reject_shape_and_non_finite(build, m, message):
+    with pytest.raises(InvalidCorrelationError) as info:
+        build(np.asarray(m, dtype=complex))
+    assert type(info.value) is InvalidCorrelationError and str(info.value) == message
+
+
+@pytest.mark.parametrize("m, message", [
+    ([[1.0 + 1e-300j, 0.0], [0.0, 1.0]], "correlation diagonal must be exactly 1"),
+    ([[0.9, 0.1], [0.1, 1.0]], "correlation diagonal must be exactly 1"),
+    ([[1.0, 1.0 + 2e-12], [0.5, 1.0]], "off-diagonal magnitude exceeds 1"),
+    ([[1.0, 0.5], [-1.0 - 2e-12, 1.0]], "off-diagonal magnitude exceeds 1"),
+    ([[1.0, 1.0 + 1e-12], [1.0 + 1e-12, 1.0]], None),
+    ([[1.0, 0.3j], [0.3, 1.0]], None),  # Hermitian symmetry is not asked here
+])
+def test_correlation_matrix_rejections_keep_type_and_message(m, message):
+    m = np.asarray(m, dtype=complex)
+    if message is None:
+        assert CorrelationMatrix(m).matrix.tobytes() == m.tobytes()
+        return
+    with pytest.raises(InvalidCorrelationError) as info:
+        CorrelationMatrix(m)
+    assert type(info.value) is InvalidCorrelationError and str(info.value) == message
+
+
+@pytest.mark.parametrize("m, message", [
+    ([[1.0, 0.5], [0.5 + 1.01e-12, 1.0]], "correlation matrix is not Hermitian"),
+    ([[1.0, 0.5], [0.5 + 0.99e-12, 1.0]], None),
+    ([[1.0 + 0.51e-12j, 0.0], [0.0, 1.0]], "correlation matrix is not Hermitian"),
+    ([[1.0, 0.5j], [0.5j, 1.0]], "correlation matrix is not Hermitian"),
+    ([[1.0, 0.0], [0.0, -2e-12]], "correlation matrix is not PSD (eigenvalue -2.000e-12)"),
+    ([[1.0, 1.0 + 2e-12], [1.0 + 2e-12, 1.0]],
+     "correlation matrix is not PSD (eigenvalue -2.000e-12)"),
+    ([[1.0, 0.0], [0.0, -0.5e-12]], None),
+])
+def test_matrix_sqrt_rejections_keep_type_and_message(m, message):
+    m = np.asarray(m, dtype=complex)
+    if message is None:
+        assert matrix_sqrt_psd(m).shape == (2, 2)
+        return
+    with pytest.raises(InvalidCorrelationError) as info:
+        matrix_sqrt_psd(m)
+    assert type(info.value) is InvalidCorrelationError and str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # spatial correlation
 # ---------------------------------------------------------------------------
@@ -395,20 +494,28 @@ def test_spatial_corr_rejects_non_finite_or_distant_spacing(d):
 def test_spatial_corr_matrix_is_hermitian_unit_diagonal():
     lap = AodDistribution.laplacian(0.7, 0.4)
     corr = spatial_corr_matrix(0.3, lap)
-    assert corr.is_hermitian()
+    assert np.array_equal(corr.matrix, corr.matrix.conj().T)
     assert corr.matrix[0, 0] == 1.0 and corr.matrix[1, 1] == 1.0
     assert corr.coefficient == pytest.approx(spatial_corr(0.3, lap))
 
 
 def test_laplacian_pdf_integrates_to_one():
+    # the truncated Laplacian density b/2 exp(-b |phi - mu|) / Z on [-pi, pi];
     # trapezoid on each smooth side; 2e6 points keeps the oracle's own
     # discretization error well below the 1e-10 budget
     for mu, sigma in [(0.0, 0.45), (1.2, 0.1), (-2.5, 0.9), (3.0, 0.3)]:
         dist = AodDistribution.laplacian(mu, sigma)
+        b = math.sqrt(2.0) / sigma
+
+        def pdf(phi):
+            return (b / 2.0) * np.exp(-b * np.abs(phi - mu)) / dist._normalization()
+
         left = np.linspace(-math.pi, mu, 2_000_001)
         right = np.linspace(mu, math.pi, 2_000_001)
-        mass = np.trapezoid(dist.pdf(left), left) + np.trapezoid(dist.pdf(right), right)
+        mass = np.trapezoid(pdf(left), left) + np.trapezoid(pdf(right), right)
         assert abs(mass - 1.0) < 1e-10
+        # c_0 = E[1] of the law's Fourier coefficients is the same mass
+        assert abs(dist._fourier(0)[0] - 1.0) < 1e-10
 
 
 def test_aod_distribution_validation():
@@ -554,4 +661,4 @@ def test_correlation_matrix_coefficient_roundtrip(mag, phase):
     rho = mag * complex(math.cos(phase), math.sin(phase))
     corr = CorrelationMatrix.from_coefficient(rho)
     assert corr.coefficient == rho
-    assert corr.is_hermitian()
+    assert np.array_equal(corr.matrix, corr.matrix.conj().T)

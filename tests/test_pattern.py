@@ -194,6 +194,37 @@ def test_gain_at_wraparound_interpolation():
     assert gain_at(pat, phi)[0][0] == pytest.approx(expected, rel=1e-12)
 
 
+def _fancy_index_gain_at(pat, azimuth):
+    """Reference: gain_at reading both bracketing columns by fancy indexing."""
+    phi = float((np.asarray(azimuth) + math.pi) % (2.0 * math.pi) - math.pi)
+    u = (phi - pat.angles[0]) / pat.step
+    i0 = int(math.floor(u)) % pat.n_samples
+    frac = u - math.floor(u)
+    if frac < 1e-12 or frac > 1.0 - 1e-12:
+        i = i0 if frac < 0.5 else (i0 + 1) % pat.n_samples
+        return pat.co[:, i], pat.cross[:, i]
+    cols = [i0, (i0 + 1) % pat.n_samples]
+    return tuple(
+        np.array([10.0 ** (((1.0 - frac) * (10.0 * math.log10(g_a))
+                            + frac * (10.0 * math.log10(g_b))) / 10.0)
+                  for g_a, g_b in cut[:, cols].tolist()])
+        for cut in (pat.co, pat.cross)
+    )
+
+
+def test_gain_at_matches_fancy_indexing_reference():
+    pat = directional_pattern()
+    samples = pat.angles.tolist()
+    between = [a + f * pat.step for a in samples[::7] for f in (1e-9, 0.25, 0.5, 0.9)]
+    seam = [math.pi, -math.pi, math.pi - 1e-3, -math.pi + 1e-3, float(pat.angles[-1]) + 0.01,
+            3.0 * math.pi, -5.0 * math.pi + 0.2, 7.5, -7.5]
+    for phi in samples + between + seam:
+        got, expected = gain_at(pat, phi), _fancy_index_gain_at(pat, phi)
+        for g, e in zip(got, expected):
+            assert g.dtype == float and g.shape == (2,)
+            assert g.tobytes() == e.tobytes(), phi
+
+
 @given(st.floats(min_value=-10.0, max_value=10.0))
 @settings(max_examples=200, deadline=None)
 def test_gain_at_two_pi_periodic(phi):
