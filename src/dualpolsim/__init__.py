@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .correlation import (
     AodDistribution,
-    ApproxCorrelation,
     CorrelationMatrix,
     InvalidCorrelationError,
     NoSolutionError,
@@ -64,7 +63,7 @@ from .harness import (
 __all__ = [
     "__version__",
     # correlation
-    "AodDistribution", "ApproxCorrelation", "CorrelationMatrix",
+    "AodDistribution", "CorrelationMatrix",
     "InvalidCorrelationError", "NoSolutionError", "SpacingQuery",
     "bessel_j0", "dualpole_corr_approx", "dualpole_corr_exact",
     "equivalent_spacing", "matrix_sqrt_psd", "spatial_corr",

@@ -36,7 +36,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class PropagationGains:
-    """Per-port linear power gains, path loss included.
+    """Per-port linear power gains, path loss already divided out.
 
     ``alpha[t]`` is the copolarized gain of port t toward the user and
     ``beta[t]`` the cross-polarized gain arriving through polarization
@@ -48,7 +48,6 @@ class PropagationGains:
 
     alpha: np.ndarray
     beta: np.ndarray
-    path_loss: float = 1.0
 
     def __post_init__(self) -> None:
         alpha = np.array(self.alpha, dtype=float)
@@ -62,8 +61,6 @@ class PropagationGains:
             raise ValueError("gains must be >= 0")
         if a0 + b0 <= 0 or a1 + b1 <= 0:
             raise ValueError("each port needs some received power (alpha + beta > 0)")
-        if not self.path_loss >= 1.0:
-            raise ValueError("linear path loss must be >= 1")
         alpha.flags.writeable = False
         beta.flags.writeable = False
         object.__setattr__(self, "alpha", alpha)
@@ -71,11 +68,13 @@ class PropagationGains:
 
     @classmethod
     def from_xpd(cls, chi: float, path_loss: float = 1.0) -> "PropagationGains":
-        """Symmetric gains with unit-antenna copolar gain and the given XPD."""
+        """Symmetric gains: copolar 1 / ``path_loss`` (linear, >= 1) and the given XPD."""
         if not (math.isfinite(chi) and chi > 0):
             raise ValueError("linear XPD must be positive and finite")
+        if not path_loss >= 1.0:
+            raise ValueError("linear path loss must be >= 1")
         a = 1.0 / path_loss
-        return cls(alpha=(a, a), beta=(a / chi, a / chi), path_loss=path_loss)
+        return cls(alpha=(a, a), beta=(a / chi, a / chi))
 
 
 def draw_fading_batch(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -93,7 +92,9 @@ def draw_fading_batch(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _mix(h: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``h @ m`` for a stack ``h`` of shape (..., 2, 2) and one complex 2x2 ``m``."""
-    rows = h.reshape(-1, 2)  # the result is laid out along the stack, for long loops later
+    # elementwise products, not a BLAS ``h @ m``: each entry is one sum of
+    # two products, so build_effective stays exactly co + cross
+    rows = h.reshape(-1, 2)
     return (m[0][:, None] * rows[:, 0] + m[1][:, None] * rows[:, 1]).T.reshape(h.shape)
 
 

@@ -26,7 +26,6 @@ import functools
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "CorrelationMatrix",
     "AodDistribution",
     "SpacingQuery",
-    "ApproxCorrelation",
     "InvalidCorrelationError",
     "NoSolutionError",
     "bessel_j0",
@@ -48,9 +46,6 @@ __all__ = [
 
 #: First positive zero of the Bessel function J0 (tabulated).
 J0_FIRST_ZERO = 2.404825557695773
-
-#: XPD below which the high-XPD approximation exceeds 1 and is clamped.
-HIGH_XPD_LIMIT = 4.0
 
 #: Laplacian angle spreads accepted, in degrees: the range the tests cover.
 #: It keeps the law's scale finite and nonzero; the series needs no bound.
@@ -82,11 +77,12 @@ class CorrelationMatrix:
 
     The constructor checks shape, finiteness, an exactly-unit diagonal
     and off-diagonal magnitudes <= 1 + 1e-12, on the four entries as
-    Python complexes, and stores one read-only complex array. Hermitian
-    positive semidefiniteness is required wherever the matrix is
-    actually used as a correlation (see :func:`matrix_sqrt_psd`); it is
-    not imposed here because the high-XPD approximation with unequal
-    port XPDs is written asymmetrically.
+    Python complexes, and stores one read-only complex array. Every
+    matrix this package builds comes from :meth:`from_coefficient`, so
+    it is Hermitian by construction. Hermitian positive semidefiniteness
+    is checked once, where the matrix is used as a correlation
+    (:func:`matrix_sqrt_psd`, which also takes plain arrays), rather
+    than twice on every matrix built here.
     """
 
     matrix: np.ndarray
@@ -118,13 +114,6 @@ class CorrelationMatrix:
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues (requires a Hermitian matrix)."""
         return np.linalg.eigvalsh(self.matrix)
-
-
-class ApproxCorrelation(NamedTuple):
-    """High-XPD approximate correlation plus its validity flag."""
-
-    corr: CorrelationMatrix
-    high_xpd_valid: bool
 
 
 @dataclass(frozen=True)
@@ -283,20 +272,14 @@ def dualpole_corr_exact(chi1: float, chi2: float | None = None) -> CorrelationMa
     return CorrelationMatrix.from_coefficient(min(rho, 1.0))
 
 
-def dualpole_corr_approx(chi1: float, chi2: float | None = None) -> ApproxCorrelation:
-    """High-XPD approximation of :func:`dualpole_corr_exact`.
+def dualpole_corr_approx(chi: float) -> CorrelationMatrix:
+    """High-XPD approximation of :func:`dualpole_corr_exact` for equal ports.
 
-    Off-diagonals are 2/sqrt(chi) per port, clamped to 1. The flag is
-    False when either XPD falls below 4 (6 dB), where the unclamped
-    coefficient would exceed 1 and the approximation breaks down.
+    The coefficient is 2/sqrt(chi), clamped to 1. It exceeds 1 below
+    chi = 4 (6 dB), where the approximation no longer holds; a caller
+    that needs to know compares its own ``chi`` with 4.
     """
-    chi1 = _check_xpd(chi1, "chi1")
-    chi2 = chi1 if chi2 is None else _check_xpd(chi2, "chi2")
-    rho12 = min(2.0 / math.sqrt(chi1), 1.0)
-    rho21 = min(2.0 / math.sqrt(chi2), 1.0)
-    corr = CorrelationMatrix(np.array([[1.0, rho12], [rho21, 1.0]], dtype=complex))
-    valid = min(chi1, chi2) >= HIGH_XPD_LIMIT
-    return ApproxCorrelation(corr=corr, high_xpd_valid=valid)
+    return CorrelationMatrix.from_coefficient(min(2.0 / math.sqrt(_check_xpd(chi, "chi")), 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -331,9 +331,9 @@ def _read(items, keys: dict, where: str) -> dict:
 
 
 def _read_text(path: Path) -> str:
-    """UTF-8 text of an input file, whatever the locale; other bytes are a :class:`ConfigError`."""
+    """UTF-8 text of a file, BOM dropped, whatever the locale; else a :class:`ConfigError`."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
 
@@ -375,7 +375,9 @@ def parse_scenario(source: str) -> Scenario:
     unknown keys, malformed or out-of-range values, duplicate user ids
     and missing required sections.
     """
-    parser = configparser.ConfigParser(interpolation=None, strict=True)
+    # default_section="" cannot be named by a header, so a [DEFAULT]
+    # section is an unknown section rather than defaults for every section
+    parser = configparser.ConfigParser(interpolation=None, strict=True, default_section="")
     try:
         parser.read_string(source)
     except configparser.DuplicateOptionError as exc:
@@ -473,7 +475,7 @@ def _user_channel(
         # Cross-polarized power radiated by port t arrives through the
         # opposite polarization, hence the swapped beta indexing.
         gains = PropagationGains(alpha=(co0 / loss, co1 / loss),
-                                 beta=(cross1 / loss, cross0 / loss), path_loss=loss)
+                                 beta=(cross1 / loss, cross0 / loss))
         chi = (co0 / cross0, co1 / cross1)
     else:
         chi_lin = 10.0 ** (xpd_db / 10.0)
@@ -500,7 +502,7 @@ def _summary_table(xpd_sweep_db, spread_deg: float) -> tuple[TableRow, ...]:
     for xpd_db in xpd_sweep_db:
         chi = 10.0 ** (xpd_db / 10.0)
         rho_exact = abs(dualpole_corr_exact(chi).coefficient)
-        rho_approx = abs(dualpole_corr_approx(chi).corr.coefficient)
+        rho_approx = abs(dualpole_corr_approx(chi).coefficient)
         d_iso = equivalent_spacing(SpacingQuery(rho_exact, iso))
         try:
             d_lap = equivalent_spacing(SpacingQuery(rho_exact, lap))

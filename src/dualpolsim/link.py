@@ -68,6 +68,7 @@ MODELS = ("i", "ii", "iii", "iv")
 
 #: Condition-number guard separating numerical singularity from low-rank physics.
 MAX_CONDITION = 1e12
+_RANK_BOUND = (MAX_CONDITION + 1.0 / MAX_CONDITION) ** 2  # full rank iff D * bound > F^2
 
 
 class RankDeficientError(np.linalg.LinAlgError):
@@ -163,8 +164,7 @@ class UserChannel:
 
 
 def _zf_sinr(
-    col: np.ndarray, det_sq: np.ndarray, noise_power: float,
-    max_condition: float = MAX_CONDITION,
+    col: np.ndarray, det_sq: np.ndarray, noise_power: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form zero forcing of channels given by their module-docstring terms.
 
@@ -175,10 +175,9 @@ def _zf_sinr(
     """
     # with kappa = s_max / s_min, F^2 / D = (kappa + 1/kappa)^2, which grows
     # with kappa; a non-finite term makes F or D inf or NaN, failing the test
-    bound = (max_condition + 1.0 / max_condition) ** 2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         frob = col[0] + col[1]
-        good = det_sq * bound > frob * frob
+        good = det_sq * _RANK_BOUND > frob * frob
         # row i of inv(H) has energy c_{1-i} / D
         sinr = np.where(good, det_sq / (col[::-1] * noise_power), 0.0)
     return good, sinr
@@ -200,7 +199,7 @@ def _capped_throughput(sinrs: np.ndarray, params: LinkParams) -> np.ndarray:
     return bw_term * (se[..., 0] + se[..., 1])
 
 
-def zf_weights(h_eff: np.ndarray, max_condition: float = MAX_CONDITION) -> np.ndarray:
+def zf_weights(h_eff: np.ndarray) -> np.ndarray:
     """Zero-forcing receive filter W, defined through W.T @ H = I.
 
     The rank test is the one Monte Carlo batches use.
@@ -208,17 +207,17 @@ def zf_weights(h_eff: np.ndarray, max_condition: float = MAX_CONDITION) -> np.nd
     Raises
     ------
     RankDeficientError
-        If the channel's condition number reaches ``max_condition``
-        (the zero-XPD, fully correlated case lands here by design).
+        If the condition number reaches :data:`MAX_CONDITION` or an entry is
+        not finite (the zero-XPD, fully correlated case lands here by design).
     """
     h_eff = np.asarray(h_eff, dtype=complex)
     if h_eff.shape != (2, 2):
         raise ValueError("effective channel must be 2x2")
-    good, _ = _zf_sinr(*_explicit_terms(h_eff), 1.0, max_condition)
+    good, _ = _zf_sinr(*_explicit_terms(h_eff), 1.0)
     if not good:
         raise RankDeficientError(
             f"effective channel is rank deficient (condition number at least "
-            f"{max_condition:g} or non-finite entries)"
+            f"{MAX_CONDITION:g} or non-finite entries)"
         )
     return np.linalg.inv(h_eff).T
 

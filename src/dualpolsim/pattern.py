@@ -105,14 +105,6 @@ class RadiationPattern:
     def step(self) -> float:
         return _TWO_PI / self.n_samples
 
-    def total_power(self) -> float:
-        """Azimuth-trapezoid integral of co+cross gain summed over ports.
-
-        On the closed periodic grid the trapezoid rule reduces to
-        step * sum(gain).
-        """
-        return float(self.step * (self.co.sum() + self.cross.sum()))
-
 
 def load_pattern(source: str) -> RadiationPattern:
     """Parse pattern-file content into a :class:`RadiationPattern`.

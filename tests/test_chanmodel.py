@@ -80,32 +80,34 @@ def test_propagation_gains_validation():
         PropagationGains(alpha=np.zeros(2), beta=np.zeros(2))
     with pytest.raises(ValueError):
         PropagationGains(alpha=np.ones(3), beta=np.ones(3))
-    with pytest.raises(ValueError):
-        PropagationGains(alpha=np.ones(2), beta=np.ones(2), path_loss=0.5)
 
 
 _NAN, _INF = math.nan, math.inf
 
 
-@pytest.mark.parametrize("alpha, beta, path_loss, message", [
-    ([_NAN, 1.0], [0.0, 0.0], 1.0, "gains must be finite"),
-    ([1.0, 1.0], [_INF, 0.0], 1.0, "gains must be finite"),
-    ([1.0, 1.0], [0.0, -_INF], 1.0, "gains must be finite"),
-    ([-1.0, 1.0], [0.0, 0.0], 1.0, "gains must be >= 0"),
-    ([1.0, 1.0], [0.0, -1e-300], 1.0, "gains must be >= 0"),
-    ([-0.0, 1.0], [0.0, 0.0], 1.0, "each port needs some received power (alpha + beta > 0)"),
-    ([1.0, 0.0], [1.0, 0.0], 1.0, "each port needs some received power (alpha + beta > 0)"),
-    ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], 1.0, "alpha and beta must each hold one value per port"),
-    ([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0], 1.0,
-     "alpha and beta must each hold one value per port"),
-    (1.0, [1.0, 1.0], 1.0, "alpha and beta must each hold one value per port"),
-    ([1.0, 1.0], [1.0, 1.0], 0.5, "linear path loss must be >= 1"),
-    ([1.0, 1.0], [1.0, 1.0], _NAN, "linear path loss must be >= 1"),
+@pytest.mark.parametrize("alpha, beta, message", [
+    ([_NAN, 1.0], [0.0, 0.0], "gains must be finite"),
+    ([1.0, 1.0], [_INF, 0.0], "gains must be finite"),
+    ([1.0, 1.0], [0.0, -_INF], "gains must be finite"),
+    ([-1.0, 1.0], [0.0, 0.0], "gains must be >= 0"),
+    ([1.0, 1.0], [0.0, -1e-300], "gains must be >= 0"),
+    ([-0.0, 1.0], [0.0, 0.0], "each port needs some received power (alpha + beta > 0)"),
+    ([1.0, 0.0], [1.0, 0.0], "each port needs some received power (alpha + beta > 0)"),
+    ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], "alpha and beta must each hold one value per port"),
+    ([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0], "alpha and beta must each hold one value per port"),
+    (1.0, [1.0, 1.0], "alpha and beta must each hold one value per port"),
 ])
-def test_propagation_gains_rejections_keep_type_and_message(alpha, beta, path_loss, message):
+def test_propagation_gains_rejections_keep_type_and_message(alpha, beta, message):
     with pytest.raises(ValueError) as info:
-        PropagationGains(alpha=alpha, beta=beta, path_loss=path_loss)
+        PropagationGains(alpha=alpha, beta=beta)
     assert type(info.value) is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize("path_loss", [0.5, _NAN])
+def test_propagation_gains_from_xpd_rejects_path_loss_below_one(path_loss):
+    with pytest.raises(ValueError) as info:
+        PropagationGains.from_xpd(10.0, path_loss=path_loss)
+    assert type(info.value) is ValueError and str(info.value) == "linear path loss must be >= 1"
 
 
 def test_propagation_gains_keep_signed_zero_and_are_read_only():

@@ -115,6 +115,33 @@ def test_non_utf8_input_file_exits_2(tmp_path, capsys, site):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("site", ["cdf-config", "cdf-pattern-file", "xpd-from-pattern"])
+def test_utf8_bom_input_file_reads_as_plain(tmp_path, capsys, site):
+    # the pattern opens with a comment line, which a BOM kept in the text
+    # would turn into the header
+    pattern = "# measured cuts\n" + PATTERN_TEXT
+    config = ("[users]\nu = path_loss_db=80 mean_aod_deg=0\n"
+              "[sweep]\nxpd_db = 10\nmodels = i, iii\ntrials_per_user = 20\n")
+    outputs = []
+    for kind, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        path = tmp_path / f"{kind}.txt"
+        path.write_bytes(bom + (config if site == "cdf-config" else pattern).encode())
+        if site == "xpd-from-pattern":
+            argv = ["xpd-from-pattern", "--file", str(path), "--azimuth", "0"]
+        else:
+            if site == "cdf-pattern-file":
+                pattern_path, path = path, tmp_path / f"{kind}.ini"
+                path.write_text(config + f"pattern_file = {pattern_path}\n")
+            argv = ["cdf", "--config", str(path), "--out", str(tmp_path / kind)]
+        assert _exit_code(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        if site != "xpd-from-pattern":
+            out = {p.name: p.read_bytes() for p in (tmp_path / kind).iterdir()
+                   if p.name != "run_metadata.txt"}
+        outputs.append(out)
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 def test_cdf_end_to_end(tmp_path, capsys):
     config = tmp_path / "scenario.ini"
     config.write_text(

@@ -180,30 +180,29 @@ def test_dualpole_rejects_nonpositive_xpd(bad):
 
 
 def test_dualpole_approx_values():
-    assert abs(dualpole_corr_approx(100.0).corr.coefficient.real - 0.2000) < 1e-12
-    assert abs(dualpole_corr_approx(1000.0).corr.coefficient.real - 0.0632) < 1e-4
+    assert abs(dualpole_corr_approx(100.0).coefficient.real - 0.2000) < 1e-12
+    assert abs(dualpole_corr_approx(1000.0).coefficient.real - 0.0632) < 1e-4
 
 
 def test_dualpole_approx_clamp_and_flag():
-    at_limit = dualpole_corr_approx(4.0)
-    assert at_limit.corr.coefficient.real == 1.0
-    assert at_limit.high_xpd_valid
-    below = dualpole_corr_approx(2.0)
-    assert below.corr.coefficient.real == 1.0  # clamped
-    assert not below.high_xpd_valid
+    assert dualpole_corr_approx(4.0).coefficient.real == 1.0
+    assert dualpole_corr_approx(2.0).coefficient.real == 1.0  # clamped
 
 
-def test_dualpole_approx_asymmetric_ports():
-    approx = dualpole_corr_approx(100.0, 400.0)
-    assert approx.corr.matrix[0, 1].real == pytest.approx(0.2)
-    assert approx.corr.matrix[1, 0].real == pytest.approx(0.1)
+@pytest.mark.parametrize("chi", [1.0, 4.0, 10.0, 1e6, math.inf])
+def test_dualpole_approx_is_hermitian_correlation_matrix(chi):
+    approx = dualpole_corr_approx(chi)
+    assert type(approx) is CorrelationMatrix
+    m = approx.matrix
+    assert np.array_equal(m, m.conj().T)
+    assert approx.coefficient == min(2.0 / math.sqrt(chi), 1.0)
 
 
 @given(st.floats(min_value=4.0, max_value=1e9))
 @settings(max_examples=200, deadline=None)
 def test_exact_approx_convergence_bound(chi):
     exact = dualpole_corr_exact(chi).coefficient.real
-    approx = dualpole_corr_approx(chi).corr.coefficient.real
+    approx = dualpole_corr_approx(chi).coefficient.real
     assert abs(exact - approx) <= 2.0 * chi ** -1.5 + 1e-15
 
 

@@ -123,6 +123,11 @@ def test_parse_rejects_unknown_key_and_section():
         parse_scenario("[users]\nu = path_loss_db=80 mean_aod_deg=0 taps=1.0\n")
     with pytest.raises(ConfigError, match=r"unknown key 'tap_powers' in \[generator\]"):
         parse_scenario("[generator]\ncount = 2\ntap_powers = 1.0\n")
+    # configparser would otherwise read [DEFAULT] keys into every section
+    with pytest.raises(ConfigError, match=r"^unknown section \[DEFAULT\]$"):
+        parse_scenario("[DEFAULT]\ncount = 3\n[generator]\n")
+    with pytest.raises(ConfigError, match=r"^unknown section \[DEFAULT\]$"):
+        parse_scenario("[DEFAULT]\nxpd_db = 3\n" + MINIMAL_CONFIG)
 
 
 def test_parse_rejects_duplicate_user_id():

@@ -65,7 +65,7 @@ def make_skewed_user():
     loss = 10.0 ** 8.0
     alpha, beta = np.array([1.0, 0.6]) / loss, np.array([0.05, 0.12]) / loss
     return UserChannel(
-        gains=PropagationGains(alpha=alpha, beta=beta, path_loss=loss),
+        gains=PropagationGains(alpha=alpha, beta=beta),
         xpd=(alpha[0] / beta[1], alpha[1] / beta[0]),
         omni_gain=1.0 / loss,
         aod=AodDistribution.laplacian(0.4, math.radians(26.0)),
@@ -313,8 +313,7 @@ def test_evaluate_user_infinite_xpd_matches_zero_cross():
     # physical one, so equal seeds give identical samples
     loss = 10.0 ** 8.5
     user = UserChannel(
-        gains=PropagationGains(alpha=np.full(2, 1 / loss), beta=np.zeros(2),
-                               path_loss=loss),
+        gains=PropagationGains(alpha=np.full(2, 1 / loss), beta=np.zeros(2)),
         xpd=(math.inf, math.inf),
         omni_gain=1.0 / loss,
         aod=AodDistribution.laplacian(0.0, 0.45),

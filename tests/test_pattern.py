@@ -330,8 +330,3 @@ def test_scale_to_xpd_roundtrip_property(target_db, ref):
     assert pattern_total_power(out) == pytest.approx(
         pattern_total_power(_SHARED_PATTERN), rel=1e-9
     )
-
-
-def test_total_power_matches_trapezoid_oracle():
-    pat = directional_pattern()
-    assert pat.total_power() == pytest.approx(pattern_total_power(pat), rel=1e-12)
