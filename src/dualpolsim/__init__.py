@@ -23,7 +23,6 @@ from .correlation import (
     spatial_corr_matrix,
 )
 from .pattern import (
-    InfiniteXpdError,
     PatternFormatError,
     RadiationPattern,
     gain_at,
@@ -69,7 +68,7 @@ __all__ = [
     "equivalent_spacing", "matrix_sqrt_psd", "spatial_corr",
     "spatial_corr_matrix",
     # pattern
-    "InfiniteXpdError", "PatternFormatError", "RadiationPattern",
+    "PatternFormatError", "RadiationPattern",
     "gain_at", "load_pattern", "scale_to_xpd", "xpd_at",
     # chanmodel
     "PropagationGains", "build_effective", "draw_fading_batch",

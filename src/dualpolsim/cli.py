@@ -20,18 +20,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, correlation, harness, link, pattern
+from . import __version__, correlation, harness, pattern
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-_CONFIG_ERRORS = (harness.ConfigError, pattern.PatternFormatError, FileNotFoundError, OSError)
+_CONFIG_ERRORS = (harness.ConfigError, pattern.PatternFormatError, OSError)
 _NUMERIC_ERRORS = (
     correlation.NoSolutionError,
     correlation.InvalidCorrelationError,
-    pattern.InfiniteXpdError,
-    link.RankDeficientError,
     np.linalg.LinAlgError,
 )
 

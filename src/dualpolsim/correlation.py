@@ -134,11 +134,11 @@ class AodDistribution:
         if self.kind not in ("isotropic", "laplacian"):
             raise ValueError(f"unknown AoD distribution kind {self.kind!r}")
         if self.kind == "laplacian":
+            if not -math.pi <= self.mean_aod <= math.pi:
+                raise ValueError("mean AoD must lie in [-180, 180] degrees")
             lo, hi = LAPLACIAN_SPREAD_DEG
             if not math.radians(lo) <= self.angle_spread <= math.radians(hi):
-                raise ValueError(f"laplacian angle_spread must lie in [{lo:g}, {hi:g}] degrees")
-            if not -math.pi <= self.mean_aod <= math.pi:
-                raise ValueError("mean_aod must lie in [-pi, pi]")
+                raise ValueError(f"AoD spread must lie in [{lo:g}, {hi:g}] degrees")
 
     @classmethod
     def isotropic(cls) -> "AodDistribution":

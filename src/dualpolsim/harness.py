@@ -100,19 +100,19 @@ class UserSpec:
     path_loss_db: float
     mean_aod: float
     aod_spread: float = math.radians(DEFAULT_SPREAD_DEG)
+    #: Laplacian AoD law of ``mean_aod`` and ``aod_spread``, built (and checked) once.
+    aod: AodDistribution = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.path_loss_db <= MAX_ABS_DB:
             raise ValueError(
                 f"user {self.user_id}: path loss must lie in [0, {MAX_ABS_DB:g}] dB"
             )
-        if not -math.pi <= self.mean_aod <= math.pi:
-            raise ValueError(f"user {self.user_id}: mean AoD must lie in [-180, 180] degrees")
-        lo, hi = LAPLACIAN_SPREAD_DEG
-        if not math.radians(lo) <= self.aod_spread <= math.radians(hi):
-            raise ValueError(
-                f"user {self.user_id}: AoD spread must lie in [{lo:g}, {hi:g}] degrees"
-            )
+        try:
+            aod = AodDistribution.laplacian(self.mean_aod, self.aod_spread)
+        except ValueError as exc:
+            raise ValueError(f"user {self.user_id}: {exc}") from None
+        object.__setattr__(self, "aod", aod)
 
 
 @dataclass(frozen=True)
@@ -469,9 +469,7 @@ def _user_channel(
     loss = 10.0 ** (user.path_loss_db / 10.0)
     if scaled is not None:
         (co0, co1), (cross0, cross1) = (g.tolist() for g in gain_at(scaled, user.mean_aod))
-        # cross is never zero here: load_pattern bounds every gain to
-        # +-MAX_ABS_DB dBi, dB interpolation of positive gains is positive
-        # and scale_to_xpd multiplies by positive finite scales.
+        # RadiationPattern gains are positive, so no XPD divides by zero.
         # Cross-polarized power radiated by port t arrives through the
         # opposite polarization, hence the swapped beta indexing.
         gains = PropagationGains(alpha=(co0 / loss, co1 / loss),
@@ -485,7 +483,7 @@ def _user_channel(
         gains=gains,
         xpd=chi,
         omni_gain=1.0 / loss,
-        aod=AodDistribution.laplacian(user.mean_aod, user.aod_spread),
+        aod=user.aod,
     )
 
 
@@ -644,23 +642,15 @@ def _cdf_blocks(series, prob_texts: dict):
         yield "".join(rows)
 
 
-def format_cdf_csv(series) -> str:
-    """CSV text of an (N, 2) array of (value, cumulative probability) rows.
-
-    Rows read ``%.3f,%.10g``. The text is the same as that of the file
-    :func:`write_report` writes for the series.
-    """
-    return "".join(_cdf_blocks(series, {}))
-
-
 def write_report(report: RunReport, out_dir) -> list[Path]:
     """Write table, per-(model, XPD) CDFs and metadata under ``out_dir``.
 
     CSV content is a pure function of the scenario and seed; only the
     metadata file carries a timestamp. Each CDF file is streamed in
-    blocks of rows, with the text of :func:`format_cdf_csv`. A
-    probability column shared by several CDFs (every CDF of a run has
-    users x trials rows) is formatted once per call.
+    blocks of rows, each row ``%.3f,%.10g`` of a (value, cumulative
+    probability) pair. A probability column shared by several CDFs
+    (every CDF of a run has users x trials rows) is formatted once per
+    call.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

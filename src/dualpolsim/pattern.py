@@ -13,7 +13,10 @@ File format (plain text CSV):
     azimuth_deg, port1_co_dBi, port1_cross_dBi, port2_co_dBi, port2_cross_dBi
 
 One header line, then data rows; ``#`` starts a comment. Azimuths are
-strictly increasing degrees spanning exactly one full turn.
+strictly increasing degrees, spanning less than one turn, whose every
+step, the one across +-180 degrees included, lies within
+:data:`STEP_TOL_DEG` degrees of 360/n. :class:`RadiationPattern`
+states the grid and gain rules; :func:`load_pattern` only reads rows.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import numpy as np
 __all__ = [
     "RadiationPattern",
     "PatternFormatError",
-    "InfiniteXpdError",
     "load_pattern",
     "gain_at",
     "xpd_at",
@@ -34,6 +36,9 @@ __all__ = [
 ]
 
 MIN_SAMPLES = 8
+
+#: Largest deviation of any azimuth step from 360/n, in degrees: six printed decimals.
+STEP_TOL_DEG = 1e-6
 
 #: Largest magnitude accepted for a dB input (pattern gain, XPD, path
 #: loss, noise density): the linear value 10**(x/10) and its reciprocal
@@ -48,10 +53,6 @@ class PatternFormatError(ValueError):
     """Raised for a malformed pattern file; the message names the line."""
 
 
-class InfiniteXpdError(ArithmeticError):
-    """Signals a zero cross-polarized gain (XPD is infinite, not a number)."""
-
-
 def _wrap_angle(phi: float | np.ndarray):
     """Wrap radians into [-pi, pi); a float stays a float, an array an array."""
     return (phi + math.pi) % _TWO_PI - math.pi
@@ -61,9 +62,12 @@ def _wrap_angle(phi: float | np.ndarray):
 class RadiationPattern:
     """Uniformly sampled azimuth gains for two ports.
 
-    ``angles`` are radians, strictly ascending over [-pi, pi);
-    ``co`` and ``cross`` are (2, n) arrays of linear power gains,
-    one row per port.
+    ``angles`` are at least :data:`MIN_SAMPLES` radians, strictly
+    ascending over [-pi, pi), with every step, the one across +-pi
+    included, within :data:`STEP_TOL_DEG` degrees of 2*pi/n. ``co`` and
+    ``cross`` are (2, n) arrays of positive, finite linear power gains,
+    one row per port. The constructor is the one place these rules are
+    checked; a breach raises ``ValueError``.
     """
 
     angles: np.ndarray
@@ -82,15 +86,16 @@ class RadiationPattern:
         for name, arr in (("angle", angles), ("co", co), ("cross", cross)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} values must be finite")
-        if np.any(co < 0) or np.any(cross < 0):
-            raise ValueError("linear gains must be >= 0")
-        if np.any(np.diff(angles) <= 0):
+        if not (np.all(co > 0) and np.all(cross > 0)):
+            raise ValueError("linear gains must be positive")
+        steps = np.append(np.diff(angles), angles[0] + _TWO_PI - angles[-1])
+        if np.any(steps[:-1] <= 0):
             raise ValueError("angles must be strictly increasing")
         if angles[0] < -math.pi or angles[-1] >= math.pi:
             raise ValueError("angles must lie in [-pi, pi)")
-        step = _TWO_PI / n
-        if np.max(np.abs(np.diff(angles) - step)) > 1e-9:
-            raise ValueError("sampling must be uniform over one full turn")
+        if np.max(np.abs(steps - _TWO_PI / n)) > math.radians(STEP_TOL_DEG):
+            raise ValueError(f"sampling must be uniform over one full turn: each step, the one "
+                             f"across +-180 deg included, within {STEP_TOL_DEG:g} deg of 360/{n}")
         for arr in (angles, co, cross):
             arr.flags.writeable = False
         object.__setattr__(self, "angles", angles)
@@ -111,15 +116,18 @@ def load_pattern(source: str) -> RadiationPattern:
 
     The first non-comment line is the header and is skipped. Gains are
     converted from dBi to linear; azimuths are wrapped into [-pi, pi)
-    and rotated into ascending order.
+    and rotated into ascending order. The reader checks only what needs
+    the file's lines or row order; the grid rules are the ones
+    :class:`RadiationPattern` states.
 
     Raises
     ------
     PatternFormatError
-        Empty file, malformed row, non-finite field, gain beyond
-        +-:data:`MAX_ABS_DB` dBi, non-monotone or duplicate angles,
-        bad turn coverage, or too few samples; the message names the
-        offending line where one exists.
+        Empty file, malformed row, non-finite azimuth, gain beyond
+        +-:data:`MAX_ABS_DB` dBi, non-monotone or duplicate angles, rows
+        spanning a full turn or more (their wrapped angles would land on
+        another grid), or any breach of the :class:`RadiationPattern`
+        rules; the message names the offending line where one exists.
     """
     rows: list[tuple[int, float, float, float, float, float]] = []
     header_seen = False
@@ -158,39 +166,27 @@ def load_pattern(source: str) -> RadiationPattern:
                 f"line {ln_b}: angle {deg_b} deg is not increasing (previous {deg_a})"
             )
 
-    if len(rows) < MIN_SAMPLES:
-        raise PatternFormatError(
-            f"too few samples: {len(rows)} rows, need at least {MIN_SAMPLES}"
-        )
+    if rows[-1][1] - rows[0][1] >= 360.0:
+        raise PatternFormatError(f"line {rows[-1][0]}: rows must span less than one turn")
 
     deg = np.array([r[1] for r in rows])
-    span = deg[-1] - deg[0]
-    step = 360.0 / len(rows)
-    if abs(span - (360.0 - step)) > 1e-6:
-        raise PatternFormatError(
-            f"angles span {span:.6g} deg; rows must cover one full turn "
-            f"(expected span {360.0 - step:.6g} deg for {len(rows)} samples)"
-        )
-    if np.max(np.abs(np.diff(deg) - step)) > 1e-6:
-        raise PatternFormatError("angle sampling must be uniform")
-
     gains_db = np.array([r[2:] for r in rows])  # columns: co1, x1, co2, x2
     angles = np.asarray(_wrap_angle(np.radians(deg)))
     order = np.argsort(angles)
     angles = angles[order]
     gains = 10.0 ** (gains_db[order] / 10.0)
-    return RadiationPattern(
-        angles=angles,
-        co=np.stack([gains[:, 0], gains[:, 2]]),
-        cross=np.stack([gains[:, 1], gains[:, 3]]),
-    )
+    try:
+        return RadiationPattern(
+            angles=angles,
+            co=np.stack([gains[:, 0], gains[:, 2]]),
+            cross=np.stack([gains[:, 1], gains[:, 3]]),
+        )
+    except ValueError as exc:
+        raise PatternFormatError(str(exc)) from None
 
 
 def _db_lerp(g_a: float, g_b: float, frac: float) -> float:
-    """Interpolate linearly in dB from ``g_a`` (frac 0) to ``g_b`` (frac 1)."""
-    if g_a <= 0.0 or g_b <= 0.0:
-        # dB interpolation is undefined at a null; fall back to linear
-        return (1.0 - frac) * g_a + frac * g_b
+    """Interpolate linearly in dB from positive ``g_a`` (frac 0) to ``g_b`` (frac 1)."""
     db = (1.0 - frac) * (10.0 * math.log10(g_a)) + frac * (10.0 * math.log10(g_b))
     return 10.0 ** (db / 10.0)
 
@@ -221,17 +217,10 @@ def gain_at(pattern: RadiationPattern, azimuth: float) -> tuple[np.ndarray, np.n
 def xpd_at(pattern: RadiationPattern, azimuth: float) -> np.ndarray:
     """Co-to-cross gain ratio of each port in the direction ``azimuth``, shape (2,).
 
-    Raises
-    ------
-    InfiniteXpdError
-        If a port's cross-polarized gain vanishes at the queried direction.
+    Positive, as every gain of a pattern is; finite for the gains a
+    pattern file or :func:`scale_to_xpd` yields.
     """
     co, cross = gain_at(pattern, azimuth)
-    if 0.0 in cross:
-        raise InfiniteXpdError(
-            f"cross-polarized gain of port {int(np.argmin(cross)) + 1} "
-            f"is zero at azimuth {azimuth:.6g}"
-        )
     return co / cross
 
 

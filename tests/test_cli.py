@@ -258,6 +258,37 @@ def test_bad_pattern_values_exit_2(tmp_path, capsys, command, row):
     assert err.startswith("error: line 20: ") and err.count("\n") == 1
 
 
+def _pattern_argv(tmp_path, rows, command):
+    """Write ``rows`` as a pattern file; argv running ``command`` on it."""
+    pattern = tmp_path / "pattern.csv"
+    pattern.write_text(PATTERN_HEADER + "".join(f"{row}\n" for row in rows))
+    config = tmp_path / "scenario.ini"
+    config.write_text(USER + "[sweep]\nxpd_db = 10\nmodels = i, ii\ntrials_per_user = 20\n"
+                      f"pattern_file = {pattern}\n")
+    return {"cdf": ["cdf", "--config", str(config), "--out", str(tmp_path / "o")],
+            "xpd-from-pattern": ["xpd-from-pattern", "--file", str(pattern),
+                                 "--azimuth", "0"]}[command]
+
+
+@pytest.mark.parametrize("command", ["cdf", "xpd-from-pattern"])
+def test_third_degree_six_decimal_pattern_runs(tmp_path, capsys, command):
+    rows = [f"{-180.0 + i / 3.0:.6f}, 6.0, -14.0, 5.0, -11.0" for i in range(1080)]
+    assert main(_pattern_argv(tmp_path, rows, command)) == EXIT_OK
+    out = capsys.readouterr().out
+    if command == "cdf":
+        assert (tmp_path / "o" / "cdf_ii_10.csv").stat().st_size > 0
+    else:
+        assert "port1_xpd_db=20.0000" in out and "port2_xpd_db=16.0000" in out
+
+
+@pytest.mark.parametrize("command", ["cdf", "xpd-from-pattern"])
+def test_pattern_rows_spanning_a_turn_exit_2(tmp_path, capsys, command):
+    # 0..640 deg at 80 deg steps would wrap onto a uniform 40 deg grid
+    rows = [f"{i * 80}, 6.0, -14.0, 5.0, -11.0" for i in range(9)]
+    assert main(_pattern_argv(tmp_path, rows, command)) == EXIT_CONFIG
+    assert "less than one turn" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -523,7 +523,7 @@ def test_aod_distribution_validation():
     with pytest.raises(ValueError):
         AodDistribution.laplacian(0.0, -0.1)
     for spread_deg in (1.4, 361.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="angle_spread must lie in"):
+        with pytest.raises(ValueError, match="AoD spread must lie in"):
             AodDistribution.laplacian(0.0, math.radians(spread_deg))
     with pytest.raises(ValueError):
         AodDistribution(kind="gaussian")

@@ -18,7 +18,6 @@ from dualpolsim.harness import (
     GeneratorBounds,
     Scenario,
     UserSpec,
-    format_cdf_csv,
     format_table_csv,
     generate_users,
     parse_scenario,
@@ -329,7 +328,8 @@ def test_one_xpd_run_reproduces_the_full_sweep(full_sweep):
     cell = run(dataclasses.replace(scenario, xpd_sweep_db=(10.0,)))
     assert cell.cdf_series.keys() == {(m, 10.0) for m in scenario.models}
     for key, series in cell.cdf_series.items():
-        assert format_cdf_csv(series) == format_cdf_csv(full.cdf_series[key])
+        # bytes, not values, so that -0.0 and 0.0 still differ
+        assert series.tobytes() == full.cdf_series[key].tobytes()
 
 
 def test_reordered_models_reproduce_the_full_sweep(full_sweep):
@@ -499,7 +499,7 @@ def test_run_missing_pattern_file_is_config_error():
 
 
 def _per_row_cdf_csv(series):
-    """The per-row formatter that format_cdf_csv must reproduce byte for byte."""
+    """The per-row formatter that write_report's CDF files must match byte for byte."""
     out = io.StringIO()
     out.write("throughput_bps,cum_prob\n")
     for value, prob in series:
@@ -507,13 +507,20 @@ def _per_row_cdf_csv(series):
     return out.getvalue()
 
 
-def test_format_cdf_csv_matches_per_row_formatter(small_report):
+def _written_cdf_csv(series, out_dir):
+    """Text of the CDF file write_report writes for ``series`` alone."""
+    report = harness.RunReport(table_rows=(), cdf_series={("i", 3.0): series}, metadata={})
+    write_report(report, out_dir)
+    return (out_dir / "cdf_i_3.csv").read_text()
+
+
+def test_format_cdf_csv_matches_per_row_formatter(small_report, tmp_path):
     cap = LinkParams().max_throughput()
     edges = (0.0, cap, 1.0 / 3.0, 1e-5)
     series = np.array([(v, p) for v in edges for p in edges])
-    assert format_cdf_csv(series) == _per_row_cdf_csv(series)
+    assert _written_cdf_csv(series, tmp_path) == _per_row_cdf_csv(series)
     run_series = small_report.cdf_series[("ii", 10.0)]
-    assert format_cdf_csv(run_series) == _per_row_cdf_csv(run_series)
+    assert _written_cdf_csv(run_series, tmp_path) == _per_row_cdf_csv(run_series)
 
 
 def _cdf_rows(values, probs=None):
@@ -545,9 +552,9 @@ def _writer_cases():
 
 
 @pytest.mark.parametrize("case", list(_writer_cases()))
-def test_format_cdf_csv_edge_series_match_per_row_formatter(case):
+def test_format_cdf_csv_edge_series_match_per_row_formatter(case, tmp_path):
     series = _writer_cases()[case]
-    assert format_cdf_csv(series) == _per_row_cdf_csv(series)
+    assert _written_cdf_csv(series, tmp_path) == _per_row_cdf_csv(series)
 
 
 def test_write_report_cdf_files_match_per_row_formatter(tmp_path, monkeypatch):
@@ -626,7 +633,12 @@ def test_scenario_validation():
 def test_user_spec_validation():
     with pytest.raises(ValueError):
         UserSpec("u", -5.0, 0.0, 0.4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^user u: AoD spread must lie in \[1.5, 360\] degrees$"):
         UserSpec("u", 80.0, 0.0, 0.0)
-    with pytest.raises(ValueError, match="mean AoD"):
+    with pytest.raises(ValueError, match=r"^user u: mean AoD must lie in \[-180, 180\] degrees$"):
         UserSpec("u", 80.0, 4.0, 0.4)
+    # the AoD law is built once, and stays out of repr and equality
+    user = UserSpec("u", 80.0, 0.3, 0.4)
+    assert user.aod == AodDistribution.laplacian(0.3, 0.4)
+    assert repr(user) == "UserSpec(user_id='u', path_loss_db=80.0, mean_aod=0.3, aod_spread=0.4)"
+    assert user == UserSpec("u", 80.0, 0.3, 0.4)

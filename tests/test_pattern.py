@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dualpolsim.pattern import (
-    InfiniteXpdError,
+    STEP_TOL_DEG,
     PatternFormatError,
     RadiationPattern,
     gain_at,
@@ -121,6 +121,41 @@ def test_load_pattern_rejects_partial_turn():
         load_pattern(make_file(rows))
 
 
+def test_load_pattern_rejects_rows_spanning_a_turn():
+    # 0..640 at 80 deg steps would wrap onto a uniform 40 deg grid
+    rows = [(i * 80.0, 6, -14, 6, -14) for i in range(9)]
+    with pytest.raises(PatternFormatError, match="line 10.*less than one turn"):
+        load_pattern(make_file(rows))
+
+
+def test_load_pattern_third_degree_six_decimals():
+    # 360/1080 is not a six-decimal number: each printed azimuth is off
+    # its grid point by up to 5e-7 deg
+    rows = [(f"{-180.0 + i / 3.0:.6f}", 6.0, -14.0, 5.0, -11.0) for i in range(1080)]
+    pat = load_pattern(make_file(rows))
+    assert pat.n_samples == 1080
+    assert_allclose(pat.angles, -math.pi + pat.step * np.arange(1080), rtol=0, atol=1e-8)
+
+
+@given(n=st.integers(min_value=1, max_value=1100),
+       start=st.floats(min_value=-720.0, max_value=720.0),
+       jitter=st.floats(min_value=0.0, max_value=2e-6),
+       fmt=st.sampled_from(["{:.6f}", "{:.9f}", "{!r}", "{:.3f}", "{:g}"]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_load_pattern_grid_property(n, start, jitter, fmt, seed):
+    offsets = np.random.default_rng(seed).uniform(-jitter, jitter, n)
+    deg = start + 360.0 / n * np.arange(n) + offsets
+    rows = [(fmt.format(a), 6.0, -14.0, 5.0, -11.0) for a in deg.tolist()]
+    try:
+        pat = load_pattern(make_file(rows))
+    except PatternFormatError:
+        return
+    assert pat.n_samples == n
+    steps = np.diff(np.append(pat.angles, pat.angles[0] + 2.0 * math.pi))
+    assert np.max(np.abs(steps - pat.step)) <= math.radians(STEP_TOL_DEG)
+
+
 def test_load_pattern_skips_comments_and_blank_lines():
     body = flat_file().splitlines()
     body.insert(3, "# a comment")
@@ -136,7 +171,7 @@ def test_radiation_pattern_invariants():
     RadiationPattern(angles=angles, co=good, cross=good)
     with pytest.raises(ValueError, match="too few samples"):
         RadiationPattern(angles=angles[:4], co=good[:, :4], cross=good[:, :4])
-    with pytest.raises(ValueError, match=">= 0"):
+    with pytest.raises(ValueError, match="positive"):
         RadiationPattern(angles=angles, co=-good, cross=good)
     with pytest.raises(ValueError, match="finite"):
         bad = good.copy()
@@ -145,6 +180,22 @@ def test_radiation_pattern_invariants():
     with pytest.raises(ValueError, match="uniform"):
         RadiationPattern(angles=np.sort(np.random.default_rng(0).uniform(-3, 3, n)),
                          co=good, cross=good)
+    # each inner step is within tolerance, but their drift piles up in
+    # the step across +-pi
+    drift = 0.9 * math.radians(STEP_TOL_DEG)
+    with pytest.raises(ValueError, match="across"):
+        RadiationPattern(angles=-math.pi + (2 * math.pi / n + drift) * np.arange(n),
+                         co=good, cross=good)
+
+
+def test_radiation_pattern_rejects_zero_gain():
+    n = 16
+    angles = -math.pi + 2 * math.pi / n * np.arange(n)
+    for cut in ("co", "cross"):
+        gains = {"co": np.ones((2, n)), "cross": np.ones((2, n))}
+        gains[cut][1, 3] = 0.0
+        with pytest.raises(ValueError, match="positive"):
+            RadiationPattern(angles=angles, **gains)
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +305,6 @@ def test_xpd_twenty_db():
     value = xpd_at(pat, 0.0)[1]
     assert value == pytest.approx(100.0, rel=1e-12)
     assert 10 * math.log10(value) == pytest.approx(20.0, abs=1e-12)
-
-
-def test_xpd_zero_cross_gain_signals_infinite():
-    n = 16
-    angles = -math.pi + 2 * math.pi / n * np.arange(n)
-    pat = RadiationPattern(angles=angles, co=np.ones((2, n)), cross=np.zeros((2, n)))
-    with pytest.raises(InfiniteXpdError):
-        xpd_at(pat, 0.0)
 
 
 def test_xpd_invariant_under_joint_scaling():
