@@ -131,9 +131,9 @@ def kronecker_effective(h: np.ndarray, alpha: np.ndarray, corr: CorrelationMatri
 
     M comes from :func:`kronecker_mixing`. The principal PSD square root
     is applied on the transmit side, so the transmit correlation
-    E[H^H H] is proportional to ``corr`` itself (not its conjugate); an
-    invalid correlation raises
-    :class:`~dualpolsim.correlation.InvalidCorrelationError`.
+    E[H^H H] is proportional to ``corr`` itself (not its conjugate).
+    ``corr`` holds only its coefficient, checked when it was built, so
+    nothing here checks it again.
     """
     return _mix(h, kronecker_mixing(alpha, matrix_sqrt_psd(corr)))
 

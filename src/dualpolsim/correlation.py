@@ -7,16 +7,19 @@ Covers four related pieces:
   high-XPD approximate forms,
 * the spatial correlation of a two-element omnidirectional array under
   isotropic or Laplacian angle-of-departure (AoD) statistics,
-* the principal PSD square root used to impose a transmit correlation
-  on an i.i.d. fading matrix,
+* the principal square root used to impose a transmit correlation on
+  an i.i.d. fading matrix,
 * the inverse problem: the antenna spacing whose spatial correlation
   magnitude matches a requested coefficient ("equivalent spacing").
 
-Antenna spacings are in wavelengths throughout.
+Antenna spacings are in wavelengths throughout. A 2x2 correlation is
+held as its one coefficient rho (:class:`CorrelationMatrix`), which is
+checked once, when it is built.
 
 Everything here is a pure function of its arguments. The only
 module-level data are read-only Bessel tables on the spacing solver's
-scan grid, built on first use and shared by every caller.
+scan grid, built on first use and shared by every caller; likewise
+each AoD law computes its series coefficients once, on first use.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ _SCAN_STEPS = round(_SCAN_MAX_WAVELENGTHS / _SCAN_STEP)
 
 
 class InvalidCorrelationError(ValueError):
-    """Raised when a matrix is not a valid Hermitian PSD correlation."""
+    """Raised for a correlation coefficient that is not finite or exceeds 1 in magnitude."""
 
 
 class NoSolutionError(ValueError):
@@ -73,46 +76,40 @@ class NoSolutionError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
-    """2x2 transmit correlation matrix with unit diagonal.
+    """2x2 transmit correlation [[1, rho], [conj(rho), 1]], held as its coefficient rho.
 
-    The constructor checks shape, finiteness, an exactly-unit diagonal
-    and off-diagonal magnitudes <= 1 + 1e-12, on the four entries as
-    Python complexes, and stores one read-only complex array. Every
-    matrix this package builds comes from :meth:`from_coefficient`, so
-    it is Hermitian by construction. Hermitian positive semidefiniteness
-    is checked once, where the matrix is used as a correlation
-    (:func:`matrix_sqrt_psd`, which also takes plain arrays), rather
-    than twice on every matrix built here.
+    The constructor checks that rho is finite with |rho| <= 1 + 1e-12
+    and raises :class:`InvalidCorrelationError` otherwise. The matrix is
+    then Hermitian with a unit diagonal by construction, and its
+    eigenvalues 1 -+ |rho| make it positive semidefinite down to
+    1 - |rho| >= -1e-12, so no other code checks a correlation again.
     """
 
-    matrix: np.ndarray
+    coefficient: complex
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise InvalidCorrelationError(f"expected a 2x2 matrix, got shape {m.shape}")
-        (m00, m01), (m10, m11) = m.tolist()
-        if not all(map(cmath.isfinite, (m00, m01, m10, m11))):
+        rho = complex(self.coefficient)
+        if not cmath.isfinite(rho):
             raise InvalidCorrelationError("correlation matrix has non-finite entries")
-        if m00 != 1.0 or m11 != 1.0:
-            raise InvalidCorrelationError("correlation diagonal must be exactly 1")
-        if max(abs(m01), abs(m10)) > 1.0 + 1e-12:
+        if abs(rho) > 1.0 + 1e-12:
             raise InvalidCorrelationError("off-diagonal magnitude exceeds 1")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "coefficient", rho)
 
     @classmethod
     def from_coefficient(cls, rho: complex) -> "CorrelationMatrix":
-        """Hermitian matrix [[1, rho], [conj(rho), 1]]."""
-        return cls([[1.0, rho], [rho.conjugate(), 1.0]])
+        """Same as ``CorrelationMatrix(rho)``."""
+        return cls(rho)
 
     @property
-    def coefficient(self) -> complex:
-        """Upper off-diagonal entry."""
-        return complex(self.matrix[0, 1])
+    def matrix(self) -> np.ndarray:
+        """The read-only complex array [[1, rho], [conj(rho), 1]]."""
+        rho = self.coefficient
+        m = np.array([[1.0, rho], [rho.conjugate(), 1.0]])
+        m.flags.writeable = False
+        return m
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues (requires a Hermitian matrix)."""
+        """Ascending eigenvalues 1 - |rho|, 1 + |rho|, from numpy's Hermitian solver."""
         return np.linalg.eigvalsh(self.matrix)
 
 
@@ -155,6 +152,27 @@ class AodDistribution:
             math.exp(-b * (math.pi - self.mean_aod))
             + math.exp(-b * (math.pi + self.mean_aod))
         )
+
+    @functools.cached_property
+    def _coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only a, b with rho(d) = sum a_n J_n(x), rho'(d) = 2 pi sum b_n J_n(x).
+
+        Here x = 2*pi*d, and n runs to the series order at 64
+        wavelengths, the largest spacing. They are computed once per
+        law, and :func:`_series` slices them. By Jacobi-Anger,
+        rho = sum over all integers n of c_n J_n(x) with the law's
+        c_n = E[exp(-j n phi)]; a folds the negative orders in with
+        J_{-n} = (-1)^n J_n, and b follows from
+        J_n' = (J_{n-1} - J_{n+1}) / 2 and J_0' = -J_1.
+        """
+        top = _series_order(2.0 * math.pi * _SCAN_MAX_WAVELENGTHS)
+        c = self._fourier(top + 1)
+        a = c + (-1.0) ** np.arange(top + 2) * c.conj()  # c_{-n} = conj(c_n)
+        a[0] = c[0]
+        below = np.concatenate(([0.0, 2.0 * a[0]], a[1:top]))  # a_{n-1}, a_0 counted twice
+        a, b = a[: top + 1], 0.5 * (a[1:] - below)
+        a.flags.writeable = b.flags.writeable = False
+        return a, b
 
     def _fourier(self, top: int) -> np.ndarray:
         """c_n = E[exp(-j n phi)] for n = 0..top, in closed form; c_{-n} = conj(c_n)."""
@@ -287,46 +305,26 @@ def dualpole_corr_approx(chi: float) -> CorrelationMatrix:
 # ---------------------------------------------------------------------------
 
 
-def matrix_sqrt_psd(corr: CorrelationMatrix | np.ndarray) -> np.ndarray:
-    """Principal square root of a Hermitian PSD correlation matrix.
+def matrix_sqrt_psd(corr: CorrelationMatrix) -> np.ndarray:
+    """Principal square root of a correlation matrix R = [[1, rho], [conj(rho), 1]].
 
-    Uses the 2x2 closed form (M + s I) / sqrt(tr M + 2 s) with
-    s = sqrt(det M), which squares to M by the Cayley-Hamilton identity
-    M^2 = tr(M) M - det(M) I. Eigenvalues in [-1e-12, 0) are treated as
-    exact zeros; anything lower, a Hermitian defect above 1e-12 or a
-    non-finite entry raises :class:`InvalidCorrelationError`. The zero
-    matrix has the zero root. Checks and formula run on the four
-    entries as Python complexes; the result is bit for bit that of the
-    numpy expression ``(m + s * np.eye(2)) / math.sqrt(tr M + 2 s)``.
+    Uses the 2x2 closed form (R + s I) / sqrt(2 + 2 s) with
+    s = sqrt(max(1 - |rho|^2, 0)) = sqrt(det R), which squares to R by
+    the Cayley-Hamilton identity R^2 = tr(R) R - det(R) I. The clip at 0
+    takes |rho| in (1, 1 + 1e-12], which the constructor admits, as
+    |rho| = 1. Runs on Python floats; the result is bit for bit that of
+    the numpy expression ``(R + s * np.eye(2)) / math.sqrt(2 + 2 s)``.
     """
-    m = corr.matrix if isinstance(corr, CorrelationMatrix) else np.asarray(corr, dtype=complex)
-    if m.shape != (2, 2):
-        raise InvalidCorrelationError(f"expected a 2x2 matrix, got shape {m.shape}")
-    entries = m.ravel().tolist()
-    if not all(map(cmath.isfinite, entries)):
-        raise InvalidCorrelationError("correlation matrix has non-finite entries")
-    m00, m01, m10, m11 = entries
-    if max(abs(m00 - m00.conjugate()), abs(m01 - m10.conjugate()),
-           abs(m11 - m11.conjugate())) > 1e-12:
-        raise InvalidCorrelationError("correlation matrix is not Hermitian")
-    a, d = m00.real, m11.real
-    off = abs(m01)
-    eig_min = 0.5 * (a + d) - math.hypot(0.5 * (a - d), off)
-    if eig_min < -1e-12:
-        raise InvalidCorrelationError(
-            f"correlation matrix is not PSD (eigenvalue {eig_min:.3e})"
-        )
-    s = math.sqrt(max(a * d - off * off, 0.0))
-    trace_term = a + d + 2.0 * s  # (sqrt(l1) + sqrt(l2))^2
-    if trace_term <= 0.0:
-        return np.zeros((2, 2), dtype=complex)
-    # bit for bit numpy's (m + s I) / sqrt(trace_term): adding s I adds
-    # 0.0 to every other part, so -0.0 becomes 0.0, and numpy divides a
+    rho = corr.coefficient
+    off = abs(rho)
+    s = math.sqrt(max(1.0 - off * off, 0.0))
+    # bit for bit numpy's (R + s I) / sqrt(2 + 2 s): adding s I adds 0.0
+    # to every other part, so -0.0 becomes 0.0, and numpy divides a
     # complex by a real as a product with the reciprocal
-    scale = 1.0 / math.sqrt(trace_term)
+    scale = 1.0 / math.sqrt(2.0 + 2.0 * s)
     return np.array([
         complex((z.real + shift) * scale, (z.imag + 0.0) * scale)
-        for z, shift in zip(entries, (s, 0.0, 0.0, s))
+        for z, shift in zip((1.0, rho, rho.conjugate(), 1.0), (s, 0.0, 0.0, s))
     ]).reshape(2, 2)
 
 
@@ -336,18 +334,9 @@ def matrix_sqrt_psd(corr: CorrelationMatrix | np.ndarray) -> np.ndarray:
 
 
 def _series(dist: AodDistribution, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients a, b with rho(d) = sum a_n J_n(x), rho'(d) = 2 pi sum b_n J_n(x), n = 0..top.
-
-    Here x = 2*pi*d. By Jacobi-Anger, rho = sum over all integers n of
-    c_n J_n(x) with the law's c_n = E[exp(-j n phi)]; a folds the
-    negative orders in with J_{-n} = (-1)^n J_n, and b follows from
-    J_n' = (J_{n-1} - J_{n+1}) / 2 and J_0' = -J_1.
-    """
-    c = dist._fourier(top + 1)
-    a = c + (-1.0) ** np.arange(top + 2) * c.conj()  # c_{-n} = conj(c_n)
-    a[0] = c[0]
-    below = np.concatenate(([0.0, 2.0 * a[0]], a[1:top]))  # a_{n-1}, a_0 counted twice
-    return a[: top + 1], 0.5 * (a[1:] - below)
+    """The law's series coefficients a, b (:attr:`AodDistribution._coefficients`) for n = 0..top."""
+    a, b = dist._coefficients
+    return a[: top + 1], b[: top + 1]
 
 
 def _rho_and_slope(d: float, a: list[complex], b: list[complex]) -> tuple[complex, complex]:

@@ -55,7 +55,9 @@ class PatternFormatError(ValueError):
 
 def _wrap_angle(phi: float | np.ndarray):
     """Wrap radians into [-pi, pi); a float stays a float, an array an array."""
-    return (phi + math.pi) % _TWO_PI - math.pi
+    wrapped = (phi + math.pi) % _TWO_PI - math.pi
+    # the modulo rounds up to 2 pi for phi a rounding error below -pi
+    return wrapped - _TWO_PI * (wrapped == math.pi)
 
 
 @dataclass(frozen=True, eq=False)

@@ -204,9 +204,9 @@ def test_kronecker_empirical_transmit_correlation():
 
 
 def test_kronecker_rejects_invalid_correlation():
-    bad = CorrelationMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]))  # not Hermitian
-    with pytest.raises(InvalidCorrelationError):
-        kronecker_effective(one_draw(0), np.ones(2), bad)
+    # an invalid correlation cannot be built, so it never reaches the kernel
+    with pytest.raises(InvalidCorrelationError, match="off-diagonal magnitude exceeds 1"):
+        kronecker_effective(one_draw(0), np.ones(2), CorrelationMatrix(0.5 + 0.9j))
 
 
 def test_build_effective_empirical_correlation_formula():

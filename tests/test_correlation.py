@@ -10,7 +10,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -218,7 +218,7 @@ def _eigh_sqrt(m):
 
 
 def test_matrix_sqrt_identity():
-    assert_allclose(matrix_sqrt_psd(np.eye(2)), np.eye(2), atol=1e-15)
+    assert_allclose(matrix_sqrt_psd(CorrelationMatrix(0.0)), np.eye(2), atol=1e-15)
 
 
 def test_matrix_sqrt_all_ones():
@@ -249,33 +249,28 @@ def test_matrix_sqrt_random_correlations():
 
 
 @pytest.mark.parametrize(
-    "m, atol",
+    "rho, atol",
     [
-        (CorrelationMatrix.from_coefficient(0.0).matrix, 1e-14),
-        (CorrelationMatrix.from_coefficient(0.3 - 0.8j).matrix, 1e-13),
+        (0.0, 1e-14),
+        (0.3 - 0.8j, 1e-13),
         # rank 1: both methods take the root of a rounding-level eigenvalue,
         # which is ~1e-8, so they agree only to that level
-        (CorrelationMatrix.from_coefficient(np.exp(0.7j)).matrix, 1e-7),
-        (CorrelationMatrix.from_coefficient(1.0).matrix, 1e-7),
-        (np.array([[2.0, 0.5 + 1.0j], [0.5 - 1.0j, 0.7]]), 1e-13),
-        (np.zeros((2, 2), dtype=complex), 0.0),
+        (np.exp(0.7j), 1e-7),
+        (1.0, 1e-7),
     ],
-    ids=["rho-0", "complex-rho", "unit-complex-rho", "rho-1", "non-unit-diagonal", "zero"],
+    ids=["rho-0", "complex-rho", "unit-complex-rho", "rho-1"],
 )
-def test_matrix_sqrt_matches_eigh_oracle(m, atol):
-    root = matrix_sqrt_psd(m)
+def test_matrix_sqrt_matches_eigh_oracle(rho, atol):
+    corr = CorrelationMatrix(rho)
+    root = matrix_sqrt_psd(corr)
     assert root.shape == (2, 2)
-    assert_allclose(root, _eigh_sqrt(m), rtol=0, atol=atol)
+    assert_allclose(root, _eigh_sqrt(corr.matrix), rtol=0, atol=atol)
 
 
 def test_matrix_sqrt_rejects_indefinite():
+    # |rho| > 1 makes R indefinite; such a correlation cannot be built
     with pytest.raises(InvalidCorrelationError):
-        matrix_sqrt_psd(np.array([[1.0, 1.2], [1.2, 1.0]]))
-
-
-def test_matrix_sqrt_rejects_non_hermitian():
-    with pytest.raises(InvalidCorrelationError):
-        matrix_sqrt_psd(np.array([[1.0, 0.5], [0.2, 1.0]]))
+        matrix_sqrt_psd(CorrelationMatrix(1.2))
 
 
 def _numpy_root(m):
@@ -283,97 +278,78 @@ def _numpy_root(m):
     a, d = m[0, 0].real, m[1, 1].real
     off = abs(m[0, 1])
     s = math.sqrt(max(a * d - off * off, 0.0))
-    if a + d + 2.0 * s <= 0.0:
-        return np.zeros((2, 2), dtype=complex)
     return (m + s * np.eye(2)) / math.sqrt(a + d + 2.0 * s)
 
 
 @st.composite
-def hermitian_psd(draw):
-    """Hermitian matrices with minimum eigenvalue >= -1e-12, signed zeros included."""
-    kind = draw(st.sampled_from(["interior", "rank-one", "zero", "eigenvalue-below-zero"]))
-    a, d = draw(st.floats(0.0, 1e3)), draw(st.floats(0.0, 1e3))
-    if kind == "zero":
-        a = d = mag = 0.0
-    elif kind == "rank-one":
-        mag = math.sqrt(a * d)
-    elif kind == "interior":
-        mag = draw(st.floats(0.0, 1.0)) * math.sqrt(a * d)
-    else:  # a = d and |m01| = a + eps: eigenvalue a - |m01| in [-1e-12, 0)
-        d = a = draw(st.floats(0.5, 2.0))
-        mag = a + draw(st.floats(1e-15, 0.9e-12))
+def coefficients(draw):
+    """Coefficients the constructor accepts: interior, |rho| = 1 and |rho| in (1, 1 + 1e-12]."""
+    kind = draw(st.sampled_from(["interior", "unit", "above-one"]))
+    if kind == "interior":
+        mag = draw(st.floats(0.0, 1.0, exclude_max=True))
+    elif kind == "unit":
+        mag = 1.0
+    else:  # the eigenvalue 1 - |rho| in [-1e-12, 0)
+        mag = draw(st.floats(1.0, 1.0 + 1e-12, exclude_min=True))
     if draw(st.booleans()):
         phase = draw(st.floats(-math.pi, math.pi))
-        off = complex(mag * math.cos(phase), mag * math.sin(phase))
-    else:  # an exactly real coefficient, with a signed zero imaginary part
-        off = complex(draw(st.sampled_from([mag, -mag])), draw(st.sampled_from([0.0, -0.0])))
-    diag_imag = st.sampled_from([0.0, -0.0])
-    return np.array([[complex(a, draw(diag_imag)), off],
-                     [off.conjugate(), complex(d, draw(diag_imag))]])
+        rho = complex(mag * math.cos(phase), mag * math.sin(phase))
+        assume(abs(rho) <= 1.0 + 1e-12)
+        return rho
+    # an exactly real coefficient, with a signed zero imaginary part
+    return complex(draw(st.sampled_from([mag, -mag])), draw(st.sampled_from([0.0, -0.0])))
 
 
-@given(hermitian_psd())
+@given(coefficients())
 @settings(max_examples=500, deadline=None)
-def test_matrix_sqrt_is_bitwise_the_numpy_formula(m):
-    root = matrix_sqrt_psd(m)
+def test_matrix_sqrt_is_bitwise_the_numpy_formula(rho):
+    corr = CorrelationMatrix(rho)
+    root = matrix_sqrt_psd(corr)
     assert root.dtype == complex and root.shape == (2, 2)
-    assert root.tobytes() == _numpy_root(m).tobytes()
+    assert root.tobytes() == _numpy_root(corr.matrix).tobytes()
 
 
 _NAN, _INF = math.nan, math.inf
 
 
-@pytest.mark.parametrize("build", [CorrelationMatrix, matrix_sqrt_psd],
-                         ids=["CorrelationMatrix", "matrix_sqrt_psd"])
-@pytest.mark.parametrize("m, message", [
-    (np.eye(3), "expected a 2x2 matrix, got shape (3, 3)"),
-    (np.ones(2), "expected a 2x2 matrix, got shape (2,)"),
-    ([[1.0, _NAN], [_NAN, 1.0]], "correlation matrix has non-finite entries"),
-    ([[1.0, complex(0.0, _INF)], [complex(0.0, -_INF), 1.0]],
-     "correlation matrix has non-finite entries"),
-    ([[complex(-_INF, 0.0), 0.0], [0.0, 1.0]], "correlation matrix has non-finite entries"),
+@pytest.mark.parametrize("rho, message", [
+    (complex(_NAN, 0.0), "correlation matrix has non-finite entries"),
+    (complex(0.0, _INF), "correlation matrix has non-finite entries"),
+    (complex(-_INF, 0.0), "correlation matrix has non-finite entries"),
+    (1.0 + 2e-12, "off-diagonal magnitude exceeds 1"),
+    (-1.0 - 2e-12, "off-diagonal magnitude exceeds 1"),
+    (complex(0.0, 1.0 + 2e-12), "off-diagonal magnitude exceeds 1"),
+    (1.0 + 1e-12, None),
+    (complex(-0.0, -1.0 - 1e-12), None),
 ])
-def test_correlation_checks_reject_shape_and_non_finite(build, m, message):
+def test_correlation_matrix_rejections_keep_type_and_message(rho, message):
+    if message is None:
+        corr = CorrelationMatrix(rho)
+        assert type(corr.coefficient) is complex and corr.coefficient == rho
+        rho = complex(rho)  # its conjugate has imaginary part -0.0
+        want = np.array([[1.0, rho], [rho.conjugate(), 1.0]])
+        assert corr.matrix.tobytes() == want.tobytes()
+        return
     with pytest.raises(InvalidCorrelationError) as info:
-        build(np.asarray(m, dtype=complex))
+        CorrelationMatrix(rho)
     assert type(info.value) is InvalidCorrelationError and str(info.value) == message
 
 
-@pytest.mark.parametrize("m, message", [
-    ([[1.0 + 1e-300j, 0.0], [0.0, 1.0]], "correlation diagonal must be exactly 1"),
-    ([[0.9, 0.1], [0.1, 1.0]], "correlation diagonal must be exactly 1"),
-    ([[1.0, 1.0 + 2e-12], [0.5, 1.0]], "off-diagonal magnitude exceeds 1"),
-    ([[1.0, 0.5], [-1.0 - 2e-12, 1.0]], "off-diagonal magnitude exceeds 1"),
-    ([[1.0, 1.0 + 1e-12], [1.0 + 1e-12, 1.0]], None),
-    ([[1.0, 0.3j], [0.3, 1.0]], None),  # Hermitian symmetry is not asked here
+@pytest.mark.parametrize("rho, message", [
+    (1.0 + 2e-12, "off-diagonal magnitude exceeds 1"),
+    (1.0 + 1e-12, None),
 ])
-def test_correlation_matrix_rejections_keep_type_and_message(m, message):
-    m = np.asarray(m, dtype=complex)
+def test_matrix_sqrt_rejections_keep_type_and_message(rho, message):
+    # the root's input is built first: past the tolerance no root is taken,
+    # within it the clip at 0 gives the |rho| = 1 root R / sqrt(2)
     if message is None:
-        assert CorrelationMatrix(m).matrix.tobytes() == m.tobytes()
+        corr = CorrelationMatrix(rho)
+        root = matrix_sqrt_psd(corr)
+        assert root.tobytes() == _numpy_root(corr.matrix).tobytes()
+        assert_allclose(root, corr.matrix / math.sqrt(2.0), rtol=0, atol=1e-15)
         return
     with pytest.raises(InvalidCorrelationError) as info:
-        CorrelationMatrix(m)
-    assert type(info.value) is InvalidCorrelationError and str(info.value) == message
-
-
-@pytest.mark.parametrize("m, message", [
-    ([[1.0, 0.5], [0.5 + 1.01e-12, 1.0]], "correlation matrix is not Hermitian"),
-    ([[1.0, 0.5], [0.5 + 0.99e-12, 1.0]], None),
-    ([[1.0 + 0.51e-12j, 0.0], [0.0, 1.0]], "correlation matrix is not Hermitian"),
-    ([[1.0, 0.5j], [0.5j, 1.0]], "correlation matrix is not Hermitian"),
-    ([[1.0, 0.0], [0.0, -2e-12]], "correlation matrix is not PSD (eigenvalue -2.000e-12)"),
-    ([[1.0, 1.0 + 2e-12], [1.0 + 2e-12, 1.0]],
-     "correlation matrix is not PSD (eigenvalue -2.000e-12)"),
-    ([[1.0, 0.0], [0.0, -0.5e-12]], None),
-])
-def test_matrix_sqrt_rejections_keep_type_and_message(m, message):
-    m = np.asarray(m, dtype=complex)
-    if message is None:
-        assert matrix_sqrt_psd(m).shape == (2, 2)
-        return
-    with pytest.raises(InvalidCorrelationError) as info:
-        matrix_sqrt_psd(m)
+        matrix_sqrt_psd(CorrelationMatrix(rho))
     assert type(info.value) is InvalidCorrelationError and str(info.value) == message
 
 
@@ -638,13 +614,11 @@ def test_spacing_query_validation():
 
 def test_correlation_matrix_validation():
     with pytest.raises(InvalidCorrelationError):
-        CorrelationMatrix(np.array([[0.9, 0.1], [0.1, 1.0]]))
+        CorrelationMatrix(1.3)
     with pytest.raises(InvalidCorrelationError):
-        CorrelationMatrix(np.array([[1.0, 1.3], [1.3, 1.0]]))
+        CorrelationMatrix.from_coefficient(0.9 - 0.9j)
     with pytest.raises(InvalidCorrelationError):
-        CorrelationMatrix(np.eye(3))
-    with pytest.raises(InvalidCorrelationError):
-        CorrelationMatrix(np.array([[1.0, math.nan], [0.0, 1.0]]))
+        CorrelationMatrix(math.nan)
 
 
 def test_correlation_matrix_is_immutable():

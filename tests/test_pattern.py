@@ -12,6 +12,7 @@ from dualpolsim.pattern import (
     STEP_TOL_DEG,
     PatternFormatError,
     RadiationPattern,
+    _wrap_angle,
     gain_at,
     load_pattern,
     scale_to_xpd,
@@ -81,6 +82,18 @@ def test_load_pattern_wraps_350_to_minus_10():
     assert np.min(np.abs(pat.angles - wrapped)) < 1e-12
     assert pat.angles[0] == pytest.approx(-math.pi)
     assert np.all(np.diff(pat.angles) > 0)
+
+
+def test_wrap_angle_a_rounding_error_below_minus_pi_is_minus_pi():
+    # (phi + pi) % 2 pi rounds up to 2 pi here; the float and array paths
+    # must both give -pi, never +pi
+    phi = math.nextafter(-math.pi, -math.inf)
+    assert phi == math.radians(-180.00000000000003)
+    assert _wrap_angle(phi) == -math.pi
+    assert _wrap_angle(np.array([phi, -math.pi, math.pi])).tolist() == [-math.pi] * 3
+    rows = [(repr(-180.00000000000003 + 10.0 * i), 6.0, -14.0, 5.0, -11.0) for i in range(36)]
+    pat = load_pattern(make_file(rows))
+    assert pat.n_samples == 36 and pat.angles[0] == -math.pi
 
 
 def test_load_pattern_empty_file():
