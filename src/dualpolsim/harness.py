@@ -20,11 +20,14 @@ throughput CDF over all users, plus a summary table mapping each XPD to
 its correlation coefficient and equivalent antenna spacings. Outputs
 are plain CSV plus one metadata text file.
 
-Reproducibility: every (user, xpd, model) task draws from its own
-generator keyed by its content: the master seed, the XPD value, the
-model and the user id. Reports are byte-identical for identical
-(config, seed), and a subset of a sweep (fewer XPDs, models or users, in
-any order) reproduces the full sweep's samples of that subset.
+Reproducibility: a run draws from one PCG64DXSM stream seeded by
+``[seed, RUN_TAG]``, and every (user, XPD, model) task starts at its
+user's point of that stream: the run's start advanced by a 128-bit hash
+of the user id. So a user's draws depend on the seed and its id only,
+and CDFs of different models and XPDs are paired samples (common random
+numbers). Reports are byte-identical for identical (config, seed), and a
+subset of a sweep (fewer XPDs, models or users, in any order) reproduces
+the full sweep's samples of that subset.
 """
 
 from __future__ import annotations
@@ -77,6 +80,8 @@ DEFAULT_USER_COUNT = 100
 MAX_CDF_SAMPLES = 10**8
 #: Rows per block in which a CDF file is formatted and written.
 _CDF_BLOCK_ROWS = 8192
+#: Second word of the run stream's seed key; the population stream uses 0xA0D.
+RUN_TAG = 0x5EED
 
 
 class ConfigError(ValueError):
@@ -410,9 +415,9 @@ def parse_scenario(source: str) -> Scenario:
         count = generator.pop("count", DEFAULT_USER_COUNT)
         with _config_errors("[generator] count: "):  # before a user is drawn
             _check_samples(count, scenario_kwargs.get("trials_per_user", Scenario.trials_per_user))
-        # population substream: keyed away from the per-task streams,
-        # whose keys hold an XPD bit pattern and a user-id hash; a
-        # negative seed fails here, before Scenario sees it
+        # population substream: keyed away from the run stream, whose
+        # key ends in RUN_TAG; a negative seed fails here, before
+        # Scenario sees it
         with _config_errors("[seed] value: "):
             seq = np.random.SeedSequence([scenario_kwargs.get("seed", Scenario.seed), 0xA0D])
         with _config_errors("[generator]: "):
@@ -488,8 +493,8 @@ def _user_channel(
 
 
 def _user_key(user_id: str) -> int:
-    """64-bit hash of a user id, the user's part of its substream keys."""
-    return int.from_bytes(hashlib.blake2b(user_id.encode(), digest_size=8).digest(), "little")
+    """128-bit hash of a user id: how far its substream lies along the run stream."""
+    return int.from_bytes(hashlib.blake2b(user_id.encode(), digest_size=16).digest(), "little")
 
 
 def _summary_table(xpd_sweep_db, spread_deg: float) -> tuple[TableRow, ...]:
@@ -523,12 +528,14 @@ def run(scenario: Scenario) -> RunReport:
     """Execute the full sweep and assemble a report.
 
     For every XPD value and requested model, each user is evaluated for
-    ``trials_per_user`` independent realizations on a substream keyed by
-    ``[seed, XPD float64 bits, model index in MODELS, user-id hash]``;
-    throughput samples are pooled across users into one
-    empirical CDF per (model, XPD). A summary table covering the sweep
-    is always included. Module errors are re-raised with the failing
-    user and XPD attached.
+    ``trials_per_user`` independent realizations on its substream: the
+    PCG64DXSM stream seeded by ``[seed, RUN_TAG]``, advanced from its
+    start by :func:`_user_key` of the user id. Every task of a user
+    restarts that substream, so the CDFs of different models and XPDs
+    are paired samples. Throughput samples are pooled across users into
+    one empirical CDF per (model, XPD). A summary table covering the
+    sweep is always included. Module errors are re-raised with the
+    failing user and XPD attached.
     """
     pattern = None
     if scenario.pattern_file is not None:
@@ -542,6 +549,9 @@ def run(scenario: Scenario) -> RunReport:
     # whatever the config listing order; substreams follow the user id
     ordered_users = sorted(scenario.users, key=lambda u: u.user_id)
     user_keys = [_user_key(user.user_id) for user in ordered_users]
+    stream = np.random.PCG64DXSM(np.random.SeedSequence([scenario.seed, RUN_TAG]))
+    run_start = stream.state
+    rng = np.random.Generator(stream)
 
     # Scenario guarantees unique models and XPD labels, so no key repeats
     pooled = {(model, xpd_db): [] for xpd_db in scenario.xpd_sweep_db
@@ -550,7 +560,6 @@ def run(scenario: Scenario) -> RunReport:
     try:
         for xpd_db in scenario.xpd_sweep_db:
             where = at_xpd = f"xpd {xpd_db:g} dB"
-            xpd_key = int(np.float64(xpd_db).view(np.uint64))
             scaled = None
             if pattern is not None:
                 scaled = scale_to_xpd(pattern, xpd_db,
@@ -560,8 +569,8 @@ def run(scenario: Scenario) -> RunReport:
                 channel = _user_channel(user, xpd_db, scaled)
                 for model in scenario.models:
                     where = f"{at_user}, model {model}"
-                    rng = np.random.default_rng(
-                        [scenario.seed, xpd_key, MODELS.index(model), user_key])
+                    stream.state = run_start
+                    stream.advance(user_key)
                     result = evaluate_user(
                         channel, model, rng, scenario.trials_per_user, scenario.link
                     )

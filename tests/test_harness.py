@@ -1,6 +1,7 @@
 """Tests for scenario parsing, user generation, runs and reports."""
 
 import dataclasses
+import hashlib
 import io
 import math
 import re
@@ -24,7 +25,7 @@ from dualpolsim.harness import (
     run,
     write_report,
 )
-from dualpolsim.link import LinkParams, cdf
+from dualpolsim.link import LinkParams, cdf, evaluate_user
 from dualpolsim.pattern import gain_at, load_pattern, scale_to_xpd, xpd_at
 
 TABLE_RHO = (0.9432, 0.8545, 0.5750, 0.1980, 0.0632)
@@ -351,6 +352,44 @@ def test_run_without_a_user_pools_a_subset_of_the_full_sweep(full_sweep):
         left.subtract(series[:, 0].tolist())
         assert min(left.values()) >= 0
         assert left.total() == scenario.trials_per_user
+
+
+def test_models_of_a_pattern_free_run_share_their_draws(full_sweep):
+    # without a pattern, models ii and iv both have Sigma = R / loss, so
+    # common random numbers make their samples equal, not just alike
+    scenario, full = full_sweep
+    for xpd_db in scenario.xpd_sweep_db:
+        assert full.cdf_series[("ii", xpd_db)].tobytes() == \
+            full.cdf_series[("iv", xpd_db)].tobytes()
+
+
+KEY_CONFIG = """
+[users]
+solo = path_loss_db=80 mean_aod_deg=20
+
+[sweep]
+xpd_db = 3, 10
+models = i, ii, iii, iv
+trials_per_user = 25
+
+[seed]
+value = 2024
+"""
+
+
+def test_run_draws_each_user_at_its_hashed_jump_along_the_run_stream():
+    scenario = parse_scenario(KEY_CONFIG)
+    report = run(scenario)
+    (user,) = scenario.users
+    jump = int.from_bytes(hashlib.blake2b(b"solo", digest_size=16).digest(), "little")
+    assert report.cdf_series.keys() == {(m, x) for m in ("i", "ii", "iii", "iv")
+                                        for x in (3.0, 10.0)}
+    for (model, xpd_db), series in report.cdf_series.items():
+        stream = np.random.PCG64DXSM(np.random.SeedSequence([2024, harness.RUN_TAG]))
+        stream.advance(jump)
+        result = evaluate_user(harness._user_channel(user, xpd_db, None), model,
+                               np.random.Generator(stream), 25, scenario.link)
+        assert series.tobytes() == cdf(result.throughput).tobytes(), (model, xpd_db)
 
 
 def test_run_attaches_context_to_module_errors():
