@@ -21,13 +21,14 @@ its correlation coefficient and equivalent antenna spacings. Outputs
 are plain CSV plus one metadata text file.
 
 Reproducibility: a run draws from one PCG64DXSM stream seeded by
-``[seed, RUN_TAG]``, and every (user, XPD, model) task starts at its
-user's point of that stream: the run's start advanced by a 128-bit hash
-of the user id. So a user's draws depend on the seed and its id only,
-and CDFs of different models and XPDs are paired samples (common random
-numbers). Reports are byte-identical for identical (config, seed), and a
-subset of a sweep (fewer XPDs, models or users, in any order) reproduces
-the full sweep's samples of that subset.
+``[seed, RUN_TAG]``. Each user's Gram matrices are drawn once per run,
+at its point of that stream: the run's start advanced by a 128-bit hash
+of the user id. Every (XPD, model) task of the user reads that one
+draw. So a user's draws depend on the seed and its id only, and CDFs of
+different models and XPDs are paired samples (common random numbers).
+Reports are byte-identical for identical (config, seed), and a subset of
+a sweep (fewer XPDs, models or users, in any order) reproduces the full
+sweep's samples of that subset.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .correlation import (
     equivalent_spacing,
 )
 from .chanmodel import PropagationGains
-from .link import MODELS, LinkParams, UserChannel, cdf, evaluate_user
+from .link import MODELS, LinkParams, UserChannel, cdf, draw_gram, evaluate_user
 from .pattern import (
     MAX_ABS_DB, RadiationPattern, gain_at, load_pattern, scale_to_xpd,
 )
@@ -527,15 +528,20 @@ def _summary_table(xpd_sweep_db, spread_deg: float) -> tuple[TableRow, ...]:
 def run(scenario: Scenario) -> RunReport:
     """Execute the full sweep and assemble a report.
 
-    For every XPD value and requested model, each user is evaluated for
-    ``trials_per_user`` independent realizations on its substream: the
-    PCG64DXSM stream seeded by ``[seed, RUN_TAG]``, advanced from its
-    start by :func:`_user_key` of the user id. Every task of a user
-    restarts that substream, so the CDFs of different models and XPDs
-    are paired samples. Throughput samples are pooled across users into
-    one empirical CDF per (model, XPD). A summary table covering the
-    sweep is always included. Module errors are re-raised with the
-    failing user and XPD attached.
+    The pattern, if any, is rescaled once per XPD. Then, user by user
+    in user-id order, ``trials_per_user`` Gram matrices are drawn once
+    from the user's substream: the PCG64DXSM stream seeded by
+    ``[seed, RUN_TAG]``, advanced from its start by :func:`_user_key` of
+    the user id. Every (XPD, model) task of the user evaluates that one
+    draw, so the CDFs of different models and XPDs are paired samples.
+    Throughput samples are pooled across users into one empirical CDF
+    per (model, XPD). A summary table covering the sweep is always
+    included.
+
+    Module errors are re-raised with the failing step attached: the
+    XPD of a failed rescale, else the user, XPD and model. When several
+    (user, XPD) pairs fail, the error names the first failing user by
+    id, at its first failing XPD in sweep order.
     """
     pattern = None
     if scenario.pattern_file is not None:
@@ -548,7 +554,6 @@ def run(scenario: Scenario) -> RunReport:
     # canonical user order, so that the first failing user is the same
     # whatever the config listing order; substreams follow the user id
     ordered_users = sorted(scenario.users, key=lambda u: u.user_id)
-    user_keys = [_user_key(user.user_id) for user in ordered_users]
     stream = np.random.PCG64DXSM(np.random.SeedSequence([scenario.seed, RUN_TAG]))
     run_start = stream.state
     rng = np.random.Generator(stream)
@@ -558,21 +563,26 @@ def run(scenario: Scenario) -> RunReport:
               for model in scenario.models}
     where = ""  # the step running: its error is re-raised naming it
     try:
+        sweep = []  # (XPD, the pattern rescaled to it or None)
         for xpd_db in scenario.xpd_sweep_db:
-            where = at_xpd = f"xpd {xpd_db:g} dB"
+            where = f"xpd {xpd_db:g} dB"
             scaled = None
             if pattern is not None:
                 scaled = scale_to_xpd(pattern, xpd_db,
                                       math.radians(scenario.pattern_reference_deg))
-            for user, user_key in zip(ordered_users, user_keys):
-                where = at_user = f"user {user.user_id}, {at_xpd}"
+            sweep.append((xpd_db, scaled))
+        for user in ordered_users:
+            where = at_user = f"user {user.user_id}"
+            stream.state = run_start
+            stream.advance(_user_key(user.user_id))
+            draw = draw_gram(rng, scenario.trials_per_user)
+            for xpd_db, scaled in sweep:
+                where = at_xpd = f"{at_user}, xpd {xpd_db:g} dB"
                 channel = _user_channel(user, xpd_db, scaled)
                 for model in scenario.models:
-                    where = f"{at_user}, model {model}"
-                    stream.state = run_start
-                    stream.advance(user_key)
+                    where = f"{at_xpd}, model {model}"
                     result = evaluate_user(
-                        channel, model, rng, scenario.trials_per_user, scenario.link
+                        channel, model, draw, scenario.trials_per_user, scenario.link
                     )
                     pooled[(model, xpd_db)].append(result.throughput)
     except (ValueError, ArithmeticError) as exc:

@@ -28,7 +28,10 @@ Communications, 2004): with H_w = QR, r_11^2 ~ Gamma(2, 1),
 r_22^2 ~ Exp(1) and r_12 ~ CN(0, 1) are independent, G = R^H R and
 |det H_w|^2 = r_11^2 r_22^2. A trial costs three exponentials and two
 normals, and each model one real (4, 2) weight matrix applied to the
-trials' (G_00, G_11, Re G_01, Im G_01).
+trials' (G_00, G_11, Re G_01, Im G_01). The draw does not depend on the
+model or the XPD, so :func:`evaluate_user` takes either a generator to
+draw from or a read-only draw of :func:`draw_gram`, which one user's
+models and XPDs can share.
 
 Four mixing matrices are selectable per trial batch:
 
@@ -60,6 +63,7 @@ __all__ = [
     "UserChannel",
     "RankDeficientError",
     "zf_weights",
+    "draw_gram",
     "evaluate_user",
     "cdf",
 ]
@@ -253,12 +257,13 @@ def _gram_weights(m: np.ndarray) -> tuple[np.ndarray, float]:
     return weights, abs(m00 * m11 - m01 * m10) ** 2
 
 
-def _draw_gram(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+def draw_gram(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Bartlett draw of ``n`` Gram matrices G = H_w^H H_w of i.i.d. CN(0, 1) 2x2 H_w.
 
     Returns the features (G_00, G_11, Re G_01, Im G_01), shape (4, n),
-    and |det H_w|^2, shape (n,). A given generator state yields a fixed
-    draw.
+    and |det H_w|^2, shape (n,), both read-only, so that one draw can
+    feed every model and XPD of a user. A given generator state yields
+    a fixed draw.
     """
     exp = rng.standard_exponential((3, n))
     features = np.empty((4, n))
@@ -269,13 +274,15 @@ def _draw_gram(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray
     g11 += exp[2]  # G_11 = |r_12|^2 + r_22^2
     r11_sq = np.add(exp[0], exp[1], out=features[0])  # G_00 = r_11^2 ~ Gamma(2, 1)
     r12 *= np.sqrt(r11_sq)  # G_01 = r_11 r_12
-    return features, r11_sq * exp[2]
+    det_w = r11_sq * exp[2]
+    features.flags.writeable = det_w.flags.writeable = False
+    return features, det_w
 
 
 def evaluate_user(
     user: UserChannel,
     model: str,
-    rng: np.random.Generator,
+    rng: np.random.Generator | tuple[np.ndarray, np.ndarray],
     n_trials: int,
     params: LinkParams | None = None,
 ) -> LinkResult:
@@ -283,17 +290,24 @@ def evaluate_user(
 
     Each realization goes through zero forcing, SINR and the throughput
     map, computed from a Gram-matrix draw (see the module docstring).
-    Rank-deficient realizations are kept as zero-throughput samples
-    rather than aborting the run; at 0 dB XPD every sample is one, which
-    is the intended degenerate physics: det M = 0 exactly.
+    ``rng`` is either a generator, from which ``n_trials`` Gram matrices
+    are drawn, or such a draw of :func:`draw_gram`, which the caller may
+    pass to every model and XPD of one user. Rank-deficient realizations
+    are kept as zero-throughput samples rather than aborting the run; at
+    0 dB XPD every sample is one, which is the intended degenerate
+    physics: det M = 0 exactly.
 
-    A fixed generator state yields bit-identical result arrays.
+    A fixed generator state, or a fixed draw, yields bit-identical
+    result arrays.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     params = params or LinkParams()
     weights, det_m = _gram_weights(_mixing(user, model))
-    features, det_w = _draw_gram(rng, n_trials)
+    features, det_w = draw_gram(rng, n_trials) if isinstance(rng, np.random.Generator) else rng
+    if features.shape != (4, n_trials) or det_w.shape != (n_trials,):
+        raise ValueError(f"Gram draw of shapes {features.shape} and {det_w.shape} "
+                         f"does not hold {n_trials} trials")
     _, sinr = _zf_sinr(weights.T @ features, det_w * det_m, params.noise_power())
     return LinkResult(sinr=sinr.T, throughput=_capped_throughput(sinr.T, params))
 

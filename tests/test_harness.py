@@ -410,6 +410,24 @@ def test_run_attaches_context_to_module_errors():
         run(scenario)
 
 
+def test_run_names_the_first_failing_user_at_its_first_failing_xpd():
+    # model iii finds no spacing for zed and amy at 30 dB only, and for
+    # bob at 20 dB too: users go in id order, each through the whole sweep
+    cfg = """
+    [users]
+    zed = path_loss_db=80 mean_aod_deg=0 spread_deg=30
+    bob = path_loss_db=80 mean_aod_deg=20 spread_deg=60
+    amy = path_loss_db=80 mean_aod_deg=20 spread_deg=30
+
+    [sweep]
+    xpd_db = 20, 30
+    models = ii, iii
+    trials_per_user = 5
+    """
+    with pytest.raises(ValueError, match="^user amy, xpd 30 dB, model iii: "):
+        run(parse_scenario(cfg))
+
+
 def test_run_with_pattern_file(tmp_path):
     header = "azimuth_deg, port1_co_dBi, port1_cross_dBi, port2_co_dBi, port2_cross_dBi\n"
     rows = "".join(
@@ -493,7 +511,7 @@ def _pattern_scenario(tmp_path):
 
 
 def test_run_rescales_pattern_once_per_xpd(tmp_path, monkeypatch):
-    calls = {"scale_to_xpd": 0, "_user_channel": 0}
+    calls = {"scale_to_xpd": 0, "_user_channel": 0, "draw_gram": 0, "evaluate_user": 0}
     for name in calls:
         original = getattr(harness, name)
 
@@ -503,8 +521,10 @@ def test_run_rescales_pattern_once_per_xpd(tmp_path, monkeypatch):
 
         monkeypatch.setattr(harness, name, counted)
     run(_pattern_scenario(tmp_path))
-    # 2 XPD values, 3 users, 2 models: one rescale per XPD, one channel per (XPD, user)
-    assert calls == {"scale_to_xpd": 2, "_user_channel": 2 * 3}
+    # 2 XPD values, 3 users, 2 models: one rescale per XPD, one channel per
+    # (XPD, user), one Gram draw per user and one evaluation per task
+    assert calls == {"scale_to_xpd": 2, "_user_channel": 2 * 3, "draw_gram": 3,
+                     "evaluate_user": 2 * 3 * 2}
 
 
 def test_user_channel_matches_pattern_lookup(tmp_path):

@@ -24,10 +24,10 @@ from dualpolsim.link import (
     RankDeficientError,
     UserChannel,
     cdf,
+    draw_gram,
     evaluate_user,
     zf_weights,
     _capped_throughput,
-    _draw_gram,
     _explicit_terms,
     _gram_weights,
     _mixing,
@@ -204,8 +204,8 @@ def test_gram_weights_give_column_energies():
 
 def test_draw_gram_moments_and_determinism():
     n = 200_000
-    features, det_w = _draw_gram(np.random.default_rng(21), n)
-    again, det_again = _draw_gram(np.random.default_rng(21), n)
+    features, det_w = draw_gram(np.random.default_rng(21), n)
+    again, det_again = draw_gram(np.random.default_rng(21), n)
     assert np.array_equal(features, again) and np.array_equal(det_w, det_again)
     assert features.shape == (4, n) and det_w.shape == (n,)
     # G_00 ~ Gamma(2, 1) and G_11 = Exp + Exp: mean 2, variance 2; Re and Im
@@ -353,6 +353,40 @@ def test_evaluate_user_model_iii_runs_and_matches_iv_in_mean():
     want = (np.diag(np.sqrt(np.full(2, user.omni_gain)))
             @ matrix_sqrt_psd(spatial_corr_matrix(spacing, user.aod)))
     assert np.array_equal(_mixing(user, "iii"), want)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_evaluate_user_on_a_draw_matches_its_generator(model):
+    user = make_skewed_user()
+    draw = draw_gram(np.random.default_rng(17), 300)
+    on_draw = evaluate_user(user, model, draw, 300)
+    on_rng = evaluate_user(user, model, np.random.default_rng(17), 300)
+    assert on_draw.sinr.tobytes() == on_rng.sinr.tobytes()
+    assert on_draw.throughput.tobytes() == on_rng.throughput.tobytes()
+    with pytest.raises(ValueError, match="does not hold 299 trials"):
+        evaluate_user(user, model, draw, 299)
+    features, det_w = draw
+    with pytest.raises(ValueError, match="read-only"):
+        features[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        det_w[0] = 1.0
+
+
+def test_evaluate_user_zero_sigma00_is_rank_deficient_without_warning():
+    # alpha_0 = beta_1 = 0: column 0 of model i's channel carries no
+    # power (Sigma_00 = 0), so every trial is rank deficient
+    loss = 10.0 ** 8.0
+    user = UserChannel(
+        gains=PropagationGains(alpha=(0.0, 1.0 / loss), beta=(0.1 / loss, 0.0)),
+        xpd=(1.0, 1.0),  # read by models ii-iv only
+        omni_gain=1.0 / loss,
+        aod=AodDistribution.laplacian(0.0, math.radians(26.0)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = evaluate_user(user, "i", np.random.default_rng(4), 500)
+    assert np.all(result.sinr == 0.0)
+    assert np.all(result.throughput == 0.0)
 
 
 def test_evaluate_user_rejects_unknown_model():
