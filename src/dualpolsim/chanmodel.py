@@ -1,17 +1,18 @@
-"""Fading generation, mixing matrices and effective 2x2 channels.
+"""Fading generation and explicit effective 2x2 channels.
 
 Every channel model is H_eff = H_w M: one i.i.d. Rayleigh draw H_w
-times a 2x2 *mixing matrix* M per (user, model), built here:
+times a 2x2 *mixing matrix* M per (user, model). Two constructions
+apply M to explicit fading stacks of shape ``(..., 2, 2)``, returning
+views laid out along the batch:
 
-* :func:`dualpol_mixing`: M = [[sqrt(alpha0), sqrt(beta0)],
+* :func:`build_effective`: M = [[sqrt(alpha0), sqrt(beta0)],
   [sqrt(beta1), sqrt(alpha1)]], the copolar and cross-polar gains;
-* :func:`kronecker_mixing`: M = diag(sqrt(alpha)) sqrt(R), with the
+* :func:`kronecker_effective`: M = diag(sqrt(alpha)) sqrt(R), with the
   principal PSD square root of the transmit correlation R.
 
-:func:`build_effective` and :func:`kronecker_effective` apply them to
-explicit fading stacks of shape ``(..., 2, 2)``, returning views laid
-out along the batch. The Monte Carlo path of :mod:`dualpolsim.link`
-forms no channel: it reads M and draws the Gram matrix of H_w.
+The Monte Carlo path of :mod:`dualpolsim.link` forms neither: it reads
+each model's Sigma = M^H M in closed form and draws the Gram matrix of
+H_w.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .correlation import CorrelationMatrix, matrix_sqrt_psd
 __all__ = [
     "PropagationGains",
     "draw_fading_batch",
-    "dualpol_mixing",
-    "kronecker_mixing",
     "build_effective",
     "kronecker_effective",
     "empirical_tx_correlation",
@@ -98,44 +97,31 @@ def _mix(h: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (m[0][:, None] * rows[:, 0] + m[1][:, None] * rows[:, 1]).T.reshape(h.shape)
 
 
-def dualpol_mixing(gains: PropagationGains) -> np.ndarray:
-    """Mixing matrix of the dual-polarized port pair, complex 2x2.
+def build_effective(gains: PropagationGains, h: np.ndarray) -> np.ndarray:
+    """Effective channel ``h @ M`` of the dual-polarized port pair.
 
-    Column t holds sqrt(alpha[t]) on the fading of port t (the copolar
-    part) and sqrt(beta[t']) on the fading of the opposite port t' (the
-    cross-polar part).
+    Column t of M holds sqrt(alpha[t]) on the fading of port t (the
+    copolar part) and sqrt(beta[t']) on the fading of the opposite port
+    t' (the cross-polar part).
     """
     a0, a1 = map(math.sqrt, gains.alpha.tolist())
     b0, b1 = map(math.sqrt, gains.beta.tolist())
-    return np.array([[a0, b0], [b1, a1]], dtype=complex)
-
-
-def kronecker_mixing(alpha: np.ndarray, corr_root: np.ndarray) -> np.ndarray:
-    """Mixing matrix diag(sqrt(alpha)) corr_root, complex 2x2.
-
-    ``corr_root`` is the principal PSD square root of the transmit correlation.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (2,):
-        raise ValueError("alpha must hold one gain per port")
-    return np.sqrt(alpha)[:, None] * corr_root
-
-
-def build_effective(gains: PropagationGains, h: np.ndarray) -> np.ndarray:
-    """Effective channel ``h @ M`` of the dual-polarized port pair, M from :func:`dualpol_mixing`."""
-    return _mix(h, dualpol_mixing(gains))
+    return _mix(h, np.array([[a0, b0], [b1, a1]], dtype=complex))
 
 
 def kronecker_effective(h: np.ndarray, alpha: np.ndarray, corr: CorrelationMatrix) -> np.ndarray:
     """Correlated channel ``h @ M`` with M = diag(sqrt(alpha)) sqrt(corr).
 
-    M comes from :func:`kronecker_mixing`. The principal PSD square root
-    is applied on the transmit side, so the transmit correlation
-    E[H^H H] is proportional to ``corr`` itself (not its conjugate).
-    ``corr`` holds only its coefficient, checked when it was built, so
-    nothing here checks it again.
+    The principal PSD square root is applied on the transmit side, so
+    the transmit correlation E[H^H H] is proportional to ``corr`` itself
+    (not its conjugate). ``alpha`` must hold one gain per port. ``corr``
+    holds only its coefficient, checked when it was built, so nothing
+    here checks it again.
     """
-    return _mix(h, kronecker_mixing(alpha, matrix_sqrt_psd(corr)))
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape != (2,):
+        raise ValueError("alpha must hold one gain per port")
+    return _mix(h, np.sqrt(alpha)[:, None] * matrix_sqrt_psd(corr))
 
 
 def empirical_tx_correlation(h: np.ndarray, normalize: bool = True) -> np.ndarray:

@@ -182,10 +182,12 @@ class AodDistribution:
         b = math.sqrt(2.0) / self.angle_spread
         mu = self.mean_aod
         up, down = b + 1j * n, b - 1j * n
-        return (0.5 * b / self._normalization()) * np.exp(-1j * n * mu) * (
+        c = (0.5 * b / self._normalization()) * np.exp(-1j * n * mu) * (
             (1.0 - np.exp(-up * (math.pi - mu))) / up
             + (1.0 - np.exp(-down * (math.pi + mu))) / down
         )
+        c[0] = 1.0  # the law's mass, which the closed form misses by up to 3e-16
+        return c
 
 
 @dataclass(frozen=True)
@@ -217,7 +219,8 @@ def _bessel_jn(x: float, top: int) -> list[float]:
     at order max(top, :func:`_series_order`) and normalized by the
     identity J_0 + 2 sum_k J_2k = 1.
     """
-    x = max(x, 1e-50)  # keeps 2n/x finite; below it J_0 = 1 and |J_n| < 1e-50
+    if x < 1e-50:  # J_0 = 1 and |J_n| < 1e-50 here, and 2n/x would overflow
+        return [1.0] + [0.0] * top
     start = max(top, _series_order(x))
     vals = [0.0] * (start + 1)
     two_over_x = 2.0 / x

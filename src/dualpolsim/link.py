@@ -20,20 +20,25 @@ rows with one ``np.where``, raising no floating-point warning.
 
 Monte Carlo batches never form a channel. Every model is H = H_w M,
 i.i.d. CN(0, 1) fading H_w times one 2x2 mixing matrix M per (user,
-model), so c_j = m_j^H G m_j with the Gram matrix G = H_w^H H_w, and
-D = |det H_w|^2 |det M|^2. G is drawn directly by the Bartlett
-decomposition of the complex Wishart law (Goodman, Ann. Math. Statist.
-34 (1963) 152-177; Tulino and Verdu, Random Matrix Theory and Wireless
-Communications, 2004): with H_w = QR, r_11^2 ~ Gamma(2, 1),
-r_22^2 ~ Exp(1) and r_12 ~ CN(0, 1) are independent, G = R^H R and
-|det H_w|^2 = r_11^2 r_22^2. A trial costs three exponentials and two
-normals, and each model one real (4, 2) weight matrix applied to the
-trials' (G_00, G_11, Re G_01, Im G_01). The draw does not depend on the
-model or the XPD, so :func:`evaluate_user` takes either a generator to
-draw from or a read-only draw of :func:`draw_gram`, which one user's
-models and XPDs can share.
+model). H^H H = M^H G M, with the Gram matrix G = H_w^H H_w, is complex
+Wishart with covariance Sigma = M^H M (Goodman, Ann. Math. Statist. 34
+(1963) 152-177), so the ZF law depends on M only through Sigma_00,
+Sigma_11 and |Sigma_01| (Gore, Heath and Paulraj, ISIT 2002). Each model
+is therefore evaluated as H_w U, with U = [[sqrt(Sigma_00), u_01],
+[0, u_11]] the real upper Cholesky factor of Sigma, u_01 = |Sigma_01| /
+sqrt(Sigma_00) and u_11^2 = det Sigma / Sigma_00: c_0 = Sigma_00 G_00,
+c_1 = u_01^2 G_00 + u_11^2 G_11 + 2 u_01 u_11 Re G_01 and
+D = |det H_w|^2 det Sigma. G is drawn by the Bartlett decomposition
+(Tulino and Verdu, Random Matrix Theory and Wireless Communications,
+2004): with H_w = QR, r_11^2 ~ Gamma(2, 1), r_22^2 ~ Exp(1) and
+r_12 ~ CN(0, 1) are independent, G = R^H R and |det H_w|^2 = r_11^2 r_22^2.
+A trial costs three exponentials and two normals. The draw does not
+depend on the model or the XPD, so :func:`evaluate_user` takes either a
+generator to draw from or a read-only draw of :func:`draw_gram`, which
+one user's models and XPDs can share.
 
-Four mixing matrices are selectable per trial batch:
+Four models are selectable per trial batch, each given by its Sigma in
+closed form (:func:`_sigma`):
 
 * ``i``   physical dual-polarization channel (copolar plus cross-polar),
 * ``ii``  correlated channel with the XPD-implied transmit correlation,
@@ -51,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import chanmodel, correlation
+from . import correlation
 from .chanmodel import PropagationGains
 from .correlation import AodDistribution, SpacingQuery
 from .pattern import MAX_ABS_DB
@@ -161,11 +166,6 @@ class UserChannel:
         """Transmit correlation implied by ``xpd``; models ii, iii and iv share it."""
         return correlation.dualpole_corr_exact(*self.xpd)
 
-    @functools.cached_property
-    def xpd_corr_root(self) -> np.ndarray:
-        """Principal PSD square root of :attr:`xpd_corr`; models ii and iv share it."""
-        return correlation.matrix_sqrt_psd(self.xpd_corr)
-
 
 def _zf_sinr(
     col: np.ndarray, det_sq: np.ndarray, noise_power: float
@@ -226,54 +226,63 @@ def zf_weights(h_eff: np.ndarray) -> np.ndarray:
     return np.linalg.inv(h_eff).T
 
 
-def _mixing(user: UserChannel, model: str) -> np.ndarray:
-    """Mixing matrix M of one model for one user: the model's channel is H_w M."""
+def _sigma(user: UserChannel, model: str) -> tuple[float, float, float, float]:
+    """(Sigma_00, Sigma_11, |Sigma_01|, det Sigma) of one model, in closed form.
+
+    Model i's M = [[sqrt(alpha_0), sqrt(beta_0)], [sqrt(beta_1), sqrt(alpha_1)]].
+    Models ii-iv have M = diag(sqrt(a)) sqrt(R) with port gains a and
+    |R_01| = rho, so Sigma = sqrt(R) diag(a) sqrt(R); s = sqrt(1 - rho^2).
+    No det Sigma is a difference that cancels.
+    """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
     if model == "i":
-        return chanmodel.dualpol_mixing(user.gains)
-    if model == "ii":
-        return chanmodel.kronecker_mixing(user.gains.alpha, user.xpd_corr_root)
-    omni_alpha = np.array([user.omni_gain, user.omni_gain])
-    if model == "iv":
-        return chanmodel.kronecker_mixing(omni_alpha, user.xpd_corr_root)
-    target = abs(user.xpd_corr.coefficient)
-    spacing = correlation.equivalent_spacing(SpacingQuery(target, user.aod))
-    root = correlation.matrix_sqrt_psd(correlation.spatial_corr_matrix(spacing, user.aod))
-    return chanmodel.kronecker_mixing(omni_alpha, root)
+        (a0, a1), (b0, b1) = user.gains.alpha.tolist(), user.gains.beta.tolist()
+        return (a0 + b1, b0 + a1, math.sqrt(a0 * b0) + math.sqrt(a1 * b1),
+                (math.sqrt(a0 * a1) - math.sqrt(b0 * b1)) ** 2)
+    rho = abs(user.xpd_corr.coefficient)
+    if model == "iii":
+        spacing = correlation.equivalent_spacing(SpacingQuery(rho, user.aod))
+        rho = abs(correlation.spatial_corr(spacing, user.aod))
+    a0, a1 = user.gains.alpha.tolist() if model == "ii" else (user.omni_gain, user.omni_gain)
+    s = math.sqrt(max(1.0 - rho * rho, 0.0))
+    return ((a0 * (1.0 + s) + a1 * (1.0 - s)) / 2.0, (a0 * (1.0 - s) + a1 * (1.0 + s)) / 2.0,
+            (a0 + a1) * rho / 2.0, a0 * a1 * s * s)
 
 
-def _gram_weights(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Real (4, 2) weights W and |det M|^2 of a mixing matrix M.
+def _gram_terms(
+    sigma: tuple, features: np.ndarray, det_w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Column energies, shape (2, n), and D of H_w U for a :func:`draw_gram` draw of H_w.
 
-    Column j of ``W.T @ (G_00, G_11, Re G_01, Im G_01)`` is
-    c_j = |m_0j|^2 G_00 + |m_1j|^2 G_11 + 2 Re(conj(m_0j) m_1j G_01),
-    the energy of column j of H_w M.
+    U is the Cholesky factor of the module docstring for ``sigma`` as
+    :func:`_sigma` returns it; where Sigma_00 = 0, u_01 = 0 and
+    u_11^2 = Sigma_11.
     """
-    (m00, m01), (m10, m11) = m.tolist()  # Python scalars: cheaper than 2x2 array ops
-    cross0, cross1 = 2.0 * m00.conjugate() * m10, 2.0 * m01.conjugate() * m11
-    weights = np.array([[abs(m00) ** 2, abs(m01) ** 2], [abs(m10) ** 2, abs(m11) ** 2],
-                        [cross0.real, cross1.real], [-cross0.imag, -cross1.imag]])
-    return weights, abs(m00 * m11 - m01 * m10) ** 2
+    s00, s11, s01, det_s = sigma
+    u01, u11_sq = (s01 / math.sqrt(s00), det_s / s00) if s00 > 0.0 else (0.0, s11)
+    # rows: c_0 and c_1 as weights on (G_00, G_11, Re G_01)
+    weights = np.array([[s00, 0.0, 0.0], [u01 * u01, u11_sq, 2.0 * u01 * math.sqrt(u11_sq)]])
+    return weights @ features, det_w * det_s
 
 
 def draw_gram(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Bartlett draw of ``n`` Gram matrices G = H_w^H H_w of i.i.d. CN(0, 1) 2x2 H_w.
 
-    Returns the features (G_00, G_11, Re G_01, Im G_01), shape (4, n),
-    and |det H_w|^2, shape (n,), both read-only, so that one draw can
-    feed every model and XPD of a user. A given generator state yields
-    a fixed draw.
+    Returns the features (G_00, G_11, Re G_01), shape (3, n), and
+    |det H_w|^2, shape (n,), both read-only, so that one draw can feed
+    every model and XPD of a user. A given generator state yields a
+    fixed draw.
     """
     exp = rng.standard_exponential((3, n))
-    features = np.empty((4, n))
-    r12 = rng.standard_normal((2, n), out=features[2:])
+    r12 = rng.standard_normal((2, n))
     r12 *= math.sqrt(0.5)  # Re and Im of r_12 ~ CN(0, 1)
+    features = np.empty((3, n))
+    r11_sq = np.add(exp[0], exp[1], out=features[0])  # G_00 = r_11^2 ~ Gamma(2, 1)
     r12_sq = r12 * r12
     g11 = np.add(r12_sq[0], r12_sq[1], out=features[1])
     g11 += exp[2]  # G_11 = |r_12|^2 + r_22^2
-    r11_sq = np.add(exp[0], exp[1], out=features[0])  # G_00 = r_11^2 ~ Gamma(2, 1)
-    r12 *= np.sqrt(r11_sq)  # G_01 = r_11 r_12
+    np.multiply(r12[0], np.sqrt(r11_sq), out=features[2])  # Re G_01 = r_11 Re r_12
     det_w = r11_sq * exp[2]
     features.flags.writeable = det_w.flags.writeable = False
     return features, det_w
@@ -295,7 +304,7 @@ def evaluate_user(
     pass to every model and XPD of one user. Rank-deficient realizations
     are kept as zero-throughput samples rather than aborting the run; at
     0 dB XPD every sample is one, which is the intended degenerate
-    physics: det M = 0 exactly.
+    physics: det Sigma = 0 exactly for every model.
 
     A fixed generator state, or a fixed draw, yields bit-identical
     result arrays.
@@ -303,12 +312,12 @@ def evaluate_user(
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     params = params or LinkParams()
-    weights, det_m = _gram_weights(_mixing(user, model))
+    sigma = _sigma(user, model)
     features, det_w = draw_gram(rng, n_trials) if isinstance(rng, np.random.Generator) else rng
-    if features.shape != (4, n_trials) or det_w.shape != (n_trials,):
+    if features.shape != (3, n_trials) or det_w.shape != (n_trials,):
         raise ValueError(f"Gram draw of shapes {features.shape} and {det_w.shape} "
                          f"does not hold {n_trials} trials")
-    _, sinr = _zf_sinr(weights.T @ features, det_w * det_m, params.noise_power())
+    _, sinr = _zf_sinr(*_gram_terms(sigma, features, det_w), params.noise_power())
     return LinkResult(sinr=sinr.T, throughput=_capped_throughput(sinr.T, params))
 
 

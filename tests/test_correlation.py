@@ -359,9 +359,15 @@ def test_matrix_sqrt_rejections_keep_type_and_message(rho, message):
 
 
 def test_spatial_corr_zero_distance():
+    # rho(0) is the law's mass, exactly 1: a 0 dB model iii channel is
+    # then exactly singular, like those of the other models
     assert spatial_corr(0.0, AodDistribution.isotropic()) == 1.0
-    lap = AodDistribution.laplacian(0.4, 0.3)
-    assert abs(spatial_corr(0.0, lap) - 1.0) < 1e-12
+    rng = np.random.default_rng(361)
+    means = np.concatenate(([-math.pi, 0.0, math.pi], rng.uniform(-math.pi, math.pi, 40)))
+    spreads = np.concatenate(([1.5, 360.0, 26.0], rng.uniform(1.5, 360.0, 40)))
+    for mu, spread in zip(means, spreads):
+        lap = AodDistribution.laplacian(float(mu), math.radians(spread))
+        assert spatial_corr(0.0, lap) == 1.0, (mu, spread)
 
 
 def test_spatial_corr_isotropic_table_spot_check():

@@ -363,6 +363,26 @@ def test_models_of_a_pattern_free_run_share_their_draws(full_sweep):
             full.cdf_series[("iv", xpd_db)].tobytes()
 
 
+def test_zero_db_run_gives_only_zero_samples():
+    # at 0 dB every model's channel is exactly rank one, model iii's too:
+    # its spacing is 0 and rho(0) = 1 for every AoD law
+    scenario = parse_scenario(
+        """
+        [generator]
+        count = 30
+        aod_spread_deg = 1.5, 360
+
+        [sweep]
+        xpd_db = 0
+        models = i, ii, iii, iv
+        trials_per_user = 100
+        """
+    )
+    report = run(scenario)
+    for key, series in report.cdf_series.items():
+        assert np.all(series[:, 0] == 0.0), key
+
+
 KEY_CONFIG = """
 [users]
 solo = path_loss_db=80 mean_aod_deg=20

@@ -3,17 +3,22 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dualpolsim.chanmodel import PropagationGains, draw_fading_batch, kronecker_effective
+from dualpolsim.chanmodel import (
+    PropagationGains,
+    build_effective,
+    draw_fading_batch,
+    kronecker_effective,
+)
 from dualpolsim.correlation import (
     AodDistribution,
     SpacingQuery,
     dualpole_corr_exact,
     equivalent_spacing,
-    matrix_sqrt_psd,
     spatial_corr_matrix,
 )
 from dualpolsim.link import (
@@ -29,8 +34,8 @@ from dualpolsim.link import (
     zf_weights,
     _capped_throughput,
     _explicit_terms,
-    _gram_weights,
-    _mixing,
+    _gram_terms,
+    _sigma,
     _zf_sinr,
 )
 
@@ -168,38 +173,55 @@ def test_zf_kernel_matches_svd_and_inverse():
 
 
 def _gram_features(h):
-    """(G_00, G_11, Re G_01, Im G_01) and |det h|^2 of explicit channels, G = h^H h."""
+    """(G_00, G_11, Re G_01) and |det h|^2 of explicit channels, G = h^H h."""
     gram = np.einsum("nri,nrj->nij", h.conj(), h)
     det = np.linalg.det(h)
-    features = np.stack((gram[:, 0, 0].real, gram[:, 1, 1].real,
-                         gram[:, 0, 1].real, gram[:, 0, 1].imag))
+    features = np.stack((gram[:, 0, 0].real, gram[:, 1, 1].real, gram[:, 0, 1].real))
     return features, np.abs(det) ** 2
+
+
+def _sigma_moduli(sig):
+    """(Sigma_00, Sigma_11, |Sigma_01|, det Sigma) of a Hermitian 2x2 Sigma."""
+    return (sig[0, 0].real, sig[1, 1].real, abs(sig[0, 1]),
+            (sig[0, 0] * sig[1, 1]).real - abs(sig[0, 1]) ** 2)
+
+
+def _cholesky(sigma):
+    """U = [[sqrt(S_00), |S_01| / sqrt(S_00)], [0, sqrt(det S / S_00)]] from _sigma_moduli."""
+    s00, _, s01, det_s = sigma
+    return np.array([[math.sqrt(s00), s01 / math.sqrt(s00)],
+                     [0.0, math.sqrt(det_s / s00)]], dtype=complex)
 
 
 @pytest.mark.parametrize("model", MODELS)
 def test_gram_path_matches_explicit_kernel(model):
     # the same fading seen through G = H_w^H H_w and |det H_w|^2 gives the
-    # SINRs of the kernel applied to the explicit channel H_w @ M
+    # SINRs of the kernel applied to the explicit channel H_w @ U, U the
+    # upper Cholesky factor of the model's Sigma = M^H M
     noise = LinkParams().noise_power()
-    m = _mixing(make_skewed_user(), model)
+    user = make_skewed_user()
+    sigma = _sigma(user, model)
+    assert_allclose(sigma, _sigma_moduli(_explicit_sigma(user, model)), rtol=1e-12)
     h = draw_fading_batch(np.random.default_rng(11), 2000)
-    features, det_w = _gram_features(h)
-    weights, det_m = _gram_weights(m)
-    good, sinrs = _zf_sinr(weights.T @ features, det_w * det_m, noise)
-    want_good, want_sinrs = zf_explicit(h @ m, noise)
-    assert good.all() and np.array_equal(good, want_good)
-    assert_allclose(sinrs.T, want_sinrs, rtol=1e-12, atol=0.0)
+    got = evaluate_user(user, model, _gram_features(h), 2000).sinr
+    want_good, want_sinrs = zf_explicit(h @ _cholesky(sigma), noise)
+    assert want_good.all() and np.all(got > 0.0)
+    assert_allclose(got, want_sinrs, rtol=1e-12, atol=0.0)
 
 
-def test_gram_weights_give_column_energies():
-    # one M whose columns mix both fading columns with complex weights
+def test_gram_terms_give_column_energies():
+    # a complex M whose columns mix both fading columns: the Cholesky
+    # factor U of its Sigma gives the column energies of H_w U and
+    # D = |det H_w M|^2
     m = np.array([[0.8 + 0.3j, -0.2 + 0.5j], [0.1 - 0.7j, 1.1 + 0.0j]])
+    sigma = _sigma_moduli(m.conj().T @ m)
+    u = _cholesky(sigma)
+    assert_allclose(_sigma_moduli(u.conj().T @ u), sigma, rtol=1e-12)
     h = draw_fading_batch(np.random.default_rng(12), 50)
-    features, det_w = _gram_features(h)
-    weights, det_m = _gram_weights(m)
-    assert weights.shape == (4, 2) and weights.dtype == float
-    assert_allclose(weights.T @ features, np.sum(np.abs(h @ m) ** 2, axis=1).T, rtol=1e-12)
-    assert_allclose(det_w * det_m, np.abs(np.linalg.det(h @ m)) ** 2, rtol=1e-12)
+    col, det_sq = _gram_terms(sigma, *_gram_features(h))
+    assert col.shape == (2, 50) and col.dtype == float
+    assert_allclose(col, np.sum(np.abs(h @ u) ** 2, axis=1).T, rtol=1e-12)
+    assert_allclose(det_sq, np.abs(np.linalg.det(h @ m)) ** 2, rtol=1e-12)
 
 
 def test_draw_gram_moments_and_determinism():
@@ -207,16 +229,26 @@ def test_draw_gram_moments_and_determinism():
     features, det_w = draw_gram(np.random.default_rng(21), n)
     again, det_again = draw_gram(np.random.default_rng(21), n)
     assert np.array_equal(features, again) and np.array_equal(det_w, det_again)
-    assert features.shape == (4, n) and det_w.shape == (n,)
+    assert features.shape == (3, n) and det_w.shape == (n,)
+    # the Bartlett construction from the same seed: r_11^2 ~ Gamma(2, 1),
+    # r_22^2 ~ Exp(1) and r_12 ~ CN(0, 1), with G = R^H R
+    rng = np.random.default_rng(21)
+    exp = rng.standard_exponential((3, n))
+    r12 = rng.standard_normal((2, n)) * math.sqrt(0.5)
+    r11_sq = exp[0] + exp[1]
+    g01 = np.sqrt(r11_sq) * (r12[0] + 1j * r12[1])
+    assert_allclose(features, [r11_sq, r12[0] ** 2 + r12[1] ** 2 + exp[2], g01.real],
+                    rtol=1e-15)
+    assert_allclose(det_w, r11_sq * exp[2], rtol=1e-15)
     # G_00 ~ Gamma(2, 1) and G_11 = Exp + Exp: mean 2, variance 2; Re and Im
     # of G_01 = r_11 r_12: mean 0, variance 1; |det H_w|^2 = Gamma(2) Exp(1):
     # mean 2, variance E[r_11^4] E[r_22^4] - 4 = 6 * 2 - 4 = 8
     for values, mean, var in ((features[0], 2.0, 2.0), (features[1], 2.0, 2.0),
-                              (features[2], 0.0, 1.0), (features[3], 0.0, 1.0),
+                              (features[2], 0.0, 1.0), (g01.imag, 0.0, 1.0),
                               (det_w, 2.0, 8.0)):
         assert abs(values.mean() - mean) < 4.0 * math.sqrt(var / n)
     # G is positive semidefinite with the drawn determinant
-    g01_sq = features[2] ** 2 + features[3] ** 2
+    g01_sq = features[2] ** 2 + g01.imag ** 2
     assert_allclose(features[0] * features[1] - g01_sq, det_w, rtol=1e-9, atol=1e-12)
 
 
@@ -227,7 +259,11 @@ def test_gram_draw_has_the_explicit_sinr_law(model):
     user = make_user(chi=10.0, path_loss_db=85.0)
     noise = LinkParams().noise_power()
     got = evaluate_user(user, model, np.random.default_rng(31), n).sinr
-    h = draw_fading_batch(np.random.default_rng(32), n) @ _mixing(user, model)
+    fading = draw_fading_batch(np.random.default_rng(32), n)
+    if model == "i":
+        h = build_effective(user.gains, fading)
+    else:
+        h = kronecker_effective(fading, user.gains.alpha, user.xpd_corr)
     _, want = zf_explicit(h, noise)
     for stream in range(2):
         assert stats.ks_2samp(got[:, stream], want[:, stream]).pvalue > 0.01
@@ -347,12 +383,10 @@ def test_evaluate_user_model_iii_runs_and_matches_iv_in_mean():
     mean_iii = np.mean(evaluate_user(user, "iii", np.random.default_rng(15), 20_000).throughput)
     mean_iv = np.mean(evaluate_user(user, "iv", np.random.default_rng(16), 20_000).throughput)
     assert abs(mean_iii - mean_iv) / mean_iv < 0.03
-    # model iii mixes with the omni gains and the spatial correlation at
-    # the equivalent spacing
-    spacing = equivalent_spacing(SpacingQuery(abs(user.xpd_corr.coefficient), user.aod))
-    want = (np.diag(np.sqrt(np.full(2, user.omni_gain)))
-            @ matrix_sqrt_psd(spatial_corr_matrix(spacing, user.aod)))
-    assert np.array_equal(_mixing(user, "iii"), want)
+    # model iii's Sigma is that of the omni gains and the spatial
+    # correlation at the equivalent spacing
+    assert_allclose(_sigma(user, "iii"), _sigma_moduli(_explicit_sigma(user, "iii")),
+                    rtol=1e-12)
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -407,6 +441,117 @@ def test_link_result_fields():
     assert result.sinr.shape == (3, 2)
     assert result.throughput.shape == (3,)
     assert np.all(result.sinr >= 0)
+
+
+# ---------------------------------------------------------------------------
+# exact per-stream laws
+# ---------------------------------------------------------------------------
+
+
+def _explicit_sigma(user, model):
+    """Sigma = M^H M of a model's mixing matrix M, read off the explicit channel constructions."""
+    eye = np.eye(2, dtype=complex)[None]  # H_w = I gives H_w M = M
+    if model == "i":
+        m = build_effective(user.gains, eye)[0]
+    else:
+        alpha = user.gains.alpha if model == "ii" else np.full(2, user.omni_gain)
+        corr = user.xpd_corr
+        if model == "iii":
+            spacing = equivalent_spacing(SpacingQuery(abs(corr.coefficient), user.aod))
+            corr = spatial_corr_matrix(spacing, user.aod)
+        m = kronecker_effective(eye, alpha, corr)[0]
+    return m.conj().T @ m
+
+
+def _ks_exp1(x):
+    """Kolmogorov-Smirnov distance of a sample from Exp(1)."""
+    x = np.sort(x)
+    law = -np.expm1(-x)
+    n = x.size
+    return max(np.max(np.arange(1, n + 1) / n - law), np.max(law - np.arange(n) / n))
+
+
+def _ks_2samp(x, y):
+    """Two-sample Kolmogorov-Smirnov distance."""
+    both = np.concatenate((x, y))
+    fx = np.searchsorted(np.sort(x), both, side="right") / x.size
+    fy = np.searchsorted(np.sort(y), both, side="right") / y.size
+    return np.max(np.abs(fx - fy))
+
+
+def _stream_throughput(sinr, params):
+    """Capped throughput of each stream, shape (n, 2), from per-stream SINRs."""
+    bw_term = params.effective_bandwidth * (1.0 - params.overhead_fraction)
+    return bw_term * np.minimum(np.log2(1.0 + sinr), params.max_spectral_efficiency)
+
+
+def _exact_stream_throughput(gamma, params):
+    """Mean capped throughput of SINR gamma X, X ~ Exp(1), by the E_1 closed form."""
+    with mpmath.workdps(30):
+        g = mpmath.mpf(gamma)
+        cap = mpmath.mpf(2) ** params.max_spectral_efficiency
+        se = mpmath.exp(1 / g) * (mpmath.e1(1 / g) - mpmath.e1(cap / g)) / mpmath.log(2)
+        return params.effective_bandwidth * (1.0 - params.overhead_fraction) * float(se)
+
+
+LAW_USERS = {
+    "3dB": lambda: make_user(chi=10.0 ** 0.3),
+    "10dB": lambda: make_user(chi=10.0),
+    "30dB": lambda: make_user(chi=1000.0),
+    "skewed": make_skewed_user,
+}
+
+
+@pytest.mark.parametrize("user_name", LAW_USERS)
+@pytest.mark.parametrize("model", MODELS)
+def test_zf_streams_follow_the_exact_law_of_sigma(model, user_name):
+    # H = H_w M makes H^H H complex Wishart with covariance Sigma = M^H M, so
+    # stream k's SINR is gamma_k X with X ~ Exp(1) and
+    # gamma_k = det Sigma / (p_n Sigma_k'k'), k' the other stream
+    n = 200_000
+    params = LinkParams()
+    user = LAW_USERS[user_name]()
+    sigma = _explicit_sigma(user, model)
+    det_sigma = (sigma[0, 0] * sigma[1, 1]).real - abs(sigma[0, 1]) ** 2
+    seed = 700 + 10 * MODELS.index(model) + list(LAW_USERS).index(user_name)
+    result = evaluate_user(user, model, np.random.default_rng(seed), n, params)
+    per_stream = _stream_throughput(result.sinr, params)
+    for k in range(2):
+        gamma = det_sigma / (params.noise_power() * sigma[1 - k, 1 - k].real)
+        assert _ks_exp1(result.sinr[:, k] / gamma) * math.sqrt(n) < 1.95, k
+        tp = per_stream[:, k]
+        z = (tp.mean() - _exact_stream_throughput(gamma, params)) / (tp.std() / math.sqrt(n))
+        assert abs(z) < 5.0, (k, z)
+
+
+def test_mixings_of_equal_sigma_moduli_have_one_law():
+    # model i's M = [[sqrt(a0), sqrt(b0)], [sqrt(b1), sqrt(a1)]] and model
+    # ii's diag(sqrt(a')) sqrt(R) with a' and R solved for the same Sigma_00,
+    # Sigma_11 and |Sigma_01|: two unlike mixing matrices, one law
+    n = 200_000
+    phys = make_skewed_user()
+    want = _explicit_sigma(phys, "i")
+    s00, s11, s01 = want[0, 0].real, want[1, 1].real, abs(want[0, 1])
+    total = s00 + s11
+    rho = 2.0 * s01 / total
+    s = math.sqrt(1.0 - rho * rho)
+    chi = ((1.0 + s) / rho) ** 2  # 2 sqrt(chi) / (chi + 1) = rho
+    alpha = (0.5 * (total + (s00 - s11) / s), 0.5 * (total - (s00 - s11) / s))
+    corr = UserChannel(
+        gains=PropagationGains(alpha=alpha, beta=(0.0, 0.0)),
+        xpd=(chi, chi),
+        omni_gain=phys.omni_gain,
+        aod=phys.aod,
+    )
+    got = _explicit_sigma(corr, "ii")
+    assert_allclose([got[0, 0].real, got[1, 1].real, abs(got[0, 1])], [s00, s11, s01],
+                    rtol=1e-12)
+    a = evaluate_user(phys, "i", np.random.default_rng(801), n)
+    b = evaluate_user(corr, "ii", np.random.default_rng(802), n)
+    for k in range(2):
+        assert _ks_2samp(a.sinr[:, k], b.sinr[:, k]) * math.sqrt(n / 2) < 1.95, k
+    spread = math.sqrt((a.throughput.var() + b.throughput.var()) / n)
+    assert abs(a.throughput.mean() - b.throughput.mean()) / spread < 5.0
 
 
 # ---------------------------------------------------------------------------
