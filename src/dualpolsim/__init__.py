@@ -20,7 +20,6 @@ from .correlation import (
     equivalent_spacing,
     matrix_sqrt_psd,
     spatial_corr,
-    spatial_corr_matrix,
 )
 from .pattern import (
     PatternFormatError,
@@ -66,7 +65,6 @@ __all__ = [
     "InvalidCorrelationError", "NoSolutionError", "SpacingQuery",
     "bessel_j0", "dualpole_corr_approx", "dualpole_corr_exact",
     "equivalent_spacing", "matrix_sqrt_psd", "spatial_corr",
-    "spatial_corr_matrix",
     # pattern
     "PatternFormatError", "RadiationPattern",
     "gain_at", "load_pattern", "scale_to_xpd", "xpd_at",

@@ -122,7 +122,7 @@ def _cmd_spacing(args) -> int:
 def _cmd_xpd(args) -> int:
     if not math.isfinite(args.azimuth):
         raise harness.ConfigError(f"--azimuth: expected a finite angle, got {args.azimuth}")
-    pat = pattern.load_pattern(harness._read_text(args.file))
+    pat = harness._read_pattern(args.file)
     phi = math.radians(args.azimuth)
     for port, value in enumerate(pattern.xpd_at(pat, phi).tolist(), start=1):
         print(f"port{port}_xpd_db={10.0 * math.log10(value):.4f}")

@@ -43,7 +43,6 @@ __all__ = [
     "dualpole_corr_approx",
     "matrix_sqrt_psd",
     "spatial_corr",
-    "spatial_corr_matrix",
     "equivalent_spacing",
 ]
 
@@ -54,7 +53,7 @@ J0_FIRST_ZERO = 2.404825557695773
 #: It keeps the law's scale finite and nonzero; the series needs no bound.
 LAPLACIAN_SPREAD_DEG = (1.5, 360.0)
 
-_RHO_TOL = 5e-7          # the spacing solve stops once ||rho| - target| <= this
+_RHO_TOL = 5e-7          # largest ||rho| - target| at which the spacing solve stops
 _SCAN_STEP = 0.01        # bracket scan step of the spacing solve, in wavelengths
 _SCAN_CHUNK = 256        # scan steps per precomputed Bessel table
 _SCAN_MAX_WAVELENGTHS = 64.0
@@ -365,11 +364,6 @@ def spatial_corr(d: float, dist: AodDistribution) -> complex:
     return complex(_rho_and_slope(d, a.tolist(), b.tolist())[0])
 
 
-def spatial_corr_matrix(d: float, dist: AodDistribution) -> CorrelationMatrix:
-    """Hermitian 2x2 correlation [[1, rho], [conj(rho), 1]] at spacing ``d``."""
-    return CorrelationMatrix.from_coefficient(spatial_corr(d, dist))
-
-
 @functools.lru_cache(maxsize=None)
 def _grid_table(chunk: int) -> np.ndarray:
     """Read-only J_n(2 pi d), shape (steps, orders), on the steps of scan chunk ``chunk``.
@@ -404,8 +398,11 @@ def _refine(lo: float, hi: float, target: float, a: list, b: list) -> tuple[floa
     minimum inside. Newton steps on |rho|, of slope Re(conj(rho) rho') / |rho|,
     become bisection steps when they leave the interval. The upper end
     moves to any point below the target or where |rho| rises, so an
-    interval with no root shrinks onto the minimum and gives None.
+    interval with no root shrinks onto the minimum and gives None. The
+    stop at ||rho| - target| <= min(5e-7, 1e-3 (1 - target)), floored at
+    4e-16, bounds d also near rho = 1, where 1 - |rho| ~ d^2 is flat.
     """
+    tol = max(min(_RHO_TOL, 1e-3 * (1.0 - target)), 4e-16)
     d, m_min = hi, math.inf
     for _ in range(100):
         if hi - lo <= 1e-9:
@@ -413,7 +410,7 @@ def _refine(lo: float, hi: float, target: float, a: list, b: list) -> tuple[floa
         rho, slope = _rho_and_slope(d, a, b)
         m = abs(rho)
         m_min = min(m_min, m)
-        if abs(m - target) <= _RHO_TOL:
+        if abs(m - target) <= tol:
             return d, m_min
         df = (rho.conjugate() * slope).real / m if m else 0.0
         if m < target or df > 0.0:
@@ -432,8 +429,8 @@ def equivalent_spacing(query: SpacingQuery) -> float:
     either AoD law. A scan in 0.01-wavelength steps, one product with a
     shared Bessel table per 256 steps, stops at the first step with
     |rho| <= target or at the first local minimum of |rho|. Safeguarded
-    Newton steps (:func:`_refine`) then solve to ||rho| - target| <= 5e-7,
-    also where |rho| dips to the target between two steps (a zero of J0).
+    Newton steps (:func:`_refine`) then solve |rho| = target to 5e-7 (less
+    near 1), also where |rho| dips to the target between two steps.
 
     Raises
     ------

@@ -5,7 +5,7 @@ A scenario is an INI-style text file with sections
 * ``[users]`` or ``[generator]`` -- explicit user list, or bounds for a
   synthetic population standing in for a site-measured one,
 * ``[sweep]``   -- XPD values (dB), models, trials per user, optional
-  antenna pattern file,
+  antenna pattern file (read and checked with the config),
 * ``[link]``    -- system constants (all optional, LTE defaults),
 * ``[seed]``    -- master seed.
 
@@ -164,7 +164,7 @@ class GeneratorBounds:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Fully validated simulation description."""
+    """Fully validated simulation description; it holds its pattern, so a run reads no file."""
 
     users: tuple[UserSpec, ...]
     xpd_sweep_db: tuple[float, ...] = DEFAULT_XPD_SWEEP_DB
@@ -172,7 +172,7 @@ class Scenario:
     link: LinkParams = field(default_factory=LinkParams)
     seed: int = 0
     trials_per_user: int = 1000
-    pattern_file: str | None = None
+    pattern: RadiationPattern | None = None
     pattern_reference_deg: float = 0.0
     table_spread_deg: float = DEFAULT_SPREAD_DEG
 
@@ -304,7 +304,7 @@ _KEYS = {
         "xpd_db": ("xpd_sweep_db", _floats),
         "models": ("models", lambda raw, where: _models(raw)),
         "trials_per_user": ("trials_per_user", _one_int),
-        "pattern_file": ("pattern_file", lambda raw, where: raw or None),
+        "pattern_file": ("pattern", lambda raw, where: _read_pattern(Path(raw)) if raw else None),
         "pattern_reference_deg": ("pattern_reference_deg", _one_float),
         "table_spread_deg": ("table_spread_deg", _one_float),
     },
@@ -344,6 +344,14 @@ def _read_text(path: Path) -> str:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
 
 
+def _read_pattern(path: Path) -> RadiationPattern:
+    """The pattern file at ``path``, loaded; an unreadable file is a :class:`ConfigError`."""
+    try:
+        return load_pattern(_read_text(path))
+    except OSError as exc:
+        raise ConfigError(f"cannot read pattern file {path}: {exc}") from None
+
+
 @contextmanager
 def _config_errors(prefix: str):
     """Re-raise a ``ValueError`` as a :class:`ConfigError` whose message starts with ``prefix``."""
@@ -379,7 +387,9 @@ def parse_scenario(source: str) -> Scenario:
     for ``[link]``) and the dataclasses check every range. Raises
     :class:`ConfigError` naming the offending section and key for
     unknown keys, malformed or out-of-range values, duplicate user ids
-    and missing required sections.
+    and missing required sections. A ``pattern_file`` is read here: an
+    unreadable one is a :class:`ConfigError`, a malformed one a
+    :class:`~dualpolsim.pattern.PatternFormatError` naming its line.
     """
     # default_section="" cannot be named by a header, so a [DEFAULT]
     # section is an unknown section rather than defaults for every section
@@ -526,7 +536,7 @@ def _summary_table(xpd_sweep_db, spread_deg: float) -> tuple[TableRow, ...]:
 
 
 def run(scenario: Scenario) -> RunReport:
-    """Execute the full sweep and assemble a report.
+    """Execute the full sweep and assemble a report; no file is read.
 
     The pattern, if any, is rescaled once per XPD. Then, user by user
     in user-id order, ``trials_per_user`` Gram matrices are drawn once
@@ -543,14 +553,6 @@ def run(scenario: Scenario) -> RunReport:
     (user, XPD) pairs fail, the error names the first failing user by
     id, at its first failing XPD in sweep order.
     """
-    pattern = None
-    if scenario.pattern_file is not None:
-        path = Path(scenario.pattern_file)
-        try:
-            pattern = load_pattern(_read_text(path))
-        except OSError as exc:
-            raise ConfigError(f"cannot read pattern file {path}: {exc}") from None
-
     # canonical user order, so that the first failing user is the same
     # whatever the config listing order; substreams follow the user id
     ordered_users = sorted(scenario.users, key=lambda u: u.user_id)
@@ -567,8 +569,8 @@ def run(scenario: Scenario) -> RunReport:
         for xpd_db in scenario.xpd_sweep_db:
             where = f"xpd {xpd_db:g} dB"
             scaled = None
-            if pattern is not None:
-                scaled = scale_to_xpd(pattern, xpd_db,
+            if scenario.pattern is not None:
+                scaled = scale_to_xpd(scenario.pattern, xpd_db,
                                       math.radians(scenario.pattern_reference_deg))
             sweep.append((xpd_db, scaled))
         for user in ordered_users:

@@ -17,7 +17,7 @@ from dualpolsim.correlation import (
     AodDistribution,
     CorrelationMatrix,
     InvalidCorrelationError,
-    spatial_corr_matrix,
+    spatial_corr,
 )
 
 # chi-square critical value at the 1 percent level, 15 degrees of freedom
@@ -195,7 +195,7 @@ def test_kronecker_empirical_transmit_correlation():
     # a complex rho pins the convention: sqrt(R).T would impose conj(R),
     # whose off-diagonal is off by 2 * 0.644 here
     lap = AodDistribution.laplacian(math.radians(30.0), math.radians(26.0))
-    target = spatial_corr_matrix(0.3, lap)  # rho = 0.511 - 0.644j
+    target = CorrelationMatrix(spatial_corr(0.3, lap))  # rho = 0.511 - 0.644j
     assert abs(target.coefficient.imag) > 0.5
     draws = draw_fading_batch(np.random.default_rng(31), 100_000)
     eff = kronecker_effective(draws, np.ones(2), target)

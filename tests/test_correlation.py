@@ -28,7 +28,6 @@ from dualpolsim.correlation import (
     equivalent_spacing,
     matrix_sqrt_psd,
     spatial_corr,
-    spatial_corr_matrix,
 )
 
 # Table values the simulator must reproduce: XPD (dB) -> coefficient
@@ -472,14 +471,6 @@ def test_spatial_corr_rejects_non_finite_or_distant_spacing(d):
         assert abs(spatial_corr(64.0, dist)) <= 1.0
 
 
-def test_spatial_corr_matrix_is_hermitian_unit_diagonal():
-    lap = AodDistribution.laplacian(0.7, 0.4)
-    corr = spatial_corr_matrix(0.3, lap)
-    assert np.array_equal(corr.matrix, corr.matrix.conj().T)
-    assert corr.matrix[0, 0] == 1.0 and corr.matrix[1, 1] == 1.0
-    assert corr.coefficient == pytest.approx(spatial_corr(0.3, lap))
-
-
 def test_laplacian_pdf_integrates_to_one():
     # the truncated Laplacian density b/2 exp(-b |phi - mu|) / Z on [-pi, pi];
     # trapezoid on each smooth side; 2e6 points keeps the oracle's own
@@ -540,6 +531,20 @@ def test_equivalent_spacing_right_inverse_laplacian():
     for rho in np.arange(0.10, 0.951, 0.05):
         d = equivalent_spacing(SpacingQuery(float(rho), lap))
         assert abs(abs(spatial_corr(d, lap)) - rho) <= 1e-6
+
+
+@pytest.mark.parametrize("law", [AodDistribution.isotropic(),
+                                 AodDistribution.laplacian(0.0, math.radians(26.0))],
+                         ids=["iso", "lap26"])
+def test_equivalent_spacing_round_trip_near_rho_one(law):
+    # 1 - |rho| ~ c d^2 here, so a fixed residual bound on |rho| does not
+    # bound d. The solve stops within 4e-16 of the target at the least,
+    # which moves d by up to 4e-16 / (2 (1 - |rho|)) relative; allow that
+    # beside 1e-3 (it exceeds 1e-3 only below d ~ 3e-7 wavelengths).
+    for d in np.geomspace(1e-7, 5e-3, 41).tolist():
+        target = abs(spatial_corr(d, law))
+        got = equivalent_spacing(SpacingQuery(target, law))
+        assert abs(got / d - 1.0) <= 1e-3 + 2e-16 / (1.0 - target), d
 
 
 def test_equivalent_spacing_narrow_spread_ordering():
@@ -628,9 +633,14 @@ def test_correlation_matrix_validation():
 
 
 def test_correlation_matrix_is_immutable():
-    corr = CorrelationMatrix.from_coefficient(0.3)
-    with pytest.raises(ValueError):
-        corr.matrix[0, 1] = 0.9
+    # a real rho, and the complex one of a Laplacian law 0.3 wavelengths apart
+    for rho in (0.3, spatial_corr(0.3, AodDistribution.laplacian(0.7, 0.4))):
+        corr = CorrelationMatrix.from_coefficient(rho)
+        with pytest.raises(ValueError):
+            corr.matrix[0, 1] = 0.9
+        assert corr.coefficient == rho
+        assert np.array_equal(corr.matrix, corr.matrix.conj().T)
+        assert corr.matrix[0, 0] == 1.0 and corr.matrix[1, 1] == 1.0
 
 
 @given(st.floats(min_value=0.0, max_value=1.0),

@@ -26,7 +26,7 @@ from dualpolsim.harness import (
     write_report,
 )
 from dualpolsim.link import LinkParams, cdf, evaluate_user
-from dualpolsim.pattern import gain_at, load_pattern, scale_to_xpd, xpd_at
+from dualpolsim.pattern import PatternFormatError, gain_at, scale_to_xpd, xpd_at
 
 TABLE_RHO = (0.9432, 0.8545, 0.5750, 0.1980, 0.0632)
 TABLE_D_ISO = (0.076, 0.124, 0.220, 0.326, 0.364)
@@ -549,9 +549,9 @@ def test_run_rescales_pattern_once_per_xpd(tmp_path, monkeypatch):
 
 def test_user_channel_matches_pattern_lookup(tmp_path):
     scenario = _pattern_scenario(tmp_path)
-    pattern = load_pattern(Path(scenario.pattern_file).read_text())
     for xpd_db in scenario.xpd_sweep_db:
-        scaled = scale_to_xpd(pattern, xpd_db, math.radians(scenario.pattern_reference_deg))
+        scaled = scale_to_xpd(scenario.pattern, xpd_db,
+                              math.radians(scenario.pattern_reference_deg))
         for user in scenario.users:
             channel = harness._user_channel(user, xpd_db, scaled)
             co, cross = gain_at(scaled, user.mean_aod)
@@ -571,10 +571,28 @@ def test_run_attaches_context_to_channel_errors(tmp_path, monkeypatch):
         run(_pattern_scenario(tmp_path))
 
 
-def test_run_missing_pattern_file_is_config_error():
+def test_parse_missing_pattern_file_is_config_error():
     cfg = MINIMAL_CONFIG + "[sweep]\npattern_file = /does/not/exist.csv\n"
     with pytest.raises(ConfigError, match="pattern file"):
-        run(parse_scenario(cfg))
+        parse_scenario(cfg)
+
+
+def test_parse_malformed_pattern_file_names_its_line(tmp_path):
+    pattern_path = tmp_path / "pattern.csv"
+    pattern_path.write_text("azimuth_deg, co1, x1, co2, x2\n0, 6.0, -14.0, 5.0\n")
+    cfg = MINIMAL_CONFIG + f"[sweep]\npattern_file = {pattern_path}\n"
+    with pytest.raises(PatternFormatError, match="^line 2: "):
+        parse_scenario(cfg)
+
+
+def test_run_reads_no_file(tmp_path):
+    scenario = _pattern_scenario(tmp_path)
+    first = run(scenario)
+    (tmp_path / "pattern.csv").unlink()
+    second = run(scenario)
+    assert first.cdf_series.keys() == second.cdf_series.keys()
+    for key, series in first.cdf_series.items():
+        assert series.tobytes() == second.cdf_series[key].tobytes(), key
 
 
 def _per_row_cdf_csv(series):

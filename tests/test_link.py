@@ -16,10 +16,11 @@ from dualpolsim.chanmodel import (
 )
 from dualpolsim.correlation import (
     AodDistribution,
+    CorrelationMatrix,
     SpacingQuery,
     dualpole_corr_exact,
     equivalent_spacing,
-    spatial_corr_matrix,
+    spatial_corr,
 )
 from dualpolsim.link import (
     MAX_CONDITION,
@@ -458,7 +459,7 @@ def _explicit_sigma(user, model):
         corr = user.xpd_corr
         if model == "iii":
             spacing = equivalent_spacing(SpacingQuery(abs(corr.coefficient), user.aod))
-            corr = spatial_corr_matrix(spacing, user.aod)
+            corr = CorrelationMatrix(spatial_corr(spacing, user.aod))
         m = kronecker_effective(eye, alpha, corr)[0]
     return m.conj().T @ m
 
