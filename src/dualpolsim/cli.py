@@ -8,6 +8,9 @@ Subcommands:
 * ``xpd-from-pattern`` per-port XPD of a pattern file at one azimuth
 
 Exit codes: 0 success, 2 configuration/input error, 3 numerical failure.
+:func:`main` maps them once, by exception type: the three types in
+``_NUMERIC_ERRORS`` give 3, and any other ``ValueError`` (``ConfigError``
+and ``PatternFormatError`` included) or an ``OSError`` gives 2.
 """
 
 from __future__ import annotations
@@ -26,22 +29,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-_CONFIG_ERRORS = (harness.ConfigError, pattern.PatternFormatError, OSError)
 _NUMERIC_ERRORS = (
     correlation.NoSolutionError,
     correlation.InvalidCorrelationError,
     np.linalg.LinAlgError,
 )
-
-
-def _laplacian(mean_aod_deg: float, spread_deg: float) -> correlation.AodDistribution:
-    """Laplacian AoD law from CLI degrees; a bad value is a config error."""
-    with harness._config_errors(
-        f"AoD law with mean {mean_aod_deg:g} deg, spread {spread_deg:g} deg: "
-    ):
-        return correlation.AodDistribution.laplacian(
-            math.radians(mean_aod_deg), math.radians(spread_deg)
-        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,7 +76,6 @@ def _cmd_table1(args) -> int:
     xpd = harness._floats(args.xpd, "--xpd")
     harness._check_db(xpd, "--xpd")
     harness._check_xpd_labels(xpd, "--xpd")
-    _laplacian(0.0, args.spread)  # validates --spread before any solve
     rows = harness._summary_table(xpd, args.spread)
     text = harness.format_table_csv(rows)
     if args.out is None:
@@ -98,8 +89,7 @@ def _cmd_table1(args) -> int:
 def _cmd_cdf(args) -> int:
     scenario = harness.parse_scenario(harness._read_text(args.config))
     if args.models is not None:
-        with harness._config_errors(""):
-            scenario = dataclasses.replace(scenario, models=harness._models(args.models))
+        scenario = dataclasses.replace(scenario, models=harness._models(args.models))
     report = harness.run(scenario)
     written = harness.write_report(report, args.out)
     for path in written:
@@ -111,9 +101,10 @@ def _cmd_spacing(args) -> int:
     if args.dist == "iso":
         dist = correlation.AodDistribution.isotropic()
     else:
-        dist = _laplacian(args.mean_aod, args.spread)
-    with harness._config_errors(""):
-        query = correlation.SpacingQuery(target_rho=args.rho, distribution=dist)
+        dist = correlation.AodDistribution.laplacian(
+            math.radians(args.mean_aod), math.radians(args.spread)
+        )
+    query = correlation.SpacingQuery(target_rho=args.rho, distribution=dist)
     d = correlation.equivalent_spacing(query)
     print(f"{d:.6f}")
     return EXIT_OK
@@ -139,14 +130,16 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # the order is the rule: NoSolutionError and InvalidCorrelationError
+    # subclass ValueError, so the numerical types must be caught first
     try:
         return _COMMANDS[args.command](args)
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except _NUMERIC_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

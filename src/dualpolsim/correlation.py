@@ -96,7 +96,7 @@ class CorrelationMatrix:
 
     @classmethod
     def from_coefficient(cls, rho: complex) -> "CorrelationMatrix":
-        """Same as ``CorrelationMatrix(rho)``."""
+        """Same as ``CorrelationMatrix(rho)``; acceptance criterion 7 builds through it."""
         return cls(rho)
 
     @property
@@ -158,7 +158,7 @@ class AodDistribution:
 
         Here x = 2*pi*d, and n runs to the series order at 64
         wavelengths, the largest spacing. They are computed once per
-        law, and :func:`_series` slices them. By Jacobi-Anger,
+        law, and callers slice them to the order they need. By Jacobi-Anger,
         rho = sum over all integers n of c_n J_n(x) with the law's
         c_n = E[exp(-j n phi)]; a folds the negative orders in with
         J_{-n} = (-1)^n J_n, and b follows from
@@ -289,7 +289,7 @@ def dualpole_corr_exact(chi1: float, chi2: float | None = None) -> CorrelationMa
     a = 1.0 / math.sqrt(chi1)
     b = 1.0 / math.sqrt(chi2)
     rho = (a + b) / math.sqrt((1.0 + a * a) * (1.0 + b * b))
-    return CorrelationMatrix.from_coefficient(min(rho, 1.0))
+    return CorrelationMatrix(min(rho, 1.0))
 
 
 def dualpole_corr_approx(chi: float) -> CorrelationMatrix:
@@ -299,7 +299,7 @@ def dualpole_corr_approx(chi: float) -> CorrelationMatrix:
     chi = 4 (6 dB), where the approximation no longer holds; a caller
     that needs to know compares its own ``chi`` with 4.
     """
-    return CorrelationMatrix.from_coefficient(min(2.0 / math.sqrt(_check_xpd(chi, "chi")), 1.0))
+    return CorrelationMatrix(min(2.0 / math.sqrt(_check_xpd(chi, "chi")), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -314,20 +314,11 @@ def matrix_sqrt_psd(corr: CorrelationMatrix) -> np.ndarray:
     s = sqrt(max(1 - |rho|^2, 0)) = sqrt(det R), which squares to R by
     the Cayley-Hamilton identity R^2 = tr(R) R - det(R) I. The clip at 0
     takes |rho| in (1, 1 + 1e-12], which the constructor admits, as
-    |rho| = 1. Runs on Python floats; the result is bit for bit that of
-    the numpy expression ``(R + s * np.eye(2)) / math.sqrt(2 + 2 s)``.
+    |rho| = 1.
     """
-    rho = corr.coefficient
-    off = abs(rho)
+    off = abs(corr.coefficient)
     s = math.sqrt(max(1.0 - off * off, 0.0))
-    # bit for bit numpy's (R + s I) / sqrt(2 + 2 s): adding s I adds 0.0
-    # to every other part, so -0.0 becomes 0.0, and numpy divides a
-    # complex by a real as a product with the reciprocal
-    scale = 1.0 / math.sqrt(2.0 + 2.0 * s)
-    return np.array([
-        complex((z.real + shift) * scale, (z.imag + 0.0) * scale)
-        for z, shift in zip((1.0, rho, rho.conjugate(), 1.0), (s, 0.0, 0.0, s))
-    ]).reshape(2, 2)
+    return (corr.matrix + s * np.eye(2)) / math.sqrt(2.0 + 2.0 * s)
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +326,11 @@ def matrix_sqrt_psd(corr: CorrelationMatrix) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _series(dist: AodDistribution, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """The law's series coefficients a, b (:attr:`AodDistribution._coefficients`) for n = 0..top."""
-    a, b = dist._coefficients
-    return a[: top + 1], b[: top + 1]
-
-
 def _rho_and_slope(d: float, a: list[complex], b: list[complex]) -> tuple[complex, complex]:
-    """rho(d) and d rho / d d from :func:`_series` coefficients up to _series_order(2 pi d)."""
+    """rho(d) and d rho / d d from slices of :attr:`AodDistribution._coefficients`.
+
+    ``a`` and ``b`` run to order _series_order(2 pi d) or beyond.
+    """
     jn = _bessel_jn(2.0 * math.pi * d, len(a) - 1)
     return sum(map(mul, a, jn)), 2.0 * math.pi * sum(map(mul, b, jn))
 
@@ -360,7 +348,8 @@ def spatial_corr(d: float, dist: AodDistribution) -> complex:
     """
     if not 0.0 <= d <= _SCAN_MAX_WAVELENGTHS:
         raise ValueError(f"separation d must lie in [0, 64] wavelengths, got {d!r}")
-    a, b = _series(dist, _series_order(2.0 * math.pi * d))
+    top = _series_order(2.0 * math.pi * d)
+    a, b = (c[: top + 1] for c in dist._coefficients)
     return complex(_rho_and_slope(d, a.tolist(), b.tolist())[0])
 
 
@@ -446,7 +435,7 @@ def equivalent_spacing(query: SpacingQuery) -> float:
     k_prev, m_prev = 0, 1.0  # last scan step above the target, and its |rho|
     for chunk in range(-(-_SCAN_STEPS // _SCAN_CHUNK)):
         table = _grid_table(chunk)
-        a, b = _series(query.distribution, table.shape[1] - 1)
+        a, b = (c[: table.shape[1]] for c in query.distribution._coefficients)
         ms = np.append(m_prev, np.hypot(table @ a.real, table @ a.imag))  # from step k_prev
         stops = np.flatnonzero((ms[1:] <= target) | (ms[1:] > ms[:-1])).tolist()
         if not stops:

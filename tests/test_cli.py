@@ -7,7 +7,14 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import numpy as np
+
+from dualpolsim import cli
 from dualpolsim.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from dualpolsim.correlation import InvalidCorrelationError, NoSolutionError
+from dualpolsim.harness import ConfigError
+from dualpolsim.link import RankDeficientError
+from dualpolsim.pattern import PatternFormatError
 
 PATTERN_HEADER = (
     "azimuth_deg, port1_co_dBi, port1_cross_dBi, port2_co_dBi, port2_cross_dBi\n"
@@ -371,6 +378,26 @@ def test_invalid_cli_numbers_exit_2(pattern_file, capsys, argv):
     argv = [str(paths.get(a, a)) for a in argv]
     assert _exit_code(argv) == EXIT_CONFIG
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, code", [
+    (ValueError("bad value"), EXIT_CONFIG),
+    (ConfigError("bad config"), EXIT_CONFIG),
+    (PatternFormatError("line 3: bad row"), EXIT_CONFIG),
+    (FileNotFoundError("no such file"), EXIT_CONFIG),
+    (NoSolutionError("no crossing"), EXIT_NUMERIC),
+    (InvalidCorrelationError("off-diagonal magnitude exceeds 1"), EXIT_NUMERIC),
+    (RankDeficientError("singular channel"), EXIT_NUMERIC),
+    (np.linalg.LinAlgError("singular matrix"), EXIT_NUMERIC),
+], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None)
+def test_exit_code_follows_the_exception_type(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "table1", fail)
+    assert main(["table1"]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and str(error) in err
 
 
 def test_version_flag(capsys):

@@ -444,7 +444,7 @@ def test_spatial_corr_slope_matches_mpmath_central_difference():
                               (26.0, 0.4, 2.6), (360.0, 1.0, 0.4), (360.0, -2.5, 2.9)]:
         sigma = math.radians(spread_deg)
         dist = AodDistribution.laplacian(mu, sigma)
-        a, b = correlation._series(dist, correlation._series_order(2.0 * math.pi * d))
+        a, b = (c[: correlation._series_order(2.0 * math.pi * d) + 1] for c in dist._coefficients)
         _, slope = correlation._rho_and_slope(d, a.tolist(), b.tolist())
         numeric = (laplacian_rho_mpmath(d + h, mu, sigma)
                    - laplacian_rho_mpmath(d - h, mu, sigma)) / (2.0 * h)
