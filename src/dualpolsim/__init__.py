@@ -4,77 +4,20 @@ The package maps a dual-polarized antenna's cross-polarization
 discrimination (XPD) to transmit correlation, converts correlation to
 equivalent omnidirectional antenna spacing, and evaluates zero-forcing
 throughput distributions over synthetic user populations.
+
+Each layer module's ``__all__`` is the one statement of its public API;
+the package re-exports every name in it, and its own ``__all__`` is
+``__version__`` followed by those lists in layer order.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.1.0"  # bound before the layers: harness imports it
 
-from .correlation import (
-    AodDistribution,
-    CorrelationMatrix,
-    InvalidCorrelationError,
-    NoSolutionError,
-    SpacingQuery,
-    bessel_j0,
-    dualpole_corr_approx,
-    dualpole_corr_exact,
-    equivalent_spacing,
-    matrix_sqrt_psd,
-    spatial_corr,
-)
-from .pattern import (
-    PatternFormatError,
-    RadiationPattern,
-    gain_at,
-    load_pattern,
-    scale_to_xpd,
-    xpd_at,
-)
-from .chanmodel import (
-    PropagationGains,
-    build_effective,
-    draw_fading_batch,
-    empirical_tx_correlation,
-    kronecker_effective,
-)
-from .link import (
-    MODELS,
-    LinkParams,
-    LinkResult,
-    RankDeficientError,
-    UserChannel,
-    cdf,
-    evaluate_user,
-    zf_weights,
-)
-from .harness import (
-    ConfigError,
-    GeneratorBounds,
-    RunReport,
-    Scenario,
-    UserSpec,
-    generate_users,
-    parse_scenario,
-    run,
-    write_report,
-)
+from . import correlation, pattern, chanmodel, link, harness
+from .correlation import *  # noqa: F403
+from .pattern import *  # noqa: F403
+from .chanmodel import *  # noqa: F403
+from .link import *  # noqa: F403
+from .harness import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    # correlation
-    "AodDistribution", "CorrelationMatrix",
-    "InvalidCorrelationError", "NoSolutionError", "SpacingQuery",
-    "bessel_j0", "dualpole_corr_approx", "dualpole_corr_exact",
-    "equivalent_spacing", "matrix_sqrt_psd", "spatial_corr",
-    # pattern
-    "PatternFormatError", "RadiationPattern",
-    "gain_at", "load_pattern", "scale_to_xpd", "xpd_at",
-    # chanmodel
-    "PropagationGains", "build_effective", "draw_fading_batch",
-    "empirical_tx_correlation", "kronecker_effective",
-    # link
-    "MODELS", "LinkParams", "LinkResult", "RankDeficientError",
-    "UserChannel", "cdf", "evaluate_user", "zf_weights",
-    # harness
-    "ConfigError", "GeneratorBounds", "RunReport", "Scenario", "UserSpec",
-    "generate_users", "parse_scenario", "run", "write_report",
-]
+__all__ = ["__version__", *correlation.__all__, *pattern.__all__, *chanmodel.__all__,
+           *link.__all__, *harness.__all__]

@@ -74,8 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_table1(args) -> int:
     xpd = harness._floats(args.xpd, "--xpd")
-    harness._check_db(xpd, "--xpd")
-    harness._check_xpd_labels(xpd, "--xpd")
+    harness._check_xpd_sweep(xpd, "--xpd")
     rows = harness._summary_table(xpd, args.spread)
     text = harness.format_table_csv(rows)
     if args.out is None:

@@ -70,6 +70,7 @@ __all__ = [
     "parse_scenario",
     "generate_users",
     "run",
+    "format_table_csv",
     "write_report",
 ]
 
@@ -181,8 +182,7 @@ class Scenario:
             raise ValueError("scenario needs at least one user")
         if len({u.user_id for u in self.users}) != len(self.users):
             raise ValueError("user ids must be unique: substreams are keyed by them")
-        _check_xpd_labels(self.xpd_sweep_db, "xpd_db")
-        _check_db(self.xpd_sweep_db, "xpd_db")
+        _check_xpd_sweep(self.xpd_sweep_db, "xpd_db")
         if self.trials_per_user < 1:
             raise ValueError("trials_per_user must be >= 1")
         _check_samples(len(self.users), self.trials_per_user)
@@ -243,8 +243,9 @@ def _models(raw: str) -> tuple[str, ...]:
     return tuple(raw.replace(",", " ").split())
 
 
-def _check_xpd_labels(values, where: str) -> None:
-    """Reject an empty XPD list or one whose values or ``{:g}`` file labels repeat.
+def _check_xpd_sweep(values, where: str) -> None:
+    """Reject an empty XPD sweep, a repeated value or ``{:g}`` file label, then
+    a value beyond +-:data:`MAX_ABS_DB` dB or NaN, naming ``where``.
 
     Equal values with distinct labels, such as 0 and -0, would share one
     pooled (model, XPD) cell.
@@ -253,10 +254,6 @@ def _check_xpd_labels(values, where: str) -> None:
     if not labels or len(set(labels)) != len(labels) or len(set(values)) != len(values):
         raise ConfigError(f"{where}: need at least one XPD value and no two that "
                           f"are equal or print alike, got {labels}")
-
-
-def _check_db(values, where: str) -> None:
-    """Reject dB values beyond +-:data:`MAX_ABS_DB` or NaN, naming ``where``."""
     if not all(abs(v) <= MAX_ABS_DB for v in values):
         raise ConfigError(f"{where}: dB values must lie within +-{MAX_ABS_DB:g} dB")
 
@@ -394,6 +391,7 @@ def parse_scenario(source: str) -> Scenario:
     # default_section="" cannot be named by a header, so a [DEFAULT]
     # section is an unknown section rather than defaults for every section
     parser = configparser.ConfigParser(interpolation=None, strict=True, default_section="")
+    parser.optionxform = str  # keys and user ids are case-sensitive, as section names are
     try:
         parser.read_string(source)
     except configparser.DuplicateOptionError as exc:

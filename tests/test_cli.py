@@ -12,7 +12,7 @@ import numpy as np
 from dualpolsim import cli
 from dualpolsim.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from dualpolsim.correlation import InvalidCorrelationError, NoSolutionError
-from dualpolsim.harness import ConfigError
+from dualpolsim.harness import ConfigError, parse_scenario
 from dualpolsim.link import RankDeficientError
 from dualpolsim.pattern import PatternFormatError
 
@@ -378,6 +378,26 @@ def test_invalid_cli_numbers_exit_2(pattern_file, capsys, argv):
     argv = [str(paths.get(a, a)) for a in argv]
     assert _exit_code(argv) == EXIT_CONFIG
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_table1_checks_xpd_labels_before_their_range(capsys):
+    assert main(["table1", "--xpd", "400,400"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: --xpd: need at least one XPD value and no two that are equal "
+        "or print alike, got ['400', '400']\n"
+    )
+
+
+def test_scenario_keys_and_user_ids_are_case_sensitive(tmp_path, capsys):
+    near = "Near = path_loss_db=72 mean_aod_deg=-15\n"
+    assert [u.user_id for u in parse_scenario("[users]\n" + near).users] == ["Near"]
+    both = parse_scenario("[users]\n" + near + near.lower())
+    assert [u.user_id for u in both.users] == ["Near", "near"]
+    config = tmp_path / "scenario.ini"
+    config.write_text("[generator]\nCOUNT = 3\n")
+    assert main(["cdf", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: unknown key 'COUNT' in [generator]\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("error, code", [

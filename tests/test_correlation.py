@@ -272,14 +272,6 @@ def test_matrix_sqrt_rejects_indefinite():
         matrix_sqrt_psd(CorrelationMatrix(1.2))
 
 
-def _numpy_root(m):
-    """Reference: the closed form of matrix_sqrt_psd as numpy array operations."""
-    a, d = m[0, 0].real, m[1, 1].real
-    off = abs(m[0, 1])
-    s = math.sqrt(max(a * d - off * off, 0.0))
-    return (m + s * np.eye(2)) / math.sqrt(a + d + 2.0 * s)
-
-
 @st.composite
 def coefficients(draw):
     """Coefficients the constructor accepts: interior, |rho| = 1 and |rho| in (1, 1 + 1e-12]."""
@@ -301,11 +293,16 @@ def coefficients(draw):
 
 @given(coefficients())
 @settings(max_examples=500, deadline=None)
-def test_matrix_sqrt_is_bitwise_the_numpy_formula(rho):
+def test_matrix_sqrt_is_a_hermitian_psd_root(rho):
     corr = CorrelationMatrix(rho)
     root = matrix_sqrt_psd(corr)
     assert root.dtype == complex and root.shape == (2, 2)
-    assert root.tobytes() == _numpy_root(corr.matrix).tobytes()
+    # above |rho| = 1 the root is R / sqrt(2), whose square overshoots R by
+    # (|rho|^2 - 1) / 2 on the diagonal
+    overshoot = max(abs(rho) ** 2 - 1.0, 0.0) / math.sqrt(2.0)
+    assert np.linalg.norm(root @ root - corr.matrix) <= 1e-12 + overshoot
+    assert np.array_equal(root, root.conj().T)
+    assert np.linalg.eigvalsh(root)[0] >= -1e-12
 
 
 _NAN, _INF = math.nan, math.inf
@@ -344,7 +341,6 @@ def test_matrix_sqrt_rejections_keep_type_and_message(rho, message):
     if message is None:
         corr = CorrelationMatrix(rho)
         root = matrix_sqrt_psd(corr)
-        assert root.tobytes() == _numpy_root(corr.matrix).tobytes()
         assert_allclose(root, corr.matrix / math.sqrt(2.0), rtol=0, atol=1e-15)
         return
     with pytest.raises(InvalidCorrelationError) as info:
