@@ -37,6 +37,7 @@ import configparser
 import hashlib
 import io
 import math
+import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -506,6 +507,15 @@ def _user_key(user_id: str) -> int:
     return int.from_bytes(hashlib.blake2b(user_id.encode(), digest_size=16).digest(), "little")
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether float arrays ``a`` and ``b`` hold the same bit patterns.
+
+    Bits and not values, so that -0.0 and 0.0, or NaNs of different
+    payloads, count as different.
+    """
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def _summary_table(xpd_sweep_db, spread_deg: float) -> tuple[TableRow, ...]:
     """Correlation and equivalent spacings per XPD; ``spread_deg`` sets d_lap."""
     lap = AodDistribution.laplacian(0.0, math.radians(spread_deg))
@@ -543,8 +553,11 @@ def run(scenario: Scenario) -> RunReport:
     the user id. Every (XPD, model) task of the user evaluates that one
     draw, so the CDFs of different models and XPDs are paired samples.
     Throughput samples are pooled across users into one empirical CDF
-    per (model, XPD). A summary table covering the sweep is always
-    included.
+    per (model, XPD), a read-only array. Where a model's samples equal
+    an earlier model's of the same XPD bit for bit, user by user (models
+    ii and iv without a pattern, every model at 0 dB), its key holds
+    that model's array object, neither pooled nor sorted again. A
+    summary table covering the sweep is always included.
 
     Module errors are re-raised with the failing step attached: the
     XPD of a failed rescale, else the user, XPD and model. When several
@@ -561,6 +574,10 @@ def run(scenario: Scenario) -> RunReport:
     # Scenario guarantees unique models and XPD labels, so no key repeats
     pooled = {(model, xpd_db): [] for xpd_db in scenario.xpd_sweep_db
               for model in scenario.models}
+    # per key, the earlier models of its XPD whose samples have so far
+    # matched its own bit for bit, user by user
+    twins = {(model, xpd_db): list(scenario.models[:k]) for xpd_db in scenario.xpd_sweep_db
+             for k, model in enumerate(scenario.models)}
     where = ""  # the step running: its error is re-raised naming it
     try:
         sweep = []  # (XPD, the pattern rescaled to it or None)
@@ -581,13 +598,26 @@ def run(scenario: Scenario) -> RunReport:
                 channel = _user_channel(user, xpd_db, scaled)
                 for model in scenario.models:
                     where = f"{at_xpd}, model {model}"
-                    result = evaluate_user(
+                    samples = evaluate_user(
                         channel, model, draw, scenario.trials_per_user, scenario.link
-                    )
-                    pooled[(model, xpd_db)].append(result.throughput)
+                    ).throughput
+                    key = (model, xpd_db)
+                    if twins[key]:
+                        twins[key] = [m for m in twins[key]
+                                      if _same_bits(pooled[(m, xpd_db)][-1], samples)]
+                        if twins[key]:  # held once, by both keys
+                            samples = pooled[(twins[key][0], xpd_db)][-1]
+                    pooled[key].append(samples)
     except (ValueError, ArithmeticError) as exc:
         raise type(exc)(f"{where}: {exc}") from exc
-    cdf_series = {key: cdf(np.concatenate(parts)) for key, parts in pooled.items()}
+    cdf_series = {}
+    for key in list(pooled):  # XPD by XPD, each model after those it may twin
+        parts = pooled.pop(key)  # freed before the next key is sorted
+        if twins[key]:
+            cdf_series[key] = cdf_series[(twins[key][0], key[1])]
+        else:
+            cdf_series[key] = cdf(np.concatenate(parts))
+            cdf_series[key].flags.writeable = False
 
     metadata = {
         "version": __version__,
@@ -669,7 +699,10 @@ def write_report(report: RunReport, out_dir) -> list[Path]:
     blocks of rows, each row ``%.3f,%.10g`` of a (value, cumulative
     probability) pair. A probability column shared by several CDFs
     (every CDF of a run has users x trials rows) is formatted once per
-    call.
+    call, and so is a series object held by several keys, as
+    :func:`run` shares one for equal CDFs: the later keys' files are
+    copies of the first one's bytes. Equal but distinct arrays are
+    formatted once each, to the same bytes.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -680,10 +713,15 @@ def write_report(report: RunReport, out_dir) -> list[Path]:
     written.append(table_path)
 
     prob_texts = {}
+    first_paths = {}  # id of a series object -> the file first written for it
     for (model, xpd_db), series in sorted(report.cdf_series.items()):
         path = out_dir / f"cdf_{model}_{xpd_db:g}.csv"
-        with path.open("w") as f:
-            f.writelines(_cdf_blocks(series, prob_texts))
+        if id(series) in first_paths:
+            shutil.copyfile(first_paths[id(series)], path)
+        else:
+            with path.open("w") as f:
+                f.writelines(_cdf_blocks(series, prob_texts))
+            first_paths[id(series)] = path
         written.append(path)
 
     meta_path = out_dir / "run_metadata.txt"

@@ -325,9 +325,10 @@ def cdf(samples) -> np.ndarray:
     """Empirical CDF of throughput samples.
 
     Returns an (N, 2) array of ascending (value, cumulative probability)
-    rows with probabilities i/N, ending exactly at 1.
+    rows with probabilities i/N, ending exactly at 1. Every sample is
+    pooled, whatever the shape of ``samples``: a scalar is one sample.
     """
-    values = np.sort(np.asarray(samples, dtype=float))
+    values = np.sort(np.asarray(samples, dtype=float), axis=None)
     if values.size == 0:
         raise ValueError("cdf requires at least one sample")
     probs = np.arange(1, values.size + 1) / values.size

@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import re
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -363,6 +364,55 @@ def test_models_of_a_pattern_free_run_share_their_draws(full_sweep):
             full.cdf_series[("iv", xpd_db)].tobytes()
 
 
+def test_equal_cdfs_of_a_pattern_free_run_are_one_read_only_array(full_sweep):
+    scenario, full = full_sweep
+    for xpd_db in scenario.xpd_sweep_db:
+        shared = full.cdf_series[("ii", xpd_db)]
+        assert full.cdf_series[("iv", xpd_db)] is shared
+        assert not shared.flags.writeable
+        for model in ("i", "iii"):
+            assert full.cdf_series[(model, xpd_db)] is not shared, model
+            assert not full.cdf_series[(model, xpd_db)].flags.writeable, model
+
+
+def test_same_bits_compares_bit_patterns_not_values():
+    a = np.array([1.0, 0.0, np.nan])
+    signed_zero, payload = a.copy(), a.copy()
+    signed_zero[1] = -0.0
+    payload.view(np.int64)[2] += 1  # a NaN of another payload
+    assert harness._same_bits(a, a.copy())
+    for other in (signed_zero, payload):
+        assert np.array_equal(a, other, equal_nan=True)
+        assert not harness._same_bits(a, other)
+    assert not harness._same_bits(a, a[:2])
+
+
+def test_run_peak_memory_per_pooled_sample():
+    # each key's per-user parts are freed once pooled, and model iv, a
+    # twin of ii without a pattern, is neither pooled nor held again
+    scenario = parse_scenario(
+        """
+        [generator]
+        count = 50
+
+        [sweep]
+        xpd_db = 10
+        models = i, ii, iv
+        trials_per_user = 1000
+        """
+    )
+    samples = 50 * 1000 * 3
+    tracemalloc.start()
+    try:
+        report = run(scenario)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.cdf_series) == 3
+    assert peak / samples < 27.0
+    assert held / samples < 14.0
+
+
 def test_zero_db_run_gives_only_zero_samples():
     # at 0 dB every model's channel is exactly rank one, model iii's too:
     # its spacing is 0 and rho(0) = 1 for every AoD law
@@ -381,6 +431,8 @@ def test_zero_db_run_gives_only_zero_samples():
     report = run(scenario)
     for key, series in report.cdf_series.items():
         assert np.all(series[:, 0] == 0.0), key
+    # one law, one array: every model's key holds the first model's object
+    assert len({id(series) for series in report.cdf_series.values()}) == 1
 
 
 KEY_CONFIG = """
@@ -547,6 +599,13 @@ def test_run_rescales_pattern_once_per_xpd(tmp_path, monkeypatch):
                      "evaluate_user": 2 * 3 * 2}
 
 
+def test_pattern_run_keeps_models_ii_and_iv_apart(tmp_path):
+    scenario = dataclasses.replace(_pattern_scenario(tmp_path), models=("i", "ii", "iv"))
+    report = run(scenario)
+    for xpd_db in scenario.xpd_sweep_db:
+        assert report.cdf_series[("ii", xpd_db)] is not report.cdf_series[("iv", xpd_db)]
+
+
 def test_user_channel_matches_pattern_lookup(tmp_path):
     scenario = _pattern_scenario(tmp_path)
     for xpd_db in scenario.xpd_sweep_db:
@@ -685,6 +744,29 @@ def test_write_report_cdf_files_match_per_row_formatter(tmp_path, monkeypatch):
         assert written == _per_row_cdf_csv(rows).encode(), (model, xpd_db)
     # one probability column per distinct column: 5/5, 7/7, random 5 and the long one
     assert sorted(prob_columns) == sorted([5, 7, 5, len(series[("iv", 10.0)])])
+
+
+def test_write_report_formats_a_shared_series_once(tmp_path, monkeypatch):
+    series = cdf(np.random.default_rng(4).uniform(0.0, 1e7, 9))
+    value_columns = []
+    format_column = harness._format_column
+
+    def counting(fmt, column):
+        if fmt.startswith("%"):
+            value_columns.append(column.size)
+        return format_column(fmt, column)
+
+    monkeypatch.setattr(harness, "_format_column", counting)
+    expected = _per_row_cdf_csv(series).encode()
+    for copies, out_dir in (((series, series), "shared"), ((series, series.copy()), "equal")):
+        value_columns.clear()
+        report = harness.RunReport(table_rows=(), metadata={},
+                                   cdf_series=dict(zip((("ii", 3.0), ("iv", 3.0)), copies)))
+        write_report(report, tmp_path / out_dir)
+        for model in ("ii", "iv"):
+            assert (tmp_path / out_dir / f"cdf_{model}_3.csv").read_bytes() == expected
+        # one value column per distinct series object
+        assert value_columns == [9] * len({id(c) for c in copies}), out_dir
 
 
 def test_format_table_csv_header():

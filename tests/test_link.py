@@ -578,6 +578,13 @@ def test_cdf_ends_at_one_and_is_monotone():
     assert all(a <= b for a, b in zip(probs, probs[1:]))
 
 
+def test_cdf_pools_every_sample_whatever_the_shape():
+    stack = np.random.default_rng(5).exponential(1.0, (3, 4))
+    assert cdf(stack).tobytes() == cdf(stack.ravel()).tobytes()
+    assert np.array_equal(cdf(5.0), [(5.0, 1.0)])
+
+
 def test_cdf_rejects_empty():
-    with pytest.raises(ValueError):
-        cdf([])
+    for empty in ([], np.empty((0, 3))):
+        with pytest.raises(ValueError, match="cdf requires at least one sample"):
+            cdf(empty)
