@@ -10,7 +10,8 @@ Subcommands:
 Exit codes: 0 success, 2 configuration/input error, 3 numerical failure.
 :func:`main` maps them once, by exception type: the three types in
 ``_NUMERIC_ERRORS`` give 3, and any other ``ValueError`` (``ConfigError``
-and ``PatternFormatError`` included) or an ``OSError`` gives 2.
+and ``PatternFormatError`` included), an ``OSError`` or a ``MemoryError``
+gives 2.
 """
 
 from __future__ import annotations
@@ -138,6 +139,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a scenario within the size limits that still does not fit
+        print(f"error: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
         return EXIT_CONFIG
 
 

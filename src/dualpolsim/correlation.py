@@ -211,28 +211,32 @@ def _series_order(x: float) -> int:
     return int(x + 30.0 + 6.0 * x ** (1.0 / 3.0))
 
 
-def _bessel_jn(x: float, top: int) -> list[float]:
-    """J_0(x), ..., J_top(x) for 0 <= x <= 2*pi*64, with Python floats.
+def _bessel_jn(x, top: int) -> list:
+    """J_0(x), ..., J_top(x) by Miller's backward recurrence, for one x or a scan grid.
 
-    Miller's backward recurrence J_{n-1} = (2n/x) J_n - J_{n+1}, started
-    at order max(top, :func:`_series_order`) and normalized by the
-    identity J_0 + 2 sum_k J_2k = 1.
+    ``x`` is a float in [0, 2*pi*64] or an array of scan-grid arguments,
+    which gives one row per order. J_{n-1} = (2n/x) J_n - J_{n+1} starts
+    at order ``top`` >= :func:`_series_order` of the largest x and is
+    normalized by J_0 + 2 sum_k J_2k = 1, summed order after order, so a
+    row's elements equal the float results bit for bit. Only floats need
+    the tiny-x guard and the rescale: the grid's largest unnormalized
+    value, at x = 2*pi*0.01 with top = 61, is about 2e175.
     """
-    if x < 1e-50:  # J_0 = 1 and |J_n| < 1e-50 here, and 2n/x would overflow
+    grid = isinstance(x, np.ndarray)
+    if not grid and x < 1e-50:  # J_0 = 1 and |J_n| < 1e-50 here, and 2n/x would overflow
         return [1.0] + [0.0] * top
-    start = max(top, _series_order(x))
-    vals = [0.0] * (start + 1)
+    vals = [0.0] * (top + 1)
     two_over_x = 2.0 / x
-    j_next, j = 0.0, 1.0
-    for n in range(start, 0, -1):
+    j_next, j = 0.0 * x, 0.0 * x + 1.0  # 0 and 1, shaped like x
+    for n in range(top, 0, -1):
         vals[n] = j
         j_next, j = j, n * two_over_x * j - j_next
-        if abs(j) > 1e250:  # rescale before the next step can overflow
+        if not grid and abs(j) > 1e250:  # rescale before the next step can overflow
             vals[n:] = [v * 1e-250 for v in vals[n:]]
             j_next, j = j_next * 1e-250, j * 1e-250
     vals[0] = j
     scale = 1.0 / (vals[0] + 2.0 * sum(vals[2::2]))
-    return [v * scale for v in vals[: top + 1]]
+    return [v * scale for v in vals]
 
 
 def bessel_j0(x):
@@ -248,7 +252,8 @@ def bessel_j0(x):
     x_max = 2.0 * math.pi * _SCAN_MAX_WAVELENGTHS
     if not np.all(x_arr <= x_max):  # also catches NaN
         raise ValueError(f"bessel_j0 argument must be finite with |x| <= {x_max:.6g}")
-    out = np.array([_bessel_jn(v, 0)[0] for v in x_arr.ravel().tolist()]).reshape(x_arr.shape)
+    out = np.array([_bessel_jn(v, _series_order(v))[0]
+                    for v in x_arr.ravel().tolist()]).reshape(x_arr.shape)
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -329,7 +334,8 @@ def matrix_sqrt_psd(corr: CorrelationMatrix) -> np.ndarray:
 def _rho_and_slope(d: float, a: list[complex], b: list[complex]) -> tuple[complex, complex]:
     """rho(d) and d rho / d d from slices of :attr:`AodDistribution._coefficients`.
 
-    ``a`` and ``b`` run to order _series_order(2 pi d) or beyond.
+    ``a`` and ``b`` run to order _series_order(2 pi d) or beyond; the
+    recurrence starts at their last order.
     """
     jn = _bessel_jn(2.0 * math.pi * d, len(a) - 1)
     return sum(map(mul, a, jn)), 2.0 * math.pi * sum(map(mul, b, jn))
@@ -341,16 +347,17 @@ def spatial_corr(d: float, dist: AodDistribution) -> complex:
     Evaluates the AoD-averaged phase factor E[exp(-j*k*d*sin(phi))]
     with wavenumber k = 2*pi per wavelength as the Jacobi-Anger series
     sum_n c_n J_n(k*d) over the law's Fourier coefficients c_n (c_n = 0
-    for n != 0 under the isotropic law, so rho = J0(k*d)). Absolute
+    for n != 0 under the isotropic law, so rho = J0(k*d)), with J_n from
+    :func:`_bessel_jn`, the recurrence of the solver's scan tables. Absolute
     error against an mpmath integral stays below 1e-14 over the
     accepted spreads. A ``d`` that is not finite or lies outside
     [0, 64] wavelengths, the spacing solver's range, is a ValueError.
     """
     if not 0.0 <= d <= _SCAN_MAX_WAVELENGTHS:
         raise ValueError(f"separation d must lie in [0, 64] wavelengths, got {d!r}")
-    top = _series_order(2.0 * math.pi * d)
-    a, b = (c[: top + 1] for c in dist._coefficients)
-    return complex(_rho_and_slope(d, a.tolist(), b.tolist())[0])
+    x = 2.0 * math.pi * d
+    a = dist._coefficients[0][: _series_order(x) + 1].tolist()
+    return complex(sum(map(mul, a, _bessel_jn(x, len(a) - 1))))
 
 
 @functools.lru_cache(maxsize=None)
@@ -358,24 +365,14 @@ def _grid_table(chunk: int) -> np.ndarray:
     """Read-only J_n(2 pi d), shape (steps, orders), on the steps of scan chunk ``chunk``.
 
     Orders reach _series_order at the chunk's last step; no AoD law enters.
-    Runs :func:`_bessel_jn`'s recurrence on all steps at once from the
-    common order ``top``, so every column equals its scalar counterpart
-    bit for bit. Its rescale never fires here: the largest unnormalized
-    value, at the first grid step (x = 0.063, top = 61), is about 2e175.
+    One :func:`_bessel_jn` call on the chunk's arguments, so every row
+    equals the float recurrence at its step bit for bit.
     """
     first = chunk * _SCAN_CHUNK + 1
     last = min(first + _SCAN_CHUNK - 1, _SCAN_STEPS)
-    top = _series_order(2.0 * math.pi * last * _SCAN_STEP)
-    two_over_x = 2.0 / (2.0 * math.pi * np.arange(first, last + 1) * _SCAN_STEP)
-    vals = np.zeros((top + 1, two_over_x.size))
-    j_next, j = np.zeros_like(two_over_x), np.ones_like(two_over_x)
-    for n in range(top, 0, -1):
-        vals[n] = j
-        j_next, j = j, n * two_over_x * j - j_next
-    vals[0] = j
-    # an axis-0 sum adds row after row, in the order of _bessel_jn's sum()
-    scale = 1.0 / (vals[0] + 2.0 * vals[2::2].sum(axis=0))
-    table = np.ascontiguousarray((vals * scale).T)
+    x = 2.0 * math.pi * np.arange(first, last + 1) * _SCAN_STEP
+    rows = _bessel_jn(x, _series_order(2.0 * math.pi * last * _SCAN_STEP))
+    table = np.ascontiguousarray(np.array(rows).T)
     table.flags.writeable = False
     return table
 

@@ -79,8 +79,19 @@ DEFAULT_XPD_SWEEP_DB = (3.0, 5.0, 10.0, 20.0, 30.0)
 #: Laplacian AoD spread of the paper's reference scenario.
 DEFAULT_SPREAD_DEG = 26.0
 DEFAULT_USER_COUNT = 100
+# Size limits, checked when a scenario is parsed or built. Within them
+# a run, report included, peaks under MAX_RSS_MIB resident: README
+# "Scenario files" gives the bytes measured per sample, row and task.
 #: Most samples one pooled (model, XPD) CDF may hold: users x trials per user.
-MAX_CDF_SAMPLES = 10**8
+MAX_CDF_SAMPLES = 5 * 10**6
+#: Most samples a run may pool over all its cells: users x trials per user x cells.
+MAX_RUN_SAMPLES = 4 * 10**7
+#: Most users a scenario may hold.
+MAX_USERS = 10**4
+#: Most (model, XPD) cells a run may pool: models x XPDs.
+MAX_CELLS = 100
+#: Peak resident memory, in MiB, that the limits above keep a run under.
+MAX_RSS_MIB = 2048
 #: Rows per block in which a CDF file is formatted and written.
 _CDF_BLOCK_ROWS = 8192
 #: Second word of the run stream's seed key; the population stream uses 0xA0D.
@@ -91,12 +102,21 @@ class ConfigError(ValueError):
     """Raised for malformed scenario configuration; names the location."""
 
 
-def _check_samples(users: int, trials_per_user: int) -> None:
-    """Reject a population whose pooled CDFs would exceed :data:`MAX_CDF_SAMPLES`."""
+def _check_size(users: int, trials_per_user: int, cells: int) -> None:
+    """Reject a run over :data:`MAX_CDF_SAMPLES`, then over the other size limits."""
     if users * trials_per_user > MAX_CDF_SAMPLES:
         raise ValueError(
             f"users x trials_per_user = {users} x {trials_per_user} exceeds the "
             f"{MAX_CDF_SAMPLES:.0e} samples a pooled CDF may hold"
+        )
+    if users > MAX_USERS:
+        raise ValueError(f"{users} users exceed the {MAX_USERS} a scenario may hold")
+    if cells > MAX_CELLS:
+        raise ValueError(f"models x XPDs = {cells} cells exceed the {MAX_CELLS} a run may pool")
+    if users * trials_per_user * cells > MAX_RUN_SAMPLES:
+        raise ValueError(
+            f"users x trials_per_user x cells = {users} x {trials_per_user} x {cells} "
+            f"exceeds the {MAX_RUN_SAMPLES:.0e} samples a run may pool"
         )
 
 
@@ -186,7 +206,8 @@ class Scenario:
         _check_xpd_sweep(self.xpd_sweep_db, "xpd_db")
         if self.trials_per_user < 1:
             raise ValueError("trials_per_user must be >= 1")
-        _check_samples(len(self.users), self.trials_per_user)
+        _check_size(len(self.users), self.trials_per_user,
+                    len(self.models) * len(self.xpd_sweep_db))
         if len(self.models) == 0:
             raise ValueError("scenario needs at least one model")
         if len(set(self.models)) != len(self.models):
@@ -423,8 +444,11 @@ def parse_scenario(source: str) -> Scenario:
     else:
         generator = kwargs["generator"]
         count = generator.pop("count", DEFAULT_USER_COUNT)
+        cells = (len(scenario_kwargs.get("models", Scenario.models))
+                 * len(scenario_kwargs.get("xpd_sweep_db", Scenario.xpd_sweep_db)))
         with _config_errors("[generator] count: "):  # before a user is drawn
-            _check_samples(count, scenario_kwargs.get("trials_per_user", Scenario.trials_per_user))
+            _check_size(count, scenario_kwargs.get("trials_per_user", Scenario.trials_per_user),
+                        cells)
         # population substream: keyed away from the run stream, whose
         # key ends in RUN_TAG; a negative seed fails here, before
         # Scenario sees it

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import numpy as np
 
-from dualpolsim import cli
+from dualpolsim import cli, harness
 from dualpolsim.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from dualpolsim.correlation import InvalidCorrelationError, NoSolutionError
 from dualpolsim.harness import ConfigError, parse_scenario
@@ -418,6 +418,22 @@ def test_exit_code_follows_the_exception_type(monkeypatch, capsys, error, code):
     assert main(["table1"]) == code
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and str(error) in err
+
+
+@pytest.mark.parametrize("error, text", [
+    (MemoryError("Unable to allocate 373. MiB for an array"),
+     "error: out of memory: Unable to allocate 373. MiB for an array\n"),
+    (MemoryError(), "error: out of memory\n"),
+])
+def test_cdf_out_of_memory_exits_2_with_one_line(monkeypatch, tmp_path, capsys, error, text):
+    def fail(scenario):
+        raise error
+
+    monkeypatch.setattr(harness, "run", fail)
+    config = tmp_path / "scenario.ini"
+    config.write_text(USER + "[sweep]\nxpd_db = 10\ntrials_per_user = 2\n")
+    assert main(["cdf", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == text
 
 
 def test_version_flag(capsys):

@@ -117,13 +117,17 @@ def test_bessel_jn_matches_mpmath():
         assert not table.flags.writeable
 
 
-@pytest.mark.parametrize("chunk", [0, 1, 12, 24])
+@pytest.mark.parametrize("chunk", range(25))
 def test_grid_table_equals_scalar_recurrence(chunk):
     table = correlation._grid_table(chunk)
     first = chunk * 256 + 1
     assert table.flags.c_contiguous and not table.flags.writeable
     for step in range(table.shape[0]):
         x = 2.0 * math.pi * (first + step) * 0.01
+        # the refine's recurrence starts at the table's top order, which
+        # must reach the series order at every step d it may evaluate
+        d = (first + step) * 0.01
+        assert correlation._series_order(2.0 * math.pi * d) < table.shape[1], step
         assert table[step].tolist() == correlation._bessel_jn(x, table.shape[1] - 1), step
 
 

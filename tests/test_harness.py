@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dualpolsim import harness
+from dualpolsim import cli, harness
 from dualpolsim.correlation import AodDistribution, spatial_corr
 from dualpolsim.harness import (
     ConfigError,
@@ -182,6 +182,56 @@ def test_parse_rejects_oversized_population_before_drawing_it(monkeypatch, text,
     prefix = r"\[generator\] count: users x trials_per_user = "
     with pytest.raises(ConfigError, match=prefix + product):
         parse_scenario(text)
+
+
+# each config is one unit over one size limit: 10001 users, 101 cells,
+# and 53 x 754717 = 4e7 + 1 pooled samples
+OVER_LIMIT_CONFIGS = {
+    "users": ("[generator]\ncount = 10001\n[sweep]\ntrials_per_user = 1\n",
+              r"10001 users exceed the 10000 a scenario may hold"),
+    "cells": ("[generator]\ncount = 1\n[sweep]\nmodels = i\ntrials_per_user = 1\n"
+              f"xpd_db = {', '.join(map(str, range(101)))}\n",
+              r"models x XPDs = 101 cells exceed the 100 a run may pool"),
+    "run-samples": ("[generator]\ncount = 1\n[sweep]\nmodels = i\ntrials_per_user = 754717\n"
+                    f"xpd_db = {', '.join(map(str, range(53)))}\n",
+                    r"users x trials_per_user x cells = 1 x 754717 x 53 exceeds the 4e\+07 "
+                    r"samples a run may pool"),
+}
+
+
+@pytest.mark.parametrize("limit", OVER_LIMIT_CONFIGS)
+def test_run_over_a_size_limit_exits_2_before_drawing_a_user(monkeypatch, tmp_path, capsys, limit):
+    def no_draw(*args):
+        raise AssertionError("generate_users ran")
+
+    text, message = OVER_LIMIT_CONFIGS[limit]
+    monkeypatch.setattr(harness, "generate_users", no_draw)
+    message = r"\[generator\] count: " + message
+    with pytest.raises(ConfigError, match="^" + message):
+        parse_scenario(text)
+    config = tmp_path / "scenario.ini"
+    config.write_text(text)
+    assert cli.main(["cdf", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert re.match("error: " + message, err) and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_scenario_in_code_is_held_to_the_size_limits():
+    user = UserSpec("u", 80.0, 0.0, 0.4)
+    # at each limit, then one over it
+    Scenario(users=(user,), models=("i",), xpd_sweep_db=tuple(range(100)))
+    with pytest.raises(ValueError, match="101 cells exceed the 100"):
+        Scenario(users=(user,), models=("i",), xpd_sweep_db=tuple(range(101)))
+    Scenario(users=(user,), models=("i", "ii"), xpd_sweep_db=(1.0, 2.0, 3.0, 4.0),
+             trials_per_user=harness.MAX_CDF_SAMPLES)
+    with pytest.raises(ValueError, match="1 x 754717 x 53 exceeds the 4e\\+07 samples"):
+        Scenario(users=(user,), models=("i",), xpd_sweep_db=tuple(range(53)),
+                 trials_per_user=754717)
+    users = tuple(UserSpec(f"u{k}", 80.0, 0.0, 0.4) for k in range(harness.MAX_USERS + 1))
+    Scenario(users=users[:-1], trials_per_user=1)
+    with pytest.raises(ValueError, match="10001 users exceed the 10000"):
+        Scenario(users=users, trials_per_user=1)
 
 
 def test_parse_seed_is_exact_64_bit():
@@ -805,8 +855,9 @@ def test_scenario_validation():
     with pytest.raises(ValueError, match="unique"):
         Scenario(users=(user, UserSpec("u", 90.0, 1.0, 0.4)))
     Scenario(users=(user,), trials_per_user=harness.MAX_CDF_SAMPLES)
-    with pytest.raises(ValueError, match="users x trials_per_user = 1 x 100000001 exceeds"):
-        Scenario(users=(user,), trials_per_user=harness.MAX_CDF_SAMPLES + 1)
+    over = harness.MAX_CDF_SAMPLES + 1
+    with pytest.raises(ValueError, match=f"users x trials_per_user = 1 x {over} exceeds"):
+        Scenario(users=(user,), trials_per_user=over)
 
 
 def test_user_spec_validation():
