@@ -576,12 +576,15 @@ def run(scenario: Scenario) -> RunReport:
     ``[seed, RUN_TAG]``, advanced from its start by :func:`_user_key` of
     the user id. Every (XPD, model) task of the user evaluates that one
     draw, so the CDFs of different models and XPDs are paired samples.
-    Throughput samples are pooled across users into one empirical CDF
-    per (model, XPD), a read-only array. Where a model's samples equal
-    an earlier model's of the same XPD bit for bit, user by user (models
-    ii and iv without a pattern, every model at 0 dB), its key holds
-    that model's array object, neither pooled nor sorted again. A
-    summary table covering the sweep is always included.
+    Each task writes its throughput samples into the user's slice of
+    one float64 column per (model, XPD), users in id order. After the
+    last user, XPD by XPD, each column becomes one empirical CDF, a
+    read-only array, unless its whole column equals an earlier model's
+    column of the same XPD bit for bit (models ii and iv without a
+    pattern, every model at 0 dB): then its key holds that model's CDF
+    object, not sorted again. A model equal to another for some users
+    only keeps its own CDF. A summary table covering the sweep is
+    always included.
 
     Module errors are re-raised with the failing step attached: the
     XPD of a failed rescale, else the user, XPD and model. When several
@@ -596,12 +599,9 @@ def run(scenario: Scenario) -> RunReport:
     rng = np.random.Generator(stream)
 
     # Scenario guarantees unique models and XPD labels, so no key repeats
-    pooled = {(model, xpd_db): [] for xpd_db in scenario.xpd_sweep_db
-              for model in scenario.models}
-    # per key, the earlier models of its XPD whose samples have so far
-    # matched its own bit for bit, user by user
-    twins = {(model, xpd_db): list(scenario.models[:k]) for xpd_db in scenario.xpd_sweep_db
-             for k, model in enumerate(scenario.models)}
+    n = scenario.trials_per_user
+    columns = {(model, xpd_db): np.empty(len(ordered_users) * n)
+               for xpd_db in scenario.xpd_sweep_db for model in scenario.models}
     where = ""  # the step running: its error is re-raised naming it
     try:
         sweep = []  # (XPD, the pattern rescaled to it or None)
@@ -612,36 +612,34 @@ def run(scenario: Scenario) -> RunReport:
                 scaled = scale_to_xpd(scenario.pattern, xpd_db,
                                       math.radians(scenario.pattern_reference_deg))
             sweep.append((xpd_db, scaled))
-        for user in ordered_users:
+        for u, user in enumerate(ordered_users):
             where = at_user = f"user {user.user_id}"
             stream.state = run_start
             stream.advance(_user_key(user.user_id))
-            draw = draw_gram(rng, scenario.trials_per_user)
+            draw = draw_gram(rng, n)
             for xpd_db, scaled in sweep:
                 where = at_xpd = f"{at_user}, xpd {xpd_db:g} dB"
                 channel = _user_channel(user, xpd_db, scaled)
                 for model in scenario.models:
                     where = f"{at_xpd}, model {model}"
-                    samples = evaluate_user(
-                        channel, model, draw, scenario.trials_per_user, scenario.link
+                    columns[(model, xpd_db)][u * n:(u + 1) * n] = evaluate_user(
+                        channel, model, draw, n, scenario.link
                     ).throughput
-                    key = (model, xpd_db)
-                    if twins[key]:
-                        twins[key] = [m for m in twins[key]
-                                      if _same_bits(pooled[(m, xpd_db)][-1], samples)]
-                        if twins[key]:  # held once, by both keys
-                            samples = pooled[(twins[key][0], xpd_db)][-1]
-                    pooled[key].append(samples)
     except (ValueError, ArithmeticError) as exc:
         raise type(exc)(f"{where}: {exc}") from exc
+    # the last user's draw, 32 B per trial, need not stay resident while the CDFs are sorted
+    del draw
     cdf_series = {}
-    for key in list(pooled):  # XPD by XPD, each model after those it may twin
-        parts = pooled.pop(key)  # freed before the next key is sorted
-        if twins[key]:
-            cdf_series[key] = cdf_series[(twins[key][0], key[1])]
-        else:
-            cdf_series[key] = cdf(np.concatenate(parts))
-            cdf_series[key].flags.writeable = False
+    for xpd_db in scenario.xpd_sweep_db:
+        # this XPD's columns, freed when the next XPD's are taken
+        cells = {model: columns.pop((model, xpd_db)) for model in scenario.models}
+        for k, (model, column) in enumerate(cells.items()):
+            twin = next((m for m in scenario.models[:k] if _same_bits(cells[m], column)), None)
+            if twin is None:
+                cdf_series[(model, xpd_db)] = cdf(column)
+                cdf_series[(model, xpd_db)].flags.writeable = False
+            else:
+                cdf_series[(model, xpd_db)] = cdf_series[(twin, xpd_db)]
 
     metadata = {
         "version": __version__,

@@ -437,9 +437,73 @@ def test_same_bits_compares_bit_patterns_not_values():
     assert not harness._same_bits(a, a[:2])
 
 
+def test_a_model_equal_to_another_for_its_first_user_only_keeps_its_own_cdf(monkeypatch):
+    # equality is decided on whole columns: model iv matches model ii for
+    # u0000 and not for u0001, so it must not take ii's CDF
+    scenario = parse_scenario(
+        """
+        [generator]
+        count = 2
+
+        [sweep]
+        xpd_db = 10
+        models = ii, iv
+        trials_per_user = 40
+        """
+    )
+    real = harness.evaluate_user
+    returned = []  # model iv's samples, users in id order
+
+    def iv_as_ii_for_u0000(channel, model, draw, n, params):
+        if model != "iv":
+            return real(channel, model, draw, n, params)
+        result = real(channel, "ii", draw, n, params)
+        if returned:  # u0001
+            result = dataclasses.replace(result, throughput=result.throughput + 1.0)
+        returned.append(result.throughput)
+        return result
+
+    monkeypatch.setattr(harness, "evaluate_user", iv_as_ii_for_u0000)
+    report = run(scenario)
+    ii, iv = report.cdf_series[("ii", 10.0)], report.cdf_series[("iv", 10.0)]
+    assert len(returned) == 2
+    assert iv is not ii
+    assert not ii.flags.writeable and not iv.flags.writeable
+    alone = run(dataclasses.replace(scenario, models=("ii",)))
+    assert ii.tobytes() == alone.cdf_series[("ii", 10.0)].tobytes()
+    assert iv.tobytes() == cdf(np.concatenate(returned)).tobytes()
+    assert not np.array_equal(ii, iv)
+
+
+def test_run_peak_memory_per_pooled_sample_with_one_trial_per_user():
+    # one preallocated column per cell: a task adds no array of its own
+    # to what the run holds
+    scenario = parse_scenario(
+        """
+        [generator]
+        count = 2000
+
+        [sweep]
+        xpd_db = 3, 5, 10, 20, 30
+        models = i, ii
+        trials_per_user = 1
+        """
+    )
+    samples = 2000 * 1 * 10
+    run(scenario)  # fills the caches of the summary table's spacing solve, untraced
+    tracemalloc.start()
+    try:
+        report = run(scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.cdf_series) == 10
+    assert peak / samples < 40.0
+
+
 def test_run_peak_memory_per_pooled_sample():
-    # each key's per-user parts are freed once pooled, and model iv, a
-    # twin of ii without a pattern, is neither pooled nor held again
+    # each XPD's columns are freed once its CDFs exist, and model iv, a
+    # twin of ii without a pattern, takes ii's CDF instead of sorting its own
     scenario = parse_scenario(
         """
         [generator]
