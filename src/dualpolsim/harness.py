@@ -34,6 +34,7 @@ sweep's samples of that subset.
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import io
 import math
@@ -93,7 +94,7 @@ MAX_CELLS = 100
 #: Peak resident memory, in MiB, that the limits above keep a run under.
 MAX_RSS_MIB = 2048
 #: Rows per block in which a CDF file is formatted and written.
-_CDF_BLOCK_ROWS = 8192
+_CDF_BLOCK_ROWS = 4096
 #: Second word of the run stream's seed key; the population stream uses 0xA0D.
 RUN_TAG = 0x5EED
 
@@ -680,37 +681,111 @@ def _format_column(fmt: str, column: np.ndarray) -> str:
     return (fmt * column.size) % tuple(column.tolist())
 
 
-def _cdf_blocks(series, prob_texts: dict):
-    """Yield the CSV text of one CDF series: the header, then blocks of rows.
+@functools.lru_cache(maxsize=None)
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tables of 4-byte texts, each NUL-padded and read as one ``uint32``.
+
+    ``lead[i]`` is ``%d`` of i, empty for 0; ``tail[i]`` is ``%d`` of i
+    and ``tail[10000 + i]`` is ``%04d`` of i, for i < 10000;
+    ``decimals[i]`` is ``.%03d`` of i, for i < 1000.
+    """
+    def table(texts):
+        return np.array(list(texts), dtype="S4").view(np.uint32)
+
+    numbers = range(10000)
+    tail = np.concatenate((table(map(str, numbers)), table(f"{i:04d}" for i in numbers)))
+    lead = tail[:10000].copy()
+    lead[0] = 0
+    return lead, tail, table(f".{i:03d}" for i in range(1000))
+
+
+def _millis(v: np.ndarray) -> np.ndarray:
+    """round-half-even(v * 1000) exactly, in int64, for v == 0 or 1 <= v < 2**26.
+
+    With ``v = m * 2**(e - 53)`` for an integer mantissa ``m < 2**53``,
+    ``v * 1000`` is ``m * 1000`` (below 2**63) shifted right by
+    ``53 - e`` bits, 27 to 53; the bits shifted out decide the rounding,
+    as ``%.3f`` rounds.
+    """
+    frac, exp = np.frexp(v)
+    scaled = np.ldexp(frac, 53).astype(np.int64) * 1000
+    shift = (53 - exp).astype(np.int64)
+    k = scaled >> shift
+    rem = scaled - (k << shift)
+    half = np.int64(1) << (shift - 1)
+    return k + ((rem > half) | ((rem == half) & (k & 1 == 1)))
+
+
+def _value_field(values: np.ndarray) -> np.ndarray:
+    """(n, width) ``uint8`` matrix of the ``%.3f`` texts of ``values``, NUL-padded.
+
+    +0.0 and values in [1, 2**26), which hold every throughput from
+    1 bit/s to the cap, are written in 12 bytes from their exact
+    :func:`_millis` through :func:`_digit_tables`. Every other value
+    (-0.0, NaN, +-inf, negative, in (0, 1) or from 2**26) goes through
+    ``%.3f``.
+    """
+    fast = ((values >= 1.0) & (values < 2.0**26)) | (values.view(np.int64) == 0)
+    every = fast.all()
+    k = _millis(values if every else values[fast])
+    ip, dec = np.divmod(k, 1000)
+    hi, lo = np.divmod(ip, 10000)
+    lead, tail, decimals = _digit_tables()
+    texts = np.empty((k.size, 3), np.uint32)
+    texts[:, 0] = lead[hi]
+    texts[:, 1] = tail[lo + 10000 * (hi > 0)]
+    texts[:, 2] = decimals[dec]
+    texts = texts.view(np.uint8)
+    if every:
+        return texts
+    # "%.3f" text holds no whitespace, not even for nan or inf
+    slow = np.array(_format_column("%.3f\n", values[~fast]).encode().split())
+    field = np.zeros((values.size, max(12, slow.itemsize)), np.uint8)
+    field[fast, :12] = texts
+    field[~fast, :slow.itemsize] = slow.view(np.uint8).reshape(slow.size, slow.itemsize)
+    return field
+
+
+def _prob_field(probs: np.ndarray) -> np.ndarray:
+    """(N, 19) ``uint8`` matrix of the ``,%.10g\\n`` texts of ``probs``.
+
+    The ``%.10g`` text, at most 17 bytes, sits between the comma and the
+    newline, NUL-padded. It is formatted a block of rows at a time, as
+    ``%-17.10g``: space-padded to a fixed width, and no text holds a
+    space of its own.
+    """
+    field = np.zeros((probs.size, 19), np.uint8)
+    field[:, 0] = ord(",")
+    field[:, -1] = ord("\n")
+    for start in range(0, probs.size, _CDF_BLOCK_ROWS):
+        block = slice(start, start + _CDF_BLOCK_ROWS)
+        texts = np.frombuffer(_format_column("%-17.10g", probs[block]).encode(), np.uint8)
+        texts = texts.reshape(-1, 17)
+        np.copyto(field[block, 1:-1], texts, where=texts != ord(" "))
+    return field
+
+
+def _write_cdf(f, series, prob_fields: list) -> None:
+    """Write one CDF series as CSV to the binary file ``f``: the header, then blocks of rows.
 
     Each row reads ``%.3f,%.10g`` of its (value, cumulative probability)
-    pair. ``prob_texts`` maps the bytes of a probability column to the
-    ``,p\\n`` texts of its rows; a column already in it is not formatted
-    again. Within a block of :data:`_CDF_BLOCK_ROWS` rows, each run of
-    values with equal bit patterns is formatted once; bit patterns and
-    not values, so that -0.0 keeps its own text beside 0.0.
+    pair. ``prob_fields`` holds (probability column, its
+    :func:`_prob_field`) pairs; a column with the bits of one already in
+    it is not formatted again. A block of :data:`_CDF_BLOCK_ROWS` rows
+    is one ``uint8`` matrix, its :func:`_value_field` beside its
+    probability rows, whose NUL padding one boolean mask drops.
     """
     arr = np.asarray(series, dtype=float).reshape(len(series), 2)
     values, probs = arr[:, 0], arr[:, 1]
-    key = probs.tobytes()
-    if key not in prob_texts:
-        prob_texts[key] = _format_column(",%.10g\n", probs).splitlines(keepends=True)
-    row_probs = prob_texts[key]
-    bits = values.view(np.int64)
-    yield "throughput_bps,cum_prob\n"
+    prob_field = next((field for column, field in prob_fields if _same_bits(column, probs)), None)
+    if prob_field is None:
+        prob_field = _prob_field(probs)
+        prob_fields.append((probs, prob_field))
+    f.write(b"throughput_bps,cum_prob\n")
     for start in range(0, len(arr), _CDF_BLOCK_ROWS):
         block = slice(start, start + _CDF_BLOCK_ROWS)
-        block_bits = bits[block]
-        run_starts = np.empty(block_bits.size, dtype=bool)
-        run_starts[0] = True
-        np.not_equal(block_bits[1:], block_bits[:-1], out=run_starts[1:])
-        # "%.3f" text holds no whitespace, not even for nan or inf
-        run_texts = np.array(_format_column("%.3f\n", values[block][run_starts]).split(),
-                             dtype=object)
-        rows = [None] * (2 * run_starts.size)
-        rows[0::2] = run_texts[np.cumsum(run_starts) - 1].tolist()
-        rows[1::2] = row_probs[block]
-        yield "".join(rows)
+        rows = np.hstack((_value_field(values[block]), prob_field[block]))
+        f.write(rows[rows != 0])
 
 
 def write_report(report: RunReport, out_dir) -> list[Path]:
@@ -734,15 +809,15 @@ def write_report(report: RunReport, out_dir) -> list[Path]:
     table_path.write_text(format_table_csv(report.table_rows))
     written.append(table_path)
 
-    prob_texts = {}
+    prob_fields = []
     first_paths = {}  # id of a series object -> the file first written for it
     for (model, xpd_db), series in sorted(report.cdf_series.items()):
         path = out_dir / f"cdf_{model}_{xpd_db:g}.csv"
         if id(series) in first_paths:
             shutil.copyfile(first_paths[id(series)], path)
         else:
-            with path.open("w") as f:
-                f.writelines(_cdf_blocks(series, prob_texts))
+            with path.open("wb") as f:
+                _write_cdf(f, series, prob_fields)
             first_paths[id(series)] = path
         written.append(path)
 

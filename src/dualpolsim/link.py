@@ -331,5 +331,11 @@ def cdf(samples) -> np.ndarray:
     values = np.sort(np.asarray(samples, dtype=float), axis=None)
     if values.size == 0:
         raise ValueError("cdf requires at least one sample")
-    probs = np.arange(1, values.size + 1) / values.size
-    return np.column_stack((values, probs))
+    series = np.empty((values.size, 2))
+    series[:, 0] = values
+    # 1.0 summed in float64 counts exactly to 2**53: the ranks i, then i/N
+    probs = series[:, 1]
+    probs.fill(1.0)
+    np.cumsum(probs, out=probs)
+    probs /= values.size
+    return series

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from dualpolsim import cli, harness
@@ -808,6 +809,7 @@ def _writer_cases():
                              np.linspace(1.1 * cap, 2.0 * cap, 5)))
     shuffled = np.random.default_rng(7).permutation(np.repeat([0.0, 1.0 / 3.0, cap, 2.5], 9))
     negative_nan = np.copysign(np.nan, -1.0)
+    rng = np.random.default_rng(9)
     return {
         "signed-zero": _cdf_rows([-0.0, 0.0, 0.0, -0.0, -0.0], [-0.0, 0.0, 0.2, 0.2, 1.0]),
         "non-finite": _cdf_rows([np.nan, negative_nan, np.nan, np.inf, np.inf, -np.inf],
@@ -818,6 +820,20 @@ def _writer_cases():
         "unsorted": _cdf_rows(shuffled),
         "probs-not-i-over-n": _cdf_rows(np.sort(shuffled),
                                         np.random.default_rng(8).uniform(0.0, 1.0, 36)),
+        # odd multiples of 1/16 are exact ties at the third decimal: x.0625
+        # rounds down to the even x.062, x.1875 up to the even x.188
+        "ties": _cdf_rows(np.concatenate((np.arange(1, 64, 2), np.arange(2**30 - 63, 2**30, 2),
+                                          rng.integers(2**3, 2**29, 500) * 2 + 1)) / 16),
+        "exact-path-bounds": _cdf_rows([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
+                                        np.nextafter(2.0**26, 0.0), 2.0**26, cap, 0.0]),
+        "fallback-values": _cdf_rows([5e-324, -0.0, np.nan, negative_nan, np.inf, -np.inf,
+                                      1e300, -1e300, -cap, 0.5, 2.0**53 + 2.0, 1.0]),
+        # widest "%.10g" texts: a sign and a three-digit exponent
+        "probs-not-i-over-n-exact": _cdf_rows(
+            np.sort(rng.uniform(1.0, cap, 50)),
+            rng.uniform(-1.0, 1.0, 50) * 10.0 ** rng.integers(-300, 300, 50)),
+        **{f"rows-{n}": _cdf_rows(np.sort(rng.uniform(0.0, 1.5 * cap, n)).clip(max=cap))
+           for n in (block - 1, block, block + 1, 8191, 8192, 8193)},
     }
 
 
@@ -825,6 +841,17 @@ def _writer_cases():
 def test_format_cdf_csv_edge_series_match_per_row_formatter(case, tmp_path):
     series = _writer_cases()[case]
     assert _written_cdf_csv(series, tmp_path) == _per_row_cdf_csv(series)
+
+
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.floats(1.0, 2.0**26),
+                         st.integers(16, 2**30).map(lambda k: k / 16)),
+                min_size=1, max_size=40))
+def test_cdf_rows_of_finite_values_match_per_row_formatter(values):
+    series = _cdf_rows(values)
+    out = io.BytesIO()
+    harness._write_cdf(out, series, [])
+    assert out.getvalue() == _per_row_cdf_csv(series).encode()
 
 
 def test_write_report_cdf_files_match_per_row_formatter(tmp_path, monkeypatch):
@@ -844,14 +871,13 @@ def test_write_report_cdf_files_match_per_row_formatter(tmp_path, monkeypatch):
     }
     report = harness.RunReport(table_rows=(), cdf_series=series, metadata={})
     prob_columns = []
-    format_column = harness._format_column
+    prob_field = harness._prob_field
 
-    def counting(fmt, column):
-        if fmt.startswith(","):
-            prob_columns.append(column.size)
-        return format_column(fmt, column)
+    def counting(probs):
+        prob_columns.append(probs.size)
+        return prob_field(probs)
 
-    monkeypatch.setattr(harness, "_format_column", counting)
+    monkeypatch.setattr(harness, "_prob_field", counting)
     write_report(report, tmp_path)
     for (model, xpd_db), rows in series.items():
         written = (tmp_path / f"cdf_{model}_{xpd_db:g}.csv").read_bytes()
@@ -863,14 +889,13 @@ def test_write_report_cdf_files_match_per_row_formatter(tmp_path, monkeypatch):
 def test_write_report_formats_a_shared_series_once(tmp_path, monkeypatch):
     series = cdf(np.random.default_rng(4).uniform(0.0, 1e7, 9))
     value_columns = []
-    format_column = harness._format_column
+    write_cdf = harness._write_cdf
 
-    def counting(fmt, column):
-        if fmt.startswith("%"):
-            value_columns.append(column.size)
-        return format_column(fmt, column)
+    def counting(f, rows, prob_fields):
+        value_columns.append(len(rows))
+        return write_cdf(f, rows, prob_fields)
 
-    monkeypatch.setattr(harness, "_format_column", counting)
+    monkeypatch.setattr(harness, "_write_cdf", counting)
     expected = _per_row_cdf_csv(series).encode()
     for copies, out_dir in (((series, series), "shared"), ((series, series.copy()), "equal")):
         value_columns.clear()

@@ -578,6 +578,15 @@ def test_cdf_ends_at_one_and_is_monotone():
     assert all(a <= b for a, b in zip(probs, probs[1:]))
 
 
+def test_cdf_is_bitwise_the_sorted_column_beside_i_over_n():
+    rng = np.random.default_rng(13)
+    samples = rng.choice([0.0, -0.0, 1.5, np.nan, -np.inf, 62.8e6], (7, 1001))
+    samples[0] = rng.uniform(0.0, 1.0, 1001)
+    expected = np.column_stack((np.sort(samples, axis=None),
+                                np.arange(1, samples.size + 1) / samples.size))
+    assert cdf(samples).tobytes() == expected.tobytes()
+
+
 def test_cdf_pools_every_sample_whatever_the_shape():
     stack = np.random.default_rng(5).exponential(1.0, (3, 4))
     assert cdf(stack).tobytes() == cdf(stack.ravel()).tobytes()
