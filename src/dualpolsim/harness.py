@@ -685,15 +685,22 @@ def _format_column(fmt: str, column: np.ndarray) -> str:
 def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tables of 4-byte texts, each NUL-padded and read as one ``uint32``.
 
-    ``lead[i]`` is ``%d`` of i, empty for 0; ``tail[i]`` is ``%d`` of i
-    and ``tail[10000 + i]`` is ``%04d`` of i, for i < 10000;
+    ``lead[i]`` is ``%d`` of i, empty for 0; ``tail[i]`` is ``%d`` of i,
+    ``tail[10000 + i]`` is ``%04d`` of i and ``tail[20000 + i]`` is
+    ``%04d`` of i less its trailing zeros, empty for 0, for i < 10000;
     ``decimals[i]`` is ``.%03d`` of i, for i < 1000.
     """
     def table(texts):
         return np.array(list(texts), dtype="S4").view(np.uint32)
 
     numbers = range(10000)
-    tail = np.concatenate((table(map(str, numbers)), table(f"{i:04d}" for i in numbers)))
+    fixed = table(f"{i:04d}" for i in numbers)
+    cut = fixed.view(np.uint8).reshape(-1, 4).copy()
+    trailing = np.ones(len(cut), bool)
+    for j in (3, 2, 1, 0):
+        trailing &= cut[:, j] == ord("0")
+        cut[trailing, j] = 0
+    tail = np.concatenate((table(map(str, numbers)), fixed, cut.view(np.uint32).ravel()))
     lead = tail[:10000].copy()
     lead[0] = 0
     return lead, tail, table(f".{i:03d}" for i in range(1000))
@@ -746,22 +753,95 @@ def _value_field(values: np.ndarray) -> np.ndarray:
     return field
 
 
+def _rank_texts(rows: np.ndarray, column: np.ndarray, start: int, n: int, e: int) -> np.ndarray:
+    """Write ``%.10g`` texts of i/N into ``rows`` from the ranks i; return the rows written.
+
+    ``rows`` and ``column`` are rows ``start`` on of :func:`_prob_field`
+    and of an N-row probability column, e the decade [10**e, 10**(e + 1))
+    of i/N at the first row, -4 to -1, or 0 at i/N = 1. A row is written
+    if its probability has the bits of the double i/N and its text can
+    be read off the rational: ``q, r = divmod(i * 10**(9 - e), N)`` is
+    exact in int64, and ``q + (2r > N)``, if in [10**9, 10**10), is the
+    mantissa that ``%.10g`` rounds i/N to, unless the double may round
+    otherwise: ``|2r - N| <= N // 10**5 + 2``. A row of a later decade
+    has a mantissa from 10**10, and is not written. The text is ``0.``
+    and -1 - e zeros before the mantissa's digits less their trailing
+    zeros, or ``1``.
+    """
+    _, tail, _ = _digit_tables()
+    ranks = np.arange(start + 1, start + 1 + column.size)
+    written = (ranks / n).view(np.int64) == column.view(np.int64)
+    ranks *= 10 ** (9 - e)
+    q, r = np.divmod(ranks, n, out=(np.empty_like(ranks), ranks))
+    # scaled, the double i/N lies within 1.2e-6 of the rational, so it
+    # rounds alike unless 2r lies within 2.4e-6 N of N
+    r *= 2
+    r -= n
+    q += r > 0
+    np.abs(r, out=r)
+    written &= (r > n // 10**5 + 2) & (q >= 10**9) & (q < 10**10)
+    q[~written] = 10**9  # any mantissa, so that every table index below is in range
+    a, q = np.divmod(q, 10**8, out=(r, q))
+    b, c = np.divmod(q, 10**4)
+    # after the leading "0": a word of "." and -1 - e zeros, then the two
+    # digits of a and four each of b and c; the last group that is not
+    # all zeros loses its trailing zeros, a as the "%04d" of 100 a
+    words = np.empty((column.size, 4), np.uint32)
+    words[:, 0] = np.frombuffer(b".000"[:-e].ljust(4, b"\0"), np.uint32)
+    trailing = c == 0
+    words[:, 3] = tail[c + 20000]
+    b += 10000
+    np.add(b, 10000, out=b, where=trailing)
+    words[:, 2] = tail[b]
+    trailing &= b == 20000
+    a[trailing] = 100 * a[trailing] + 20000
+    words[:, 1] = tail[a]
+    if e < 0:
+        rows[:, 1] = ord("0")
+    rows[:, 2:18] = words.view(np.uint8).reshape(-1, 16)
+    return written
+
+
+def _prob_rows(rows: np.ndarray, column: np.ndarray, start: int, n: int) -> None:
+    """Write the texts of rows ``start`` on of an N-row probability column into ``rows``.
+
+    ``rows`` are those rows of :func:`_prob_field`. :func:`_rank_texts`
+    writes the rows it can; the others go through ``%-17.10g``,
+    space-padded to a fixed width (no text holds a space of its own).
+    """
+    # the decade of i/N at the first row, -5 below 1e-4; i * 10**13 < N * 10**10 must fit int64
+    e = sum((start + 1) * 10**k >= n for k in range(5)) - 5
+    slow = np.ones(column.size, bool)
+    if e >= -4 and n <= np.iinfo(np.int64).max // 10**10:
+        slow = ~_rank_texts(rows, column, start, n, e)
+    if slow.any():
+        texts = np.frombuffer(_format_column("%-17.10g", column[slow]).encode(), np.uint8)
+        texts = texts.reshape(-1, 17)
+        rows[slow, 1:-1] = texts * (texts != ord(" "))
+
+
 def _prob_field(probs: np.ndarray) -> np.ndarray:
     """(N, 19) ``uint8`` matrix of the ``,%.10g\\n`` texts of ``probs``.
 
     The ``%.10g`` text, at most 17 bytes, sits between the comma and the
-    newline, NUL-padded. It is formatted a block of rows at a time, as
-    ``%-17.10g``: space-padded to a fixed width, and no text holds a
-    space of its own.
+    newline, NUL-padded. It is built by :func:`_prob_rows` a block of at
+    most :data:`_CDF_BLOCK_ROWS` rows at a time, a block never spanning
+    two decades of i/N. Rows whose probability is the double i/N, as
+    :func:`~dualpolsim.link.cdf` makes it, take their texts from their
+    ranks i (:func:`_rank_texts`). The other rows go through
+    ``%-17.10g``: rows below 1e-4, which print in e-notation, rows where
+    the double i/N may round otherwise than the rational, and every row
+    whose bits are not i/N.
     """
-    field = np.zeros((probs.size, 19), np.uint8)
+    n = probs.size
+    field = np.zeros((n, 19), np.uint8)
     field[:, 0] = ord(",")
     field[:, -1] = ord("\n")
-    for start in range(0, probs.size, _CDF_BLOCK_ROWS):
-        block = slice(start, start + _CDF_BLOCK_ROWS)
-        texts = np.frombuffer(_format_column("%-17.10g", probs[block]).encode(), np.uint8)
-        texts = texts.reshape(-1, 17)
-        np.copyto(field[block, 1:-1], texts, where=texts != ord(" "))
+    # a block starts at the first rank i of each decade: i * 10**k >= N
+    firsts = (-(-n // 10**k) for k in range(5))
+    cuts = sorted({*range(0, n, _CDF_BLOCK_ROWS), *(i - 1 for i in firsts if i >= 1), n})
+    for start, stop in zip(cuts, cuts[1:]):
+        _prob_rows(field[start:stop], probs[start:stop], start, n)
     return field
 
 
@@ -794,7 +874,10 @@ def write_report(report: RunReport, out_dir) -> list[Path]:
     CSV content is a pure function of the scenario and seed; only the
     metadata file carries a timestamp. Each CDF file is streamed in
     blocks of rows, each row ``%.3f,%.10g`` of a (value, cumulative
-    probability) pair. A probability column shared by several CDFs
+    probability) pair. A probability i/N, as every CDF of :func:`run`
+    has, takes its text from the integer rank i; rows below 1e-4, near
+    a rounding tie or not i/N go through ``%.10g`` (see
+    :func:`_prob_field`). A probability column shared by several CDFs
     (every CDF of a run has users x trials rows) is formatted once per
     call, and so is a series object held by several keys, as
     :func:`run` shares one for equal CDFs: the later keys' files are

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from dualpolsim import cli, harness
@@ -906,6 +906,94 @@ def test_write_report_formats_a_shared_series_once(tmp_path, monkeypatch):
             assert (tmp_path / out_dir / f"cdf_{model}_3.csv").read_bytes() == expected
         # one value column per distinct series object
         assert value_columns == [9] * len({id(c) for c in copies}), out_dir
+
+
+def _i_over_n_texts(n, start, stop):
+    """The "%.10g" texts of rows start..stop of the n-row i/N column, formatting only those rows."""
+    rows = np.zeros((stop - start, 19), np.uint8)
+    harness._prob_rows(rows, np.arange(start + 1, stop + 1) / n, start, n)
+    return [row[row != 0].tobytes().decode() for row in rows]
+
+
+def _fallback_ranks(n):
+    """Ranks whose i/N text is left to "%.10g": below 1e-4, or near a tie once scaled."""
+    # the first rank of each decade [10**e, 10**(e + 1)) of i/N, e = -4 to 0
+    firsts = [-(-n // 10**k) for k in (4, 3, 2, 1, 0)] + [n + 1]
+    fallback = [np.arange(1, firsts[0])]
+    for e, (first, end) in enumerate(zip(firsts, firsts[1:]), start=-4):
+        ranks = np.arange(first, end)
+        r = ranks * 10 ** (9 - e)
+        r %= n
+        r *= 2
+        r -= n
+        fallback.append(ranks[np.abs(r, out=r) <= n // 10**5 + 2])
+    return np.concatenate(fallback)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(5001, harness.MAX_CDF_SAMPLES), st.lists(st.floats(0.0, 1.0), max_size=6))
+@example(harness.MAX_CDF_SAMPLES, [0.0, 0.5, 1.0])
+@example(harness.MAX_CDF_SAMPLES - 1, [])  # its double i/N rounds otherwise at 2r - N = -1
+@example(3 * 2**20, [0.25])  # exact ties: %.10g rounds them to even
+@example(123457, [])
+def test_i_over_n_texts_of_large_columns_match_per_row_formatter(n, fractions):
+    # rows at each decade's start, at the end, around sampled ranks and
+    # every row left to the fallback, each formatted alone
+    firsts = [-(-n // 10**k) for k in range(5)]
+    windows = [(max(i - 3, 0), min(i + 3, n)) for i in firsts]
+    windows += [(start, min(start + 64, n)) for start in (int(f * (n - 1)) for f in fractions)]
+    windows += [(i - 1, i) for i in _fallback_ranks(n).tolist()]
+    for start, stop in windows:
+        expected = [f"{i / n:.10g}" for i in range(start + 1, stop + 1)]
+        assert _i_over_n_texts(n, start, stop) == expected, (n, start, stop)
+
+
+@given(st.integers(0, 5000))
+@example(0)
+@example(1)
+@example(harness._CDF_BLOCK_ROWS + 1)
+def test_i_over_n_texts_of_small_columns_match_per_row_formatter(n):
+    probs = np.arange(1, n + 1) / n
+    field = harness._prob_field(probs)
+    assert field.shape == (n, 19)
+    assert field[field != 0].tobytes() == "".join(f",{p:.10g}\n" for p in probs.tolist()).encode()
+
+
+@settings(max_examples=25)
+@given(st.integers(1, 5000), st.data())
+def test_a_flipped_bit_takes_the_fallback(n, data):
+    probs = np.arange(1, n + 1) / n
+    row = data.draw(st.integers(0, n - 1))
+    probs.view(np.uint64)[row] ^= np.uint64(1) << np.uint64(data.draw(st.integers(0, 63)))
+    formatted = []
+    format_column = harness._format_column
+
+    def recording(fmt, column):
+        formatted.extend(column.view(np.int64).tolist())
+        return format_column(fmt, column)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_format_column", recording)
+        field = harness._prob_field(probs)
+    assert field[field != 0].tobytes() == "".join(f",{p:.10g}\n" for p in probs.tolist()).encode()
+    assert probs.view(np.int64)[row] in formatted
+
+
+def test_write_report_peak_memory_per_row_of_an_i_over_n_cdf(tmp_path):
+    # README "Scenario files": about 20 B per row, 19 B of probability
+    # text plus one block of rows (2 B per row here), and the text tables
+    rows = 200_000
+    series = cdf(np.random.default_rng(5).uniform(0.0, LinkParams().max_throughput(), rows))
+    report = harness.RunReport(table_rows=(), cdf_series={("ii", 10.0): series}, metadata={})
+    write_report(dataclasses.replace(report, cdf_series={("ii", 10.0): series[:10]}), tmp_path)
+    assert sum(table.nbytes for table in harness._digit_tables()) < 256 * 1024
+    tracemalloc.start()
+    try:
+        write_report(report, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / rows < 21.5
 
 
 def test_format_table_csv_header():

@@ -1,7 +1,10 @@
 """Tests of the package root: its public names and the README's examples."""
 
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +49,18 @@ def test_readme_python_examples_run(tmp_path, monkeypatch):
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def test_import_builds_no_report_table():
+    # the CDF writer's text tables are built on first use, not paid for by every import
+    probe = (
+        "import dualpolsim\n"
+        "from dualpolsim import harness\n"
+        "tables = [f for f in vars(harness).values() if hasattr(f, 'cache_info')]\n"
+        "assert harness._digit_tables in tables\n"
+        "print(sum(f.cache_info().currsize for f in tables))\n"
+    )
+    src = str(Path(dualpolsim.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout == "0\n"
