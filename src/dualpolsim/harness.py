@@ -676,9 +676,14 @@ def format_table_csv(rows) -> str:
     return out.getvalue()
 
 
-def _format_column(fmt: str, column: np.ndarray) -> str:
-    """``fmt % v`` for each value ``v`` of ``column``, concatenated by one ``%`` call."""
-    return (fmt * column.size) % tuple(column.tolist())
+def _percent_texts(fmt: str, column: np.ndarray) -> np.ndarray:
+    """(k, width) ``uint8`` matrix of the ``fmt % v`` texts of a k-value ``column``, NUL-padded.
+
+    One ``%`` call formats the column; ``fmt`` must write no whitespace,
+    as ``%.3f`` and ``%.10g`` write none, not even for nan or inf.
+    """
+    texts = np.array(((fmt + "\n") * column.size % tuple(column.tolist())).encode().split())
+    return texts.view(np.uint8).reshape(column.size, -1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -688,19 +693,15 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``lead[i]`` is ``%d`` of i, empty for 0; ``tail[i]`` is ``%d`` of i,
     ``tail[10000 + i]`` is ``%04d`` of i and ``tail[20000 + i]`` is
     ``%04d`` of i less its trailing zeros, empty for 0, for i < 10000;
-    ``decimals[i]`` is ``.%03d`` of i, for i < 1000.
+    ``decimals[i]`` is ``.%03d`` of i, for i < 1000. Each section is
+    built from its own generator, so one list of texts is held at a time.
     """
     def table(texts):
         return np.array(list(texts), dtype="S4").view(np.uint32)
 
     numbers = range(10000)
-    fixed = table(f"{i:04d}" for i in numbers)
-    cut = fixed.view(np.uint8).reshape(-1, 4).copy()
-    trailing = np.ones(len(cut), bool)
-    for j in (3, 2, 1, 0):
-        trailing &= cut[:, j] == ord("0")
-        cut[trailing, j] = 0
-    tail = np.concatenate((table(map(str, numbers)), fixed, cut.view(np.uint32).ravel()))
+    tail = np.concatenate((table(map(str, numbers)), table(f"{i:04d}" for i in numbers),
+                           table(f"{i:04d}".rstrip("0") for i in numbers)))
     lead = tail[:10000].copy()
     lead[0] = 0
     return lead, tail, table(f".{i:03d}" for i in range(1000))
@@ -730,7 +731,7 @@ def _value_field(values: np.ndarray) -> np.ndarray:
     1 bit/s to the cap, are written in 12 bytes from their exact
     :func:`_millis` through :func:`_digit_tables`. Every other value
     (-0.0, NaN, +-inf, negative, in (0, 1) or from 2**26) goes through
-    ``%.3f``.
+    one ``%.3f`` pass (:func:`_percent_texts`).
     """
     fast = ((values >= 1.0) & (values < 2.0**26)) | (values.view(np.int64) == 0)
     every = fast.all()
@@ -745,79 +746,69 @@ def _value_field(values: np.ndarray) -> np.ndarray:
     texts = texts.view(np.uint8)
     if every:
         return texts
-    # "%.3f" text holds no whitespace, not even for nan or inf
-    slow = np.array(_format_column("%.3f\n", values[~fast]).encode().split())
-    field = np.zeros((values.size, max(12, slow.itemsize)), np.uint8)
+    slow = _percent_texts("%.3f", values[~fast])
+    field = np.zeros((values.size, max(12, slow.shape[1])), np.uint8)
     field[fast, :12] = texts
-    field[~fast, :slow.itemsize] = slow.view(np.uint8).reshape(slow.size, slow.itemsize)
+    field[~fast, :slow.shape[1]] = slow
     return field
 
 
-def _rank_texts(rows: np.ndarray, column: np.ndarray, start: int, n: int, e: int) -> np.ndarray:
-    """Write ``%.10g`` texts of i/N into ``rows`` from the ranks i; return the rows written.
+def _prob_rows(rows: np.ndarray, column: np.ndarray, start: int, n: int) -> None:
+    """Write the ``%.10g`` texts of rows ``start`` on of an N-row probability column into ``rows``.
 
-    ``rows`` and ``column`` are rows ``start`` on of :func:`_prob_field`
-    and of an N-row probability column, e the decade [10**e, 10**(e + 1))
-    of i/N at the first row, -4 to -1, or 0 at i/N = 1. A row is written
-    if its probability has the bits of the double i/N and its text can
-    be read off the rational: ``q, r = divmod(i * 10**(9 - e), N)`` is
-    exact in int64, and ``q + (2r > N)``, if in [10**9, 10**10), is the
-    mantissa that ``%.10g`` rounds i/N to, unless the double may round
-    otherwise: ``|2r - N| <= N // 10**5 + 2``. A row of a later decade
-    has a mantissa from 10**10, and is not written. The text is ``0.``
-    and -1 - e zeros before the mantissa's digits less their trailing
-    zeros, or ``1``.
+    ``rows`` are those rows of :func:`_prob_field`; e is the decade
+    [10**e, 10**(e + 1)) of i/N at the first row, -4 to -1, or 0 at
+    i/N = 1. A row whose probability has the bits of the double i/N
+    takes its text from the rational: ``q, r = divmod(i * 10**(9 - e), N)``
+    is exact in int64, and ``q + (2r > N)``, if in [10**9, 10**10), is
+    the mantissa that ``%.10g`` rounds i/N to, unless the double may round
+    otherwise: ``|2r - N| <= N // 10**5 + 2``. The text is ``0.`` and
+    -1 - e zeros before the mantissa's digits less their trailing zeros,
+    or ``1``. The rows left over go through one ``%`` pass
+    (:func:`_percent_texts`): rows below 1e-4, which print in e-notation,
+    rows near a rounding tie or of a later decade, rows whose bits are
+    not i/N, and every row when N > 9.2e8 (i * 10**13 would overflow).
     """
-    _, tail, _ = _digit_tables()
+    # the decade of i/N at the first row, -5 below 1e-4
+    e = sum((start + 1) * 10**k >= n for k in range(5)) - 5
     ranks = np.arange(start + 1, start + 1 + column.size)
     written = (ranks / n).view(np.int64) == column.view(np.int64)
-    ranks *= 10 ** (9 - e)
-    q, r = np.divmod(ranks, n, out=(np.empty_like(ranks), ranks))
-    # scaled, the double i/N lies within 1.2e-6 of the rational, so it
-    # rounds alike unless 2r lies within 2.4e-6 N of N
-    r *= 2
-    r -= n
-    q += r > 0
-    np.abs(r, out=r)
-    written &= (r > n // 10**5 + 2) & (q >= 10**9) & (q < 10**10)
-    q[~written] = 10**9  # any mantissa, so that every table index below is in range
-    a, q = np.divmod(q, 10**8, out=(r, q))
-    b, c = np.divmod(q, 10**4)
-    # after the leading "0": a word of "." and -1 - e zeros, then the two
-    # digits of a and four each of b and c; the last group that is not
-    # all zeros loses its trailing zeros, a as the "%04d" of 100 a
-    words = np.empty((column.size, 4), np.uint32)
-    words[:, 0] = np.frombuffer(b".000"[:-e].ljust(4, b"\0"), np.uint32)
-    trailing = c == 0
-    words[:, 3] = tail[c + 20000]
-    b += 10000
-    np.add(b, 10000, out=b, where=trailing)
-    words[:, 2] = tail[b]
-    trailing &= b == 20000
-    a[trailing] = 100 * a[trailing] + 20000
-    words[:, 1] = tail[a]
-    if e < 0:
-        rows[:, 1] = ord("0")
-    rows[:, 2:18] = words.view(np.uint8).reshape(-1, 16)
-    return written
-
-
-def _prob_rows(rows: np.ndarray, column: np.ndarray, start: int, n: int) -> None:
-    """Write the texts of rows ``start`` on of an N-row probability column into ``rows``.
-
-    ``rows`` are those rows of :func:`_prob_field`. :func:`_rank_texts`
-    writes the rows it can; the others go through ``%-17.10g``,
-    space-padded to a fixed width (no text holds a space of its own).
-    """
-    # the decade of i/N at the first row, -5 below 1e-4; i * 10**13 < N * 10**10 must fit int64
-    e = sum((start + 1) * 10**k >= n for k in range(5)) - 5
-    slow = np.ones(column.size, bool)
-    if e >= -4 and n <= np.iinfo(np.int64).max // 10**10:
-        slow = ~_rank_texts(rows, column, start, n, e)
-    if slow.any():
-        texts = np.frombuffer(_format_column("%-17.10g", column[slow]).encode(), np.uint8)
-        texts = texts.reshape(-1, 17)
-        rows[slow, 1:-1] = texts * (texts != ord(" "))
+    written &= e >= -4 and n <= np.iinfo(np.int64).max // 10**10
+    if written.any():
+        ranks *= 10 ** (9 - e)
+        q, r = np.divmod(ranks, n, out=(np.empty_like(ranks), ranks))
+        # scaled, the double i/N lies within 1.2e-6 of the rational, so it
+        # rounds alike unless 2r lies within 2.4e-6 N of N
+        r *= 2
+        r -= n
+        q += r > 0
+        np.abs(r, out=r)
+        written &= (r > n // 10**5 + 2) & (q >= 10**9) & (q < 10**10)
+        q[~written] = 10**9  # any mantissa, so that every table index below is in range
+        a, q = np.divmod(q, 10**8, out=(r, q))
+        b, c = np.divmod(q, 10**4)
+        # after the leading "0": a word of "." and -1 - e zeros, then the two
+        # digits of a and four each of b and c; the last group that is not
+        # all zeros loses its trailing zeros, a as the "%04d" of 100 a
+        _, tail, _ = _digit_tables()
+        words = np.empty((column.size, 4), np.uint32)
+        words[:, 0] = np.frombuffer(b".000"[:-e].ljust(4, b"\0"), np.uint32)
+        trailing = c == 0
+        words[:, 3] = tail[c + 20000]
+        b += 10000
+        np.add(b, 10000, out=b, where=trailing)
+        words[:, 2] = tail[b]
+        trailing &= b == 20000
+        a[trailing] = 100 * a[trailing] + 20000
+        words[:, 1] = tail[a]
+        if e < 0:
+            rows[:, 1] = ord("0")
+        rows[:, 2:18] = words.view(np.uint8).reshape(-1, 16)
+    left = ~written
+    if left.any():
+        texts = _percent_texts("%.10g", column[left])
+        rows[left, 1:18] = 0  # the rank path's placeholder words
+        rows[left, 1:1 + texts.shape[1]] = texts
 
 
 def _prob_field(probs: np.ndarray) -> np.ndarray:
@@ -826,12 +817,9 @@ def _prob_field(probs: np.ndarray) -> np.ndarray:
     The ``%.10g`` text, at most 17 bytes, sits between the comma and the
     newline, NUL-padded. It is built by :func:`_prob_rows` a block of at
     most :data:`_CDF_BLOCK_ROWS` rows at a time, a block never spanning
-    two decades of i/N. Rows whose probability is the double i/N, as
+    two decades of i/N: rows whose probability is the double i/N, as
     :func:`~dualpolsim.link.cdf` makes it, take their texts from their
-    ranks i (:func:`_rank_texts`). The other rows go through
-    ``%-17.10g``: rows below 1e-4, which print in e-notation, rows where
-    the double i/N may round otherwise than the rational, and every row
-    whose bits are not i/N.
+    ranks i, and the rows left over take theirs from one ``%`` pass.
     """
     n = probs.size
     field = np.zeros((n, 19), np.uint8)

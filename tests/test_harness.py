@@ -966,17 +966,31 @@ def test_a_flipped_bit_takes_the_fallback(n, data):
     row = data.draw(st.integers(0, n - 1))
     probs.view(np.uint64)[row] ^= np.uint64(1) << np.uint64(data.draw(st.integers(0, 63)))
     formatted = []
-    format_column = harness._format_column
+    percent_texts = harness._percent_texts
 
     def recording(fmt, column):
         formatted.extend(column.view(np.int64).tolist())
-        return format_column(fmt, column)
+        return percent_texts(fmt, column)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "_format_column", recording)
+        patch.setattr(harness, "_percent_texts", recording)
         field = harness._prob_field(probs)
     assert field[field != 0].tobytes() == "".join(f",{p:.10g}\n" for p in probs.tolist()).encode()
     assert probs.view(np.int64)[row] in formatted
+
+
+def test_digit_tables_match_python_formatting_entry_by_entry():
+    def texts(table):
+        return [text.decode() for text in table.view("S4").tolist()]
+
+    lead, tail, decimals = harness._digit_tables()
+    numbers = range(10000)
+    assert texts(lead) == [""] + [f"{i:d}" for i in numbers[1:]]
+    # "%04d" of i less its trailing zeros is repr(i / 10**4) after its "0."
+    trimmed = [""] + [repr(i / 10**4)[2:] for i in numbers[1:]]
+    assert texts(tail) == ([f"{i:d}" for i in numbers] + [f"{i:04d}" for i in numbers]
+                           + trimmed)
+    assert texts(decimals) == [f".{i:03d}" for i in range(1000)]
 
 
 def test_write_report_peak_memory_per_row_of_an_i_over_n_cdf(tmp_path):
