@@ -198,8 +198,10 @@ def gain_at(pattern: RadiationPattern, azimuth: float) -> tuple[np.ndarray, np.n
 
     Interpolates linearly in the dB domain between the two bracketing
     samples, periodically across +-pi; queries at sample angles return
-    the stored values exactly.
+    the stored values exactly; a non-finite ``azimuth`` raises ``ValueError``.
     """
+    if not math.isfinite(azimuth):
+        raise ValueError(f"azimuth must be finite, got {azimuth!r}")
     phi = float(_wrap_angle(azimuth))
     u = (phi - pattern.angles[0].item()) / pattern.step
     n = pattern.n_samples

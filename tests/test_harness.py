@@ -979,6 +979,27 @@ def test_a_flipped_bit_takes_the_fallback(n, data):
     assert probs.view(np.int64)[row] in formatted
 
 
+@pytest.mark.parametrize("n, left", [(10_000, 0), (20_000, 1), (10**6, 99)])
+def test_cdf_probabilities_reach_percent_formatting_only_at_the_fallback_ranks(n, left):
+    # 1e4 and 2e4 rows are the benchmark workloads' CDF sizes; were cdf's
+    # probabilities not the doubles i/N, every row would take "%.10g"
+    formatted = []
+    percent_texts = harness._percent_texts
+
+    def recording(fmt, column):
+        if fmt == "%.10g":
+            formatted.extend(column.tolist())
+        return percent_texts(fmt, column)
+
+    series = cdf(np.random.default_rng(6).uniform(1.0, 2.0, n))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_percent_texts", recording)
+        harness._write_cdf(io.BytesIO(), series, [])
+    ranks = _fallback_ranks(n)
+    assert ranks.size == left
+    assert formatted == (ranks / n).tolist()
+
+
 def test_digit_tables_match_python_formatting_entry_by_entry():
     def texts(table):
         return [text.decode() for text in table.view("S4").tolist()]

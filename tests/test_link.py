@@ -333,6 +333,28 @@ def test_link_params_validation():
             LinkParams(effective_bandwidth=bandwidth, noise_density_dbm_hz=density)
 
 
+def test_link_params_bound_the_noise_power_in_dbm():
+    # at 1e-295 Hz and -174 dBm/Hz the noise power is 4e-313 mW, and a
+    # full-rank trial's SINR at 30 dB path loss would overflow the float range
+    with pytest.raises(ValueError, match="noise power must lie within"):
+        LinkParams(effective_bandwidth=1e-295)
+    for density in (-300.0, 300.0):
+        LinkParams(effective_bandwidth=1.0, noise_density_dbm_hz=density)  # +-300 dBm
+    # the lowest noise power accepted, under gains a pattern file can reach
+    user = UserChannel(
+        gains=PropagationGains(alpha=(1e30, 1e30), beta=(1e-30, 1e-30)),
+        xpd=(1e60, 1e60),
+        omni_gain=1e30,
+        aod=AodDistribution.laplacian(0.0, math.radians(26.0)),
+    )
+    params = LinkParams(effective_bandwidth=1.0, noise_density_dbm_hz=-300.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model in ("i", "ii", "iv"):
+            result = evaluate_user(user, model, np.random.default_rng(3), 200, params)
+            assert np.all(np.isfinite(result.sinr)) and np.all(result.sinr > 0.0)
+
+
 # ---------------------------------------------------------------------------
 # per-user evaluation
 # ---------------------------------------------------------------------------

@@ -376,6 +376,14 @@ def test_scale_to_xpd_rejects_non_finite_target():
         scale_to_xpd(pat, math.inf, 0.0)
 
 
+@pytest.mark.parametrize("azimuth", [math.nan, math.inf, -math.inf])
+def test_lookups_reject_a_non_finite_azimuth(azimuth):
+    for lookup in (gain_at, xpd_at, lambda pat, phi: scale_to_xpd(pat, 10.0, phi)):
+        with pytest.raises(ValueError) as info:
+            lookup(_SHARED_PATTERN, azimuth)
+        assert str(info.value) == f"azimuth must be finite, got {azimuth!r}"
+
+
 @given(st.floats(min_value=-10.0, max_value=35.0),
        st.floats(min_value=-math.pi, max_value=math.pi - 1e-9))
 @settings(max_examples=60, deadline=None)
