@@ -38,6 +38,7 @@ import functools
 import hashlib
 import io
 import math
+import numbers
 import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -133,6 +134,8 @@ class UserSpec:
     aod: AodDistribution = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.user_id, str):
+            raise ValueError(f"user id must be a str, got {type(self.user_id).__name__}")
         if not 0.0 <= self.path_loss_db <= MAX_ABS_DB:
             raise ValueError(
                 f"user {self.user_id}: path loss must lie in [0, {MAX_ABS_DB:g}] dB"
@@ -205,6 +208,10 @@ class Scenario:
         if len({u.user_id for u in self.users}) != len(self.users):
             raise ValueError("user ids must be unique: substreams are keyed by them")
         _check_xpd_sweep(self.xpd_sweep_db, "xpd_db")
+        for name in ("trials_per_user", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials_per_user < 1:
             raise ValueError("trials_per_user must be >= 1")
         _check_size(len(self.users), self.trials_per_user,

@@ -49,9 +49,8 @@ closed form (:func:`_sigma`):
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -147,23 +146,20 @@ class UserChannel:
     ``gains`` drive the physical model; ``xpd`` the correlation-based
     models; ``omni_gain`` is the per-port gain of the two-omni-antenna
     reference; ``aod`` sets the spatial correlation of model iii.
+    ``xpd_corr``, the transmit correlation implied by ``xpd``, is built
+    and checked with the channel; models ii, iii and iv read it.
     """
 
     gains: PropagationGains
     xpd: tuple[float, float]
     omni_gain: float
     aod: AodDistribution
+    xpd_corr: correlation.CorrelationMatrix = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not all(x > 0 for x in self.xpd):
-            raise ValueError("per-port XPD must be positive (linear)")
         if not self.omni_gain > 0:
             raise ValueError("omni gain must be positive")
-
-    @functools.cached_property
-    def xpd_corr(self) -> correlation.CorrelationMatrix:
-        """Transmit correlation implied by ``xpd``; models ii, iii and iv share it."""
-        return correlation.dualpole_corr_exact(*self.xpd)
+        object.__setattr__(self, "xpd_corr", correlation.dualpole_corr_exact(*self.xpd))
 
 
 def _zf_sinr(

@@ -1084,3 +1084,18 @@ def test_user_spec_validation():
     assert user.aod == AodDistribution.laplacian(0.3, 0.4)
     assert repr(user) == "UserSpec(user_id='u', path_loss_db=80.0, mean_aod=0.3, aod_spread=0.4)"
     assert user == UserSpec("u", 80.0, 0.3, 0.4)
+
+
+def test_wrong_types_are_rejected_when_built_not_in_run():
+    # otherwise each surfaces inside run, as an AttributeError or a TypeError
+    with pytest.raises(ValueError, match="user id must be a str, got int"):
+        UserSpec(5, 72.0, 0.1)
+    user = UserSpec("u", 80.0, 0.0, 0.4)
+    for name, value in (("trials_per_user", 10.5), ("trials_per_user", 2.0), ("seed", 1.5)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
+            Scenario(users=(user,), **{name: value})
+    # numpy integers are integers, and run as the ints they equal
+    got = run(Scenario(users=(user,), xpd_sweep_db=(10.0,), seed=np.int64(3),
+                       trials_per_user=np.int32(2)))
+    want = run(Scenario(users=(user,), xpd_sweep_db=(10.0,), seed=3, trials_per_user=2))
+    assert np.array_equal(got.cdf_series[("ii", 10.0)], want.cdf_series[("ii", 10.0)])

@@ -458,6 +458,19 @@ def test_user_channel_validation():
         make_user(chi=-2.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("xpd", (0.0, 1.0)), ("xpd", (-1.0, 1.0)), ("xpd", (math.nan, 1.0)),
+     ("omni_gain", 0.0), ("omni_gain", -1.0), ("omni_gain", math.nan)],
+)
+def test_user_channel_rejects_non_positive_xpd_and_omni_gain(field, value):
+    # valid gains, so the channel's own checks are the ones that reject
+    kwargs = dict(gains=PropagationGains.from_xpd(10.0, path_loss=1e8), xpd=(10.0, 10.0),
+                  omni_gain=1e-8, aod=AodDistribution.laplacian(0.0, math.radians(26.0)))
+    with pytest.raises(ValueError, match="positive"):
+        UserChannel(**{**kwargs, field: value})
+
+
 def test_link_result_fields():
     result = evaluate_user(make_user(), "i", np.random.default_rng(1), 3)
     assert isinstance(result, LinkResult)
