@@ -23,9 +23,13 @@ are plain CSV plus one metadata text file.
 Reproducibility: a run draws from one PCG64DXSM stream seeded by
 ``[seed, RUN_TAG]``. Each user's Gram matrices are drawn once per run,
 at its point of that stream: the run's start advanced by a 128-bit hash
-of the user id. Every (XPD, model) task of the user reads that one
-draw. So a user's draws depend on the seed and its id only, and CDFs of
-different models and XPDs are paired samples (common random numbers).
+of the user id. Users are drawn a block at a time: each user's raw
+variates are pulled at its own point, as a draw of that user alone
+would pull them, and the arithmetic that makes them Gram matrices runs
+once per block, elementwise, so the block changes no sample. Every
+(XPD, model) task of the user reads that one draw. So a user's draws
+depend on the seed and its id only, and CDFs of different models and
+XPDs are paired samples (common random numbers).
 Reports are byte-identical for identical (config, seed), and a subset of
 a sweep (fewer XPDs, models or users, in any order) reproduces the full
 sweep's samples of that subset.
@@ -58,7 +62,7 @@ from .correlation import (
     equivalent_spacing,
 )
 from .chanmodel import PropagationGains
-from .link import MODELS, LinkParams, UserChannel, cdf, draw_gram, evaluate_user
+from .link import MODELS, LinkParams, UserChannel, cdf, draw_grams, evaluate_user
 from .pattern import (
     MAX_ABS_DB, RadiationPattern, gain_at, load_pattern, scale_to_xpd,
 )
@@ -96,6 +100,8 @@ MAX_CELLS = 100
 MAX_RSS_MIB = 2048
 #: Rows per block in which a CDF file is formatted and written.
 _CDF_BLOCK_ROWS = 4096
+#: Most trials of one block of users whose Gram matrices a run draws at once.
+_DRAW_BLOCK_TRIALS = 4096
 #: Second word of the run stream's seed key; the population stream uses 0xA0D.
 RUN_TAG = 0x5EED
 
@@ -132,10 +138,14 @@ class UserSpec:
     aod_spread: float = math.radians(DEFAULT_SPREAD_DEG)
     #: Laplacian AoD law of ``mean_aod`` and ``aod_spread``, built (and checked) once.
     aod: AodDistribution = field(init=False, repr=False, compare=False)
+    #: 128-bit BLAKE2b hash of the id: how far the user's substream lies along a run's stream.
+    stream_key: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.user_id, str):
             raise ValueError(f"user id must be a str, got {type(self.user_id).__name__}")
+        object.__setattr__(self, "stream_key", int.from_bytes(
+            hashlib.blake2b(self.user_id.encode(), digest_size=16).digest(), "little"))
         if not 0.0 <= self.path_loss_db <= MAX_ABS_DB:
             raise ValueError(
                 f"user {self.user_id}: path loss must lie in [0, {MAX_ABS_DB:g}] dB"
@@ -505,38 +515,41 @@ def generate_users(
 # ---------------------------------------------------------------------------
 
 
-def _user_channel(
-    user: UserSpec, xpd_db: float, scaled: RadiationPattern | None
-) -> UserChannel:
+def _user_channel(user: UserSpec, xpd_db: float, gains) -> UserChannel:
     """Resolve one (user, XPD) pair into link-model inputs.
 
-    ``scaled`` is the scenario's pattern already rescaled to ``xpd_db``,
-    or None for the pattern-free model.
+    ``gains`` is the ``(co, cross)`` pair of per-port linear gains of
+    the scenario's pattern, rescaled to ``xpd_db``, at the user's mean
+    AoD, as :func:`~dualpolsim.pattern.gain_at` gives them; or None for
+    the pattern-free model.
     """
     loss = 10.0 ** (user.path_loss_db / 10.0)
-    if scaled is not None:
-        (co0, co1), (cross0, cross1) = (g.tolist() for g in gain_at(scaled, user.mean_aod))
+    if gains is not None:
+        (co0, co1), (cross0, cross1) = gains
         # RadiationPattern gains are positive, so no XPD divides by zero.
         # Cross-polarized power radiated by port t arrives through the
         # opposite polarization, hence the swapped beta indexing.
-        gains = PropagationGains(alpha=(co0 / loss, co1 / loss),
-                                 beta=(cross1 / loss, cross0 / loss))
+        propagation = PropagationGains(alpha=(co0 / loss, co1 / loss),
+                                       beta=(cross1 / loss, cross0 / loss))
         chi = (co0 / cross0, co1 / cross1)
     else:
         chi_lin = 10.0 ** (xpd_db / 10.0)
-        gains = PropagationGains.from_xpd(chi_lin, path_loss=loss)
+        propagation = PropagationGains.from_xpd(chi_lin, path_loss=loss)
         chi = (chi_lin, chi_lin)
     return UserChannel(
-        gains=gains,
+        gains=propagation,
         xpd=chi,
         omni_gain=1.0 / loss,
         aod=user.aod,
     )
 
 
-def _user_key(user_id: str) -> int:
-    """128-bit hash of a user id: how far its substream lies along the run stream."""
-    return int.from_bytes(hashlib.blake2b(user_id.encode(), digest_size=16).digest(), "little")
+def _user_streams(rng: np.random.Generator, start: dict, users):
+    """``rng`` moved to each user's substream in turn: state ``start`` advanced by its key."""
+    for user in users:
+        rng.bit_generator.state = start
+        rng.bit_generator.advance(user.stream_key)
+        yield rng
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -578,26 +591,32 @@ def _summary_table(xpd_sweep_db, spread_deg: float) -> tuple[TableRow, ...]:
 def run(scenario: Scenario) -> RunReport:
     """Execute the full sweep and assemble a report; no file is read.
 
-    The pattern, if any, is rescaled once per XPD. Then, user by user
-    in user-id order, ``trials_per_user`` Gram matrices are drawn once
-    from the user's substream: the PCG64DXSM stream seeded by
-    ``[seed, RUN_TAG]``, advanced from its start by :func:`_user_key` of
-    the user id. Every (XPD, model) task of the user evaluates that one
-    draw, so the CDFs of different models and XPDs are paired samples.
-    Each task writes its throughput samples into the user's slice of
-    one float64 column per (model, XPD), users in id order. After the
-    last user, XPD by XPD, each column becomes one empirical CDF, a
-    read-only array, unless its whole column equals an earlier model's
-    column of the same XPD bit for bit (models ii and iv without a
-    pattern, every model at 0 dB): then its key holds that model's CDF
-    object, not sorted again. A model equal to another for some users
-    only keeps its own CDF. A summary table covering the sweep is
-    always included.
+    The pattern, if any, is rescaled once per XPD. Then the users, in
+    user-id order, go in blocks of at most :data:`_DRAW_BLOCK_TRIALS`
+    trials (one user if it draws more). Per block, one
+    :func:`~dualpolsim.pattern.gain_at` call per XPD reads the rescaled
+    pattern at every user's mean AoD, and one
+    :func:`~dualpolsim.link.draw_grams` call draws ``trials_per_user``
+    Gram matrices per user, each from the user's substream: the
+    PCG64DXSM stream seeded by ``[seed, RUN_TAG]``, advanced from its
+    start by the user's :attr:`UserSpec.stream_key`. Every (XPD, model)
+    task of the user evaluates that one draw, so the CDFs of different
+    models and XPDs are paired samples. Each task writes its throughput
+    samples into the user's slice of one float64 column per (model,
+    XPD), users in id order. After the last user, XPD by XPD, each
+    column becomes one empirical CDF, a read-only array, unless its
+    whole column equals an earlier model's column of the same XPD bit
+    for bit (models ii and iv without a pattern, every model at 0 dB):
+    then its key holds that model's CDF object, not sorted again. A
+    model equal to another for some users only keeps its own CDF. A
+    summary table covering the sweep is always included.
 
-    Module errors are re-raised with the failing step attached: the
-    XPD of a failed rescale, else the user, XPD and model. When several
-    (user, XPD) pairs fail, the error names the first failing user by
-    id, at its first failing XPD in sweep order.
+    Module errors are re-raised naming the failing step from the loops
+    it ran in: the XPD of a failed rescale or pattern lookup, the user
+    and XPD of a failed channel, the user, XPD and model of a failed
+    task. Users go in id order, each through the whole
+    sweep, so when several (user, XPD) pairs fail, the error names the
+    first failing user by id, at its first failing XPD in sweep order.
     """
     # canonical user order, so that the first failing user is the same
     # whatever the config listing order; substreams follow the user id
@@ -608,35 +627,40 @@ def run(scenario: Scenario) -> RunReport:
 
     # Scenario guarantees unique models and XPD labels, so no key repeats
     n = scenario.trials_per_user
+    per_block = max(1, _DRAW_BLOCK_TRIALS // n)
     columns = {(model, xpd_db): np.empty(len(ordered_users) * n)
                for xpd_db in scenario.xpd_sweep_db for model in scenario.models}
-    where = ""  # the step running: its error is re-raised naming it
+    user = xpd_db = model = None  # loop variables of the step running; None: not in that loop
     try:
         sweep = []  # (XPD, the pattern rescaled to it or None)
         for xpd_db in scenario.xpd_sweep_db:
-            where = f"xpd {xpd_db:g} dB"
-            scaled = None
-            if scenario.pattern is not None:
-                scaled = scale_to_xpd(scenario.pattern, xpd_db,
-                                      math.radians(scenario.pattern_reference_deg))
-            sweep.append((xpd_db, scaled))
-        for u, user in enumerate(ordered_users):
-            where = at_user = f"user {user.user_id}"
-            stream.state = run_start
-            stream.advance(_user_key(user.user_id))
-            draw = draw_gram(rng, n)
+            sweep.append((xpd_db, None if scenario.pattern is None else scale_to_xpd(
+                scenario.pattern, xpd_db, math.radians(scenario.pattern_reference_deg))))
+        for start in range(0, len(ordered_users), per_block):
+            block = ordered_users[start:start + per_block]
+            user = model = None
+            aods = np.array([spec.mean_aod for spec in block])
+            plan = []  # (XPD, the block's pattern gains, shape (cut, port, user), or None)
             for xpd_db, scaled in sweep:
-                where = at_xpd = f"{at_user}, xpd {xpd_db:g} dB"
-                channel = _user_channel(user, xpd_db, scaled)
-                for model in scenario.models:
-                    where = f"{at_xpd}, model {model}"
-                    columns[(model, xpd_db)][u * n:(u + 1) * n] = evaluate_user(
-                        channel, model, draw, n, scenario.link
-                    ).throughput
+                plan.append((xpd_db, None if scaled is None else np.array(gain_at(scaled, aods))))
+            xpd_db = None
+            features, det_w = draw_grams(_user_streams(rng, run_start, block), len(block), n)
+            for k, user in enumerate(block):
+                draw, u = (features[k], det_w[k]), start + k
+                for xpd_db, looked in plan:
+                    model = None
+                    channel = _user_channel(user, xpd_db,
+                                            None if looked is None else looked[..., k].tolist())
+                    for model in scenario.models:
+                        columns[(model, xpd_db)][u * n:(u + 1) * n] = evaluate_user(
+                            channel, model, draw, n, scenario.link
+                        ).throughput
     except (ValueError, ArithmeticError) as exc:
-        raise type(exc)(f"{where}: {exc}") from exc
-    # the last user's draw, 32 B per trial, need not stay resident while the CDFs are sorted
-    del draw
+        steps = (user and f"user {user.user_id}", xpd_db is not None and f"xpd {xpd_db:g} dB",
+                 model and f"model {model}")
+        raise type(exc)(f"{', '.join(filter(None, steps)) or 'draw'}: {exc}") from exc
+    # the last block's draw, 32 B per trial, need not stay resident while the CDFs are sorted
+    del features, det_w, draw
     cdf_series = {}
     for xpd_db in scenario.xpd_sweep_db:
         # this XPD's columns, freed when the next XPD's are taken

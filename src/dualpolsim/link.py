@@ -34,7 +34,9 @@ r_12 ~ CN(0, 1) are independent, G = R^H R and |det H_w|^2 = r_11^2 r_22^2.
 A trial costs three exponentials and two normals. The draw does not
 depend on the model or the XPD, so :func:`evaluate_user` takes either a
 generator to draw from or a read-only draw of :func:`draw_gram`, which
-one user's models and XPDs can share.
+one user's models and XPDs can share. :func:`draw_grams` draws a block
+of users, each from its own generator, and does the arithmetic once for
+the block; :func:`draw_gram` is its one-user call.
 
 Four models are selectable per trial batch, each given by its Sigma in
 closed form (:func:`_sigma`):
@@ -50,6 +52,7 @@ closed form (:func:`_sigma`):
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +70,7 @@ __all__ = [
     "RankDeficientError",
     "zf_weights",
     "draw_gram",
+    "draw_grams",
     "evaluate_user",
     "cdf",
 ]
@@ -261,26 +265,42 @@ def _gram_terms(
     return weights @ features, det_w * det_s
 
 
-def draw_gram(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bartlett draw of ``n`` Gram matrices G = H_w^H H_w of i.i.d. CN(0, 1) 2x2 H_w.
+def draw_grams(
+    rngs: Iterable[np.random.Generator], users: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bartlett draws of ``n`` Gram matrices G = H_w^H H_w of i.i.d. CN(0, 1) 2x2 H_w per user.
 
-    Returns the features (G_00, G_11, Re G_01), shape (3, n), and
-    |det H_w|^2, shape (n,), both read-only, so that one draw can feed
-    every model and XPD of a user. A given generator state yields a
-    fixed draw.
+    ``rngs`` yields one generator per user, ``users`` of them. As each
+    is yielded, its user's raw variates are pulled from it: three
+    exponentials, then two normals, per trial. So one generator, moved
+    to another point of its stream between items, can serve every user.
+    One arithmetic pass over the whole block then gives the features
+    (G_00, G_11, Re G_01), shape (users, 3, n), and |det H_w|^2, shape
+    (users, n), both read-only, so that one user's draw can feed every
+    model and XPD of that user. Given generator states yield a fixed
+    draw, whatever the block: each user's rows depend on its generator only.
     """
-    exp = rng.standard_exponential((3, n))
-    r12 = rng.standard_normal((2, n))
-    r12 *= math.sqrt(0.5)  # Re and Im of r_12 ~ CN(0, 1)
-    features = np.empty((3, n))
-    r11_sq = np.add(exp[0], exp[1], out=features[0])  # G_00 = r_11^2 ~ Gamma(2, 1)
-    r12_sq = r12 * r12
-    g11 = np.add(r12_sq[0], r12_sq[1], out=features[1])
-    g11 += exp[2]  # G_11 = |r_12|^2 + r_22^2
-    np.multiply(r12[0], np.sqrt(r11_sq), out=features[2])  # Re G_01 = r_11 Re r_12
-    det_w = r11_sq * exp[2]
+    exp, normal = np.empty((users, 3, n)), np.empty((users, 2, n))
+    for exp_k, normal_k, rng in zip(exp, normal, rngs, strict=True):
+        rng.standard_exponential(out=exp_k)
+        rng.standard_normal(out=normal_k)
+    normal *= math.sqrt(0.5)  # Re and Im of r_12 ~ CN(0, 1)
+    features = np.empty(exp.shape)
+    r11_sq = np.add(exp[:, 0], exp[:, 1], out=features[:, 0])  # G_00 = r_11^2 ~ Gamma(2, 1)
+    re_g01 = np.sqrt(r11_sq, out=features[:, 2])
+    re_g01 *= normal[:, 0]  # Re G_01 = r_11 Re r_12
+    normal *= normal
+    g11 = np.add(normal[:, 0], normal[:, 1], out=features[:, 1])
+    g11 += exp[:, 2]  # G_11 = |r_12|^2 + r_22^2
+    det_w = r11_sq * exp[:, 2]
     features.flags.writeable = det_w.flags.writeable = False
     return features, det_w
+
+
+def draw_gram(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`draw_grams` for one user: features, shape (3, n), and |det H_w|^2, shape (n,)."""
+    features, det_w = draw_grams((rng,), 1, n)
+    return features[0], det_w[0]
 
 
 def evaluate_user(

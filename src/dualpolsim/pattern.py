@@ -6,7 +6,8 @@ carry them in dBi. Patterns are immutable after construction and all
 operations are pure, so they can be shared freely across workers.
 One lookup at an azimuth serves both ports: :func:`gain_at` returns the
 co- and cross-polarized gains and :func:`xpd_at` the XPDs, each as a
-(2,) array indexed by port - 1.
+(2,) array indexed by port - 1; an array of azimuths gets one column
+per azimuth.
 
 File format (plain text CSV):
 
@@ -187,39 +188,52 @@ def load_pattern(source: str) -> RadiationPattern:
         raise PatternFormatError(str(exc)) from None
 
 
-def _db_lerp(g_a: float, g_b: float, frac: float) -> float:
-    """Interpolate linearly in dB from positive ``g_a`` (frac 0) to ``g_b`` (frac 1)."""
-    db = (1.0 - frac) * (10.0 * math.log10(g_a)) + frac * (10.0 * math.log10(g_b))
-    return 10.0 ** (db / 10.0)
+def _db_lerp(g_a: np.ndarray, g_b: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """Interpolate linearly in dB from positive ``g_a`` (frac 0) to ``g_b`` (frac 1), elementwise.
 
-
-def gain_at(pattern: RadiationPattern, azimuth: float) -> tuple[np.ndarray, np.ndarray]:
-    """Linear ``(co, cross)`` gains at ``azimuth``, each of shape (2,), one per port.
-
-    Interpolates linearly in the dB domain between the two bracketing
-    samples, periodically across +-pi; queries at sample angles return
-    the stored values exactly; a non-finite ``azimuth`` raises ``ValueError``.
+    The logarithms and powers are libm's, ``math.log10`` and Python's
+    ``**``, called per value: numpy's vectorized ``log10`` and ``power``
+    round some values differently, which would move the gains, and so
+    every pattern run's samples, by an ulp.
     """
-    if not math.isfinite(azimuth):
-        raise ValueError(f"azimuth must be finite, got {azimuth!r}")
-    phi = float(_wrap_angle(azimuth))
-    u = (phi - pattern.angles[0].item()) / pattern.step
+    log10 = np.frompyfunc(math.log10, 1, 1)
+    db_a, db_b = (10.0 * log10(g).astype(float) for g in (g_a, g_b))
+    return np.frompyfunc(pow, 2, 1)(10.0, ((1.0 - frac) * db_a + frac * db_b) / 10.0).astype(float)
+
+
+def gain_at(
+    pattern: RadiationPattern, azimuth: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Linear ``(co, cross)`` gains at ``azimuth``, one row per port.
+
+    A float ``azimuth`` gives two (2,) arrays; an array of azimuths of
+    shape S gives two (2, *S) arrays, column for column equal to the
+    float calls. Interpolates linearly in the dB domain between the two
+    bracketing samples, periodically across +-pi; queries at sample
+    angles return the stored values exactly; a non-finite azimuth
+    raises ``ValueError``.
+    """
+    phi = np.asarray(azimuth, dtype=float)
+    finite = np.isfinite(phi)
+    if not finite.all():
+        raise ValueError(f"azimuth must be finite, got {phi[~finite].flat[0].item()!r}")
     n = pattern.n_samples
-    i0 = int(math.floor(u)) % n
-    frac = u - math.floor(u)
-    if frac < 1e-12 or frac > 1.0 - 1e-12:
-        i = i0 if frac < 0.5 else (i0 + 1) % n
-        return pattern.co[:, i].copy(), pattern.cross[:, i].copy()
+    u = (_wrap_angle(phi.ravel()) - pattern.angles[0]) / pattern.step
+    floor = np.floor(u)
+    frac = u - floor
+    i0 = floor.astype(np.intp) % n
     i1 = (i0 + 1) % n
-    return tuple(
-        np.array([_db_lerp(g_a, g_b, frac)
-                  for g_a, g_b in zip(cut[:, i0].tolist(), cut[:, i1].tolist())])
-        for cut in (pattern.co, pattern.cross)
-    )
+    cuts = np.stack((pattern.co, pattern.cross))  # (cut, port, sample)
+    # a query within 1e-12 steps of a sample reads that sample exactly
+    gains = cuts[:, :, np.where(frac < 0.5, i0, i1)]
+    lerp = (frac >= 1e-12) & (frac <= 1.0 - 1e-12)
+    if lerp.any():
+        gains[:, :, lerp] = _db_lerp(cuts[:, :, i0[lerp]], cuts[:, :, i1[lerp]], frac[lerp])
+    return tuple(gains.reshape(2, 2, *phi.shape))
 
 
-def xpd_at(pattern: RadiationPattern, azimuth: float) -> np.ndarray:
-    """Co-to-cross gain ratio of each port in the direction ``azimuth``, shape (2,).
+def xpd_at(pattern: RadiationPattern, azimuth: float | np.ndarray) -> np.ndarray:
+    """Co-to-cross gain ratio of each port toward ``azimuth``, shaped as :func:`gain_at`'s.
 
     Positive, as every gain of a pattern is; finite for the gains a
     pattern file or :func:`scale_to_xpd` yields.

@@ -27,7 +27,7 @@ from dualpolsim.harness import (
     run,
     write_report,
 )
-from dualpolsim.link import LinkParams, cdf, evaluate_user
+from dualpolsim.link import LinkParams, cdf, draw_gram, evaluate_user
 from dualpolsim.pattern import PatternFormatError, gain_at, scale_to_xpd, xpd_at
 
 TABLE_RHO = (0.9432, 0.8545, 0.5750, 0.1980, 0.0632)
@@ -579,6 +579,19 @@ def test_run_draws_each_user_at_its_hashed_jump_along_the_run_stream():
         assert series.tobytes() == cdf(result.throughput).tobytes(), (model, xpd_db)
 
 
+def test_user_spec_stream_key_is_the_blake2b_hash_of_its_id():
+    ids = ("solo", "Solo", "SOLO", "u0000", "u0001", "bürö")
+    keys = []
+    for user_id in ids:
+        user = UserSpec(user_id, path_loss_db=80.0, mean_aod=0.0)
+        digest = hashlib.blake2b(user_id.encode(), digest_size=16).digest()
+        assert user.stream_key == int.from_bytes(digest, "little"), user_id
+        keys.append(user.stream_key)
+    assert len(set(keys)) == len(ids)  # case variants are distinct ids, with distinct substreams
+    moved = dataclasses.replace(user, user_id="solo")
+    assert moved.stream_key == keys[0]
+
+
 def test_run_attaches_context_to_module_errors():
     # at 30 deg spread the first local minimum of |rho| (~0.156) sits
     # above the 30 dB coefficient, so model iii cannot resolve a
@@ -698,7 +711,7 @@ def _pattern_scenario(tmp_path):
 
 
 def test_run_rescales_pattern_once_per_xpd(tmp_path, monkeypatch):
-    calls = {"scale_to_xpd": 0, "_user_channel": 0, "draw_gram": 0, "evaluate_user": 0}
+    calls = {"scale_to_xpd": 0, "gain_at": 0, "evaluate_user": 0}
     for name in calls:
         original = getattr(harness, name)
 
@@ -708,10 +721,9 @@ def test_run_rescales_pattern_once_per_xpd(tmp_path, monkeypatch):
 
         monkeypatch.setattr(harness, name, counted)
     run(_pattern_scenario(tmp_path))
-    # 2 XPD values, 3 users, 2 models: one rescale per XPD, one channel per
-    # (XPD, user), one Gram draw per user and one evaluation per task
-    assert calls == {"scale_to_xpd": 2, "_user_channel": 2 * 3, "draw_gram": 3,
-                     "evaluate_user": 2 * 3 * 2}
+    # 2 XPD values, 3 users in one draw block, 2 models: one rescale per
+    # XPD, one gain lookup per (XPD, block) and one evaluation per task
+    assert calls == {"scale_to_xpd": 2, "gain_at": 2, "evaluate_user": 2 * 3 * 2}
 
 
 def test_pattern_run_keeps_models_ii_and_iv_apart(tmp_path):
@@ -727,8 +739,8 @@ def test_user_channel_matches_pattern_lookup(tmp_path):
         scaled = scale_to_xpd(scenario.pattern, xpd_db,
                               math.radians(scenario.pattern_reference_deg))
         for user in scenario.users:
-            channel = harness._user_channel(user, xpd_db, scaled)
             co, cross = gain_at(scaled, user.mean_aod)
+            channel = harness._user_channel(user, xpd_db, (co, cross))
             loss = 10.0 ** (user.path_loss_db / 10.0)
             # bit for bit: the channel is read off the same single lookup
             assert channel.xpd == tuple(xpd_at(scaled, user.mean_aod))
@@ -741,8 +753,65 @@ def test_run_attaches_context_to_channel_errors(tmp_path, monkeypatch):
         raise ValueError("gain lookup failed")
 
     monkeypatch.setattr(harness, "gain_at", broken_gain)
-    with pytest.raises(ValueError, match="user a, xpd 10 dB: gain lookup failed"):
+    with pytest.raises(ValueError, match="^xpd 10 dB: gain lookup failed"):
         run(_pattern_scenario(tmp_path))
+
+
+def test_run_over_several_draw_blocks_matches_the_per_user_path(tmp_path):
+    # 700 users x 20 trials fill four draw blocks; each user is rebuilt
+    # alone: its draw at its hashed jump, its gains from one scalar lookup
+    header = "azimuth_deg, port1_co_dBi, port1_cross_dBi, port2_co_dBi, port2_cross_dBi\n"
+    rows = "".join(
+        f"{deg}, {6.0 + 5.0 * math.cos(math.radians(deg)):.4f}, {-14.0 + math.sin(deg):.4f}, "
+        f"{5.0 + 4.0 * math.cos(math.radians(deg - 20)):.4f}, {-11.0 + math.cos(deg):.4f}\n"
+        for deg in range(-180, 180, 2)
+    )
+    pattern_path = tmp_path / "pattern.csv"
+    pattern_path.write_text(header + rows)
+    scenario = parse_scenario(f"""
+    [generator]
+    count = 700
+
+    [sweep]
+    xpd_db = 3, 30
+    models = i, ii
+    trials_per_user = 20
+    pattern_file = {pattern_path}
+    pattern_reference_deg = 10
+
+    [seed]
+    value = 77
+    """)
+    assert len(scenario.users) * 20 > 3 * harness._DRAW_BLOCK_TRIALS
+    report = run(scenario)
+    samples = {key: [] for key in report.cdf_series}
+    for user in sorted(scenario.users, key=lambda u: u.user_id):
+        stream = np.random.PCG64DXSM(np.random.SeedSequence([77, harness.RUN_TAG]))
+        stream.advance(user.stream_key)
+        draw = draw_gram(np.random.Generator(stream), 20)
+        for xpd_db in scenario.xpd_sweep_db:
+            scaled = scale_to_xpd(scenario.pattern, xpd_db, math.radians(10.0))
+            channel = harness._user_channel(user, xpd_db, gain_at(scaled, user.mean_aod))
+            for model in scenario.models:
+                result = evaluate_user(channel, model, draw, 20, scenario.link)
+                samples[(model, xpd_db)].append(result.throughput)
+    for key, series in report.cdf_series.items():
+        assert series.tobytes() == cdf(np.concatenate(samples[key])).tobytes(), key
+
+
+def test_run_names_the_user_whose_channel_fails(tmp_path, monkeypatch):
+    scenario = _pattern_scenario(tmp_path)
+    (b,) = [user for user in scenario.users if user.user_id == "b"]
+    real = harness.UserChannel
+
+    def channel_failing_for_b(**kwargs):
+        if kwargs["aod"] is b.aod:
+            raise ValueError("channel failed")
+        return real(**kwargs)
+
+    monkeypatch.setattr(harness, "UserChannel", channel_failing_for_b)
+    with pytest.raises(ValueError, match="^user b, xpd 10 dB: channel failed"):
+        run(scenario)
 
 
 def test_parse_missing_pattern_file_is_config_error():

@@ -289,6 +289,27 @@ def test_gain_at_matches_fancy_indexing_reference():
             assert g.tobytes() == e.tobytes(), phi
 
 
+def test_gain_at_over_an_array_matches_the_scalar_calls_bit_for_bit():
+    # the azimuths of the fancy-indexing test, and enough random ones that
+    # numpy's log10 or power in place of libm's would change some bits
+    pat = directional_pattern()
+    samples = pat.angles.tolist()
+    between = [a + f * pat.step for a in samples[::7] for f in (1e-9, 0.25, 0.5, 0.9)]
+    seam = [math.pi, -math.pi, math.pi - 1e-3, -math.pi + 1e-3, float(pat.angles[-1]) + 0.01,
+            3.0 * math.pi, -5.0 * math.pi + 0.2, 7.5, -7.5]
+    spread = np.random.default_rng(5).uniform(-4.0, 4.0, 3000).tolist()
+    azimuths = samples + between + seam + spread
+    got = gain_at(pat, np.array(azimuths))
+    for g in got:
+        assert g.dtype == float and g.shape == (2, len(azimuths))
+    for k, phi in enumerate(azimuths):
+        for g, e, one in zip(got, _fancy_index_gain_at(pat, phi), gain_at(pat, phi)):
+            assert g[:, k].tobytes() == e.tobytes() == one.tobytes(), phi
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="azimuth must be finite"):
+            gain_at(pat, np.array([0.1, bad, 0.2]))
+
+
 @given(st.floats(min_value=-10.0, max_value=10.0))
 @settings(max_examples=200, deadline=None)
 def test_gain_at_two_pi_periodic(phi):
