@@ -872,7 +872,7 @@ def _write_cdf(f, series, prob_fields: list) -> None:
     :func:`_prob_field`) pairs; a column with the bits of one already in
     it is not formatted again. A block of :data:`_CDF_BLOCK_ROWS` rows
     is one ``uint8`` matrix, its :func:`_value_field` beside its
-    probability rows, whose NUL padding one boolean mask drops.
+    probability rows; one ``bytes.translate`` pass drops its NUL padding.
     """
     arr = np.asarray(series, dtype=float).reshape(len(series), 2)
     values, probs = arr[:, 0], arr[:, 1]
@@ -884,7 +884,7 @@ def _write_cdf(f, series, prob_fields: list) -> None:
     for start in range(0, len(arr), _CDF_BLOCK_ROWS):
         block = slice(start, start + _CDF_BLOCK_ROWS)
         rows = np.hstack((_value_field(values[block]), prob_field[block]))
-        f.write(rows[rows != 0])
+        f.write(rows.tobytes().translate(None, b"\0"))
 
 
 def write_report(report: RunReport, out_dir) -> list[Path]:
