@@ -40,13 +40,13 @@ class PropagationGains:
     ``alpha[t]`` is the copolarized gain of port t toward the user and
     ``beta[t]`` the cross-polarized gain arriving through polarization
     t (radiated by the opposite port). The XPD of port t is therefore
-    ``alpha[t] / beta[1 - t]``. The constructor reads each gain vector
-    into one read-only float array, checks its shape, then checks the
-    four gains as Python floats: finite, >= 0 and alpha[t] + beta[t] > 0.
+    ``alpha[t] / beta[1 - t]``. The constructor checks each gain vector's
+    shape through one float array, then keeps it as a pair of Python
+    floats, which it checks: finite, >= 0 and alpha[t] + beta[t] > 0.
     """
 
-    alpha: np.ndarray
-    beta: np.ndarray
+    alpha: tuple[float, float]
+    beta: tuple[float, float]
 
     def __post_init__(self) -> None:
         alpha = np.array(self.alpha, dtype=float)
@@ -60,10 +60,8 @@ class PropagationGains:
             raise ValueError("gains must be >= 0")
         if a0 + b0 <= 0 or a1 + b1 <= 0:
             raise ValueError("each port needs some received power (alpha + beta > 0)")
-        alpha.flags.writeable = False
-        beta.flags.writeable = False
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "alpha", (a0, a1))
+        object.__setattr__(self, "beta", (b0, b1))
 
     @classmethod
     def from_xpd(cls, chi: float, path_loss: float = 1.0) -> "PropagationGains":
@@ -104,8 +102,8 @@ def build_effective(gains: PropagationGains, h: np.ndarray) -> np.ndarray:
     copolar part) and sqrt(beta[t']) on the fading of the opposite port
     t' (the cross-polar part).
     """
-    a0, a1 = map(math.sqrt, gains.alpha.tolist())
-    b0, b1 = map(math.sqrt, gains.beta.tolist())
+    a0, a1 = map(math.sqrt, gains.alpha)
+    b0, b1 = map(math.sqrt, gains.beta)
     return _mix(h, np.array([[a0, b0], [b1, a1]], dtype=complex))
 
 

@@ -236,14 +236,14 @@ def _sigma(user: UserChannel, model: str) -> tuple[float, float, float, float]:
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
     if model == "i":
-        (a0, a1), (b0, b1) = user.gains.alpha.tolist(), user.gains.beta.tolist()
+        (a0, a1), (b0, b1) = user.gains.alpha, user.gains.beta
         return (a0 + b1, b0 + a1, math.sqrt(a0 * b0) + math.sqrt(a1 * b1),
                 (math.sqrt(a0 * a1) - math.sqrt(b0 * b1)) ** 2)
     rho = abs(user.xpd_corr.coefficient)
     if model == "iii":
         spacing = correlation.equivalent_spacing(SpacingQuery(rho, user.aod))
         rho = abs(correlation.spatial_corr(spacing, user.aod))
-    a0, a1 = user.gains.alpha.tolist() if model == "ii" else (user.omni_gain, user.omni_gain)
+    a0, a1 = user.gains.alpha if model == "ii" else (user.omni_gain, user.omni_gain)
     s = math.sqrt(max(1.0 - rho * rho, 0.0))
     return ((a0 * (1.0 + s) + a1 * (1.0 - s)) / 2.0, (a0 * (1.0 - s) + a1 * (1.0 + s)) / 2.0,
             (a0 + a1) * rho / 2.0, a0 * a1 * s * s)

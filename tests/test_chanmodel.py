@@ -96,6 +96,8 @@ _NAN, _INF = math.nan, math.inf
     ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], "alpha and beta must each hold one value per port"),
     ([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0], "alpha and beta must each hold one value per port"),
     (1.0, [1.0, 1.0], "alpha and beta must each hold one value per port"),
+    # one value per port, yet a column: the shape rule, not float() of a 1-element array
+    (np.ones((2, 1)), [1.0, 1.0], "alpha and beta must each hold one value per port"),
 ])
 def test_propagation_gains_rejections_keep_type_and_message(alpha, beta, message):
     with pytest.raises(ValueError) as info:
@@ -112,10 +114,11 @@ def test_propagation_gains_from_xpd_rejects_path_loss_below_one(path_loss):
 
 def test_propagation_gains_keep_signed_zero_and_are_read_only():
     # -0.0 is not below zero: accepted, and stored bit for bit
-    gains = PropagationGains(alpha=[-0.0, 1.0], beta=(1.0, 0.0))
-    assert gains.alpha.tobytes() == np.array([-0.0, 1.0]).tobytes()
-    assert gains.beta.dtype == float and gains.beta.shape == (2,)
-    with pytest.raises(ValueError):
+    gains = PropagationGains(alpha=np.array([-0.0, 1.0]), beta=[1, 0.0])
+    assert gains.alpha == (-0.0, 1.0) and math.copysign(1.0, gains.alpha[0]) == -1.0
+    for pair in (gains.alpha, gains.beta):
+        assert type(pair) is tuple and [type(v) for v in pair] == [float, float]
+    with pytest.raises(TypeError):
         gains.alpha[0] = 2.0
 
 

@@ -22,6 +22,7 @@ from dualpolsim.correlation import (
     equivalent_spacing,
     spatial_corr,
 )
+from dualpolsim.harness import _user_channel, parse_scenario, run
 from dualpolsim.link import (
     MAX_CONDITION,
     MODELS,
@@ -588,6 +589,79 @@ def test_mixings_of_equal_sigma_moduli_have_one_law():
         assert _ks_2samp(a.sinr[:, k], b.sinr[:, k]) * math.sqrt(n / 2) < 1.95, k
     spread = math.sqrt((a.throughput.var() + b.throughput.var()) / n)
     assert abs(a.throughput.mean() - b.throughput.mean()) / spread < 5.0
+
+
+# ---------------------------------------------------------------------------
+# exact mean throughput of a scenario run
+# ---------------------------------------------------------------------------
+
+
+# the CI's pattern-free users, plus an edge user whose stream SINR scales
+# gamma_k fall below 1 at every XPD here
+ORACLE_SCENARIO = """\
+[users]
+near = path_loss_db=72 mean_aod_deg=-15
+far = path_loss_db=88 mean_aod_deg=30
+edge = path_loss_db=112 mean_aod_deg=60
+
+[sweep]
+xpd_db = 3, 10, 20
+models = i, ii, iii, iv
+trials_per_user = 20000
+"""
+
+
+def _stream_gammas(channel, model, params):
+    """gamma_k = det Sigma / (p_n Sigma_k'k') of both streams, k' the other stream."""
+    s00, s11, _, det_sigma = _sigma(channel, model)
+    return det_sigma / (params.noise_power() * s11), det_sigma / (params.noise_power() * s00)
+
+
+def _exact_mean_throughput(channel, model, params):
+    """Exact mean capped throughput of one user and model: both streams' E_1 closed forms."""
+    return sum(_exact_stream_throughput(g, params) for g in _stream_gammas(channel, model, params))
+
+
+def test_scenario_cdf_means_match_the_exact_mean_throughput():
+    # each pooled CDF's sample mean against the exact mean of its users;
+    # the edge user's gamma_k < 1 puts the boundary layer of the E_1 form,
+    # at t = 0 of its integrand exp(-(2^t - 1) / gamma_k), into the check
+    scenario = parse_scenario(ORACLE_SCENARIO)
+    report, params = run(scenario), scenario.link
+    for xpd_db in scenario.xpd_sweep_db:
+        channels = [_user_channel(user, xpd_db, None) for user in scenario.users]
+        for model in scenario.models:
+            assert any(max(_stream_gammas(c, model, params)) < 1.0 for c in channels)
+            exact = [_exact_mean_throughput(channel, model, params) for channel in channels]
+            samples = report.cdf_series[(model, xpd_db)][:, 0]
+            # users are equal strata, so the pooled mean's variance is the
+            # within-user variance over the sample count: the pooled variance
+            # less the spread of the exact user means
+            se = math.sqrt((samples.var() - np.var(exact)) / samples.size)
+            z = (samples.mean() - np.mean(exact)) / se
+            assert abs(z) <= 6.0, (model, xpd_db, z)
+
+
+def test_paired_model_i_minus_ii_matches_the_exact_difference():
+    # models i and ii read one draw per user (common random numbers), so
+    # their paired difference has a far smaller standard error than two means
+    scenario = parse_scenario(ORACLE_SCENARIO)
+    n, params, users = scenario.trials_per_user, scenario.link, len(scenario.users)
+    draws = [draw_gram(np.random.default_rng([0, k]), n) for k in range(users)]
+    for xpd_db in scenario.xpd_sweep_db:
+        mean_d = exact_d = var_d = var_unpaired = 0.0
+        for user, draw in zip(scenario.users, draws):
+            channel = _user_channel(user, xpd_db, None)
+            i, ii = (evaluate_user(channel, m, draw, n, params).throughput for m in ("i", "ii"))
+            mean_d += (i - ii).mean()
+            var_d += (i - ii).var()
+            var_unpaired += i.var() + ii.var()
+            exact_d += (_exact_mean_throughput(channel, "i", params)
+                        - _exact_mean_throughput(channel, "ii", params))
+        paired_se, unpaired_se = (math.sqrt(v / n) / users for v in (var_d, var_unpaired))
+        z = (mean_d - exact_d) / users / paired_se
+        assert abs(z) <= 6.0, (xpd_db, z)
+        assert paired_se < unpaired_se, (xpd_db, paired_se, unpaired_se)
 
 
 # ---------------------------------------------------------------------------
