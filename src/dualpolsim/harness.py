@@ -222,6 +222,8 @@ class Scenario:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            # a Python int, so that the size check below cannot wrap around
+            object.__setattr__(self, name, int(value))
         if self.trials_per_user < 1:
             raise ValueError("trials_per_user must be >= 1")
         _check_size(len(self.users), self.trials_per_user,
@@ -544,14 +546,6 @@ def _user_channel(user: UserSpec, xpd_db: float, gains) -> UserChannel:
     )
 
 
-def _user_streams(rng: np.random.Generator, start: dict, users):
-    """``rng`` moved to each user's substream in turn: state ``start`` advanced by its key."""
-    for user in users:
-        rng.bit_generator.state = start
-        rng.bit_generator.advance(user.stream_key)
-        yield rng
-
-
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether float arrays ``a`` and ``b`` hold the same bit patterns.
 
@@ -644,7 +638,7 @@ def run(scenario: Scenario) -> RunReport:
             for xpd_db, scaled in sweep:
                 plan.append((xpd_db, None if scaled is None else np.array(gain_at(scaled, aods))))
             xpd_db = None
-            features, det_w = draw_grams(_user_streams(rng, run_start, block), len(block), n)
+            features, det_w = draw_grams(rng, run_start, [spec.stream_key for spec in block], n)
             for k, user in enumerate(block):
                 draw, u = (features[k], det_w[k]), start + k
                 for xpd_db, looked in plan:
@@ -901,8 +895,15 @@ def write_report(report: RunReport, out_dir) -> list[Path]:
     call, and so is a series object held by several keys, as
     :func:`run` shares one for equal CDFs: the later keys' files are
     copies of the first one's bytes. Equal but distinct arrays are
-    formatted once each, to the same bytes.
+    formatted once each, to the same bytes. Two keys whose file names
+    print alike raise ``ValueError`` before anything is written.
     """
+    names = {}  # CDF file name -> the key written to it
+    for key in sorted(report.cdf_series):
+        name = f"cdf_{key[0]}_{key[1]:g}.csv"
+        if name in names:
+            raise ValueError(f"CDF keys {names[name]} and {key} both print to {name}")
+        names[name] = key
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -913,8 +914,8 @@ def write_report(report: RunReport, out_dir) -> list[Path]:
 
     prob_fields = []
     first_paths = {}  # id of a series object -> the file first written for it
-    for (model, xpd_db), series in sorted(report.cdf_series.items()):
-        path = out_dir / f"cdf_{model}_{xpd_db:g}.csv"
+    for name, key in names.items():
+        series, path = report.cdf_series[key], out_dir / name
         if id(series) in first_paths:
             shutil.copyfile(first_paths[id(series)], path)
         else:

@@ -35,8 +35,8 @@ A trial costs three exponentials and two normals. The draw does not
 depend on the model or the XPD, so :func:`evaluate_user` takes either a
 generator to draw from or a read-only draw of :func:`draw_gram`, which
 one user's models and XPDs can share. :func:`draw_grams` draws a block
-of users, each from its own generator, and does the arithmetic once for
-the block; :func:`draw_gram` is its one-user call.
+of users, each at the point of one stream that its key fixes, and does
+the arithmetic once for the block; :func:`draw_gram` is its one-user call.
 
 Four models are selectable per trial batch, each given by its Sigma in
 closed form (:func:`_sigma`):
@@ -52,7 +52,6 @@ closed form (:func:`_sigma`):
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -266,22 +265,25 @@ def _gram_terms(
 
 
 def draw_grams(
-    rngs: Iterable[np.random.Generator], users: int, n: int
+    rng: np.random.Generator, start: dict, keys, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bartlett draws of ``n`` Gram matrices G = H_w^H H_w of i.i.d. CN(0, 1) 2x2 H_w per user.
+    """Bartlett draws of ``n`` Gram matrices G = H_w^H H_w of i.i.d. CN(0, 1) 2x2 H_w per key.
 
-    ``rngs`` yields one generator per user, ``users`` of them. As each
-    is yielded, its user's raw variates are pulled from it: three
-    exponentials, then two normals, per trial. So one generator, moved
-    to another point of its stream between items, can serve every user.
-    One arithmetic pass over the whole block then gives the features
-    (G_00, G_11, Re G_01), shape (users, 3, n), and |det H_w|^2, shape
-    (users, n), both read-only, so that one user's draw can feed every
-    model and XPD of that user. Given generator states yield a fixed
-    draw, whatever the block: each user's rows depend on its generator only.
+    User k's raw variates, three exponentials then two normals per
+    trial, come from ``rng`` set to the bit-generator state ``start``
+    and advanced by ``keys[k]``; a zero key does not advance, so
+    :func:`draw_gram` serves a bit generator without ``advance``. One
+    arithmetic pass over the whole block then gives the features
+    (G_00, G_11, Re G_01), shape (len(keys), 3, n), and |det H_w|^2,
+    shape (len(keys), n), both read-only, so that one user's draw can
+    feed every model and XPD of that user. A user's rows depend on
+    ``start`` and its key only, whatever the block.
     """
-    exp, normal = np.empty((users, 3, n)), np.empty((users, 2, n))
-    for exp_k, normal_k, rng in zip(exp, normal, rngs, strict=True):
+    exp, normal = np.empty((len(keys), 3, n)), np.empty((len(keys), 2, n))
+    for exp_k, normal_k, key in zip(exp, normal, keys):
+        rng.bit_generator.state = start
+        if key:
+            rng.bit_generator.advance(key)
         rng.standard_exponential(out=exp_k)
         rng.standard_normal(out=normal_k)
     normal *= math.sqrt(0.5)  # Re and Im of r_12 ~ CN(0, 1)
@@ -299,7 +301,7 @@ def draw_grams(
 
 def draw_gram(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`draw_grams` for one user: features, shape (3, n), and |det H_w|^2, shape (n,)."""
-    features, det_w = draw_grams((rng,), 1, n)
+    features, det_w = draw_grams(rng, rng.bit_generator.state, (0,), n)
     return features[0], det_w[0]
 
 

@@ -48,7 +48,9 @@ def _sigmas(rng: np.random.Generator, count: int) -> list:
 def _block(users: int, n: int):
     """A draw block's features and |det H_w|^2, and the Sigma of each of its (user, task) pairs."""
     rng = np.random.default_rng([users, n])
-    features, det_w = draw_grams([rng] * users, users, n)
+    # disjoint substreams, 2**64 outputs apart
+    keys = [b << 64 for b in range(users)]
+    features, det_w = draw_grams(rng, rng.bit_generator.state, keys, n)
     pool = _sigmas(rng, 97)
     sigmas = [[pool[(b * TASKS + k) % len(pool)] for k in range(TASKS)] for b in range(users)]
     return features, det_w, sigmas

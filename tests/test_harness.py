@@ -233,6 +233,11 @@ def test_scenario_in_code_is_held_to_the_size_limits():
     Scenario(users=users[:-1], trials_per_user=1)
     with pytest.raises(ValueError, match="10001 users exceed the 10000"):
         Scenario(users=users, trials_per_user=1)
+    # numpy integers are kept as Python ints: in int64, 3 x 2**62 would wrap negative
+    with pytest.raises(ValueError, match="samples a pooled CDF may hold"):
+        Scenario(users=users[:3], trials_per_user=np.int64(2**62))
+    scenario = Scenario(users=users[:3], trials_per_user=np.int64(5), seed=np.uint64(7))
+    assert type(scenario.trials_per_user) is int and type(scenario.seed) is int
 
 
 def test_parse_seed_is_exact_64_bit():
@@ -975,6 +980,14 @@ def test_write_report_formats_a_shared_series_once(tmp_path, monkeypatch):
             assert (tmp_path / out_dir / f"cdf_{model}_3.csv").read_bytes() == expected
         # one value column per distinct series object
         assert value_columns == [9] * len({id(c) for c in copies}), out_dir
+
+
+def test_write_report_rejects_keys_that_print_to_one_file(tmp_path):
+    report = harness.RunReport(table_rows=(), metadata={}, cdf_series={
+        ("ii", 1.0): cdf([1.0, 2.0]), ("ii", 1.0000001): cdf([3.0])})
+    with pytest.raises(ValueError, match=r"both print to cdf_ii_1\.csv"):
+        write_report(report, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def _i_over_n_texts(n, start, stop):

@@ -32,6 +32,7 @@ from dualpolsim.link import (
     UserChannel,
     cdf,
     draw_gram,
+    draw_grams,
     evaluate_user,
     zf_weights,
     _capped_throughput,
@@ -252,6 +253,48 @@ def test_draw_gram_moments_and_determinism():
     # G is positive semidefinite with the drawn determinant
     g01_sq = features[2] ** 2 + g01.imag ** 2
     assert_allclose(features[0] * features[1] - g01_sq, det_w, rtol=1e-9, atol=1e-12)
+
+
+def _draw_at(start: dict, key: int, n: int):
+    """:func:`draw_gram` of a PCG64DXSM generator set to ``start`` and advanced by ``key``."""
+    bit_generator = np.random.PCG64DXSM()
+    bit_generator.state = start
+    bit_generator.advance(key)
+    return draw_gram(np.random.Generator(bit_generator), n)
+
+
+def test_draw_grams_draws_each_row_at_its_key():
+    rng = np.random.Generator(np.random.PCG64DXSM(5))
+    rng.standard_normal(3)  # the block starts wherever ``start`` says, not where rng stands
+    start = np.random.PCG64DXSM(5).state
+    keys, n = [0, 7, 7, 2**128 - 1, 3 << 70], 6
+    features, det_w = draw_grams(rng, start, keys, n)
+    assert features.shape == (len(keys), 3, n) and det_w.shape == (len(keys), n)
+    assert not features.flags.writeable and not det_w.flags.writeable
+    for k, key in enumerate(keys):
+        one_features, one_det = _draw_at(start, key, n)
+        assert features[k].tobytes() == one_features.tobytes(), key
+        assert det_w[k].tobytes() == one_det.tobytes(), key
+    # the same keys split over two calls give the same rows
+    halves = [draw_grams(rng, start, part, n) for part in (keys[:2], keys[2:])]
+    assert np.concatenate([f for f, _ in halves]).tobytes() == features.tobytes()
+    assert np.concatenate([d for _, d in halves]).tobytes() == det_w.tobytes()
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64DXSM, np.random.MT19937])
+def test_draw_gram_pulls_its_variates_where_the_generator_stands(bit_generator):
+    # MT19937 has no ``advance``; a 32-bit draw leaves half an output buffered
+    rng, twin = (np.random.Generator(bit_generator(9)) for _ in range(2))
+    for g in (rng, twin):
+        g.integers(0, 10, dtype=np.int32)
+    n = 50
+    draw_gram(rng, n)
+    twin.standard_exponential(3 * n)
+    twin.standard_normal(2 * n)
+    if bit_generator is np.random.PCG64DXSM:
+        assert rng.bit_generator.state == twin.bit_generator.state
+    for draw in (lambda g: g.integers(0, 2**31, 3, dtype=np.int32), lambda g: g.random(3)):
+        assert np.array_equal(draw(rng), draw(twin))
 
 
 @pytest.mark.parametrize("model", ["i", "ii"])
