@@ -28,7 +28,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
@@ -218,9 +218,11 @@ def _bessel_jn(x, top: int) -> list:
     which gives one row per order. J_{n-1} = (2n/x) J_n - J_{n+1} starts
     at order ``top`` >= :func:`_series_order` of the largest x and is
     normalized by J_0 + 2 sum_k J_2k = 1, summed order after order, so a
-    row's elements equal the float results bit for bit. Only floats need
-    the tiny-x guard and the rescale: the grid's largest unnormalized
-    value, at x = 2*pi*0.01 with top = 61, is about 2e175.
+    row's elements equal the float results bit for bit. The sum runs left
+    to right, not through the builtin ``sum``, which compensates floats
+    since Python 3.12. Only floats need the tiny-x guard and the rescale:
+    the grid's largest unnormalized value, at x = 2*pi*0.01 with
+    top = 61, is about 2e175.
     """
     grid = isinstance(x, np.ndarray)
     if not grid and x < 1e-50:  # J_0 = 1 and |J_n| < 1e-50 here, and 2n/x would overflow
@@ -235,7 +237,7 @@ def _bessel_jn(x, top: int) -> list:
             vals[n:] = [v * 1e-250 for v in vals[n:]]
             j_next, j = j_next * 1e-250, j * 1e-250
     vals[0] = j
-    scale = 1.0 / (vals[0] + 2.0 * sum(vals[2::2]))
+    scale = 1.0 / (vals[0] + 2.0 * functools.reduce(add, vals[2::2], 0.0))
     return [v * scale for v in vals]
 
 

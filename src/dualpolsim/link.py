@@ -345,14 +345,11 @@ def cdf(samples) -> np.ndarray:
     rows with probabilities i/N, ending exactly at 1. Every sample is
     pooled, whatever the shape of ``samples``: a scalar is one sample.
     """
-    values = np.sort(np.asarray(samples, dtype=float), axis=None)
-    if values.size == 0:
+    samples = np.asarray(samples, dtype=float)
+    n = samples.size
+    if n == 0:
         raise ValueError("cdf requires at least one sample")
-    series = np.empty((values.size, 2))
-    series[:, 0] = values
-    # 1.0 summed in float64 counts exactly to 2**53: the ranks i, then i/N
-    probs = series[:, 1]
-    probs.fill(1.0)
-    np.cumsum(probs, out=probs)
-    probs /= values.size
+    series = np.empty((n, 2))
+    series[:, 0] = np.sort(samples, axis=None)
+    np.divide(np.arange(1, n + 1), n, out=series[:, 1])
     return series

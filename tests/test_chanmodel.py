@@ -210,6 +210,8 @@ def test_kronecker_rejects_invalid_correlation():
     # an invalid correlation cannot be built, so it never reaches the kernel
     with pytest.raises(InvalidCorrelationError, match="off-diagonal magnitude exceeds 1"):
         kronecker_effective(one_draw(0), np.ones(2), CorrelationMatrix(0.5 + 0.9j))
+    with pytest.raises(ValueError, match="^alpha must hold one gain per port$"):
+        kronecker_effective(one_draw(0), np.ones(3), CorrelationMatrix(0.5))
 
 
 def test_build_effective_empirical_correlation_formula():

@@ -5,6 +5,7 @@ test (quadrature, explicit Gram products, squaring the matrix root) or
 frozen from high-precision evaluation (mpmath at 30 digits).
 """
 
+import builtins
 import math
 
 import mpmath
@@ -129,6 +130,41 @@ def test_grid_table_equals_scalar_recurrence(chunk):
         d = (first + step) * 0.01
         assert correlation._series_order(2.0 * math.pi * d) < table.shape[1], step
         assert table[step].tolist() == correlation._bessel_jn(x, table.shape[1] - 1), step
+
+
+_PLAIN_SUM = builtins.sum
+
+
+def _compensated_sum(iterable, /, start=0):
+    """The builtin ``sum`` of CPython 3.12 on: Neumaier-compensated over floats."""
+    items = list(iterable)
+    if not all(type(v) is float for v in items):
+        return _PLAIN_SUM(items, start)
+    total, comp = float(start), 0.0
+    for v in items:
+        t = total + v
+        comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_bessel_jn_bits_do_not_depend_on_the_builtin_sum(monkeypatch):
+    # the reports must keep their bytes on Python 3.12+, whose sum()
+    # compensates the rounding of floats
+    rng = np.random.default_rng(12)
+    floats = [0.0, 1e-30, *(2.0 * math.pi * rng.uniform(0.0, 64.0, 400)).tolist()]
+    grid = 2.0 * math.pi * np.arange(1, 257) * correlation._SCAN_STEP
+
+    def jn_bytes():
+        rows = [correlation._bessel_jn(x, correlation._series_order(x)) for x in floats]
+        rows.append(correlation._bessel_jn(grid, correlation._series_order(grid[-1])))
+        return [np.array(row).tobytes() for row in rows]
+
+    expected = jn_bytes()
+    with monkeypatch.context() as patched:
+        patched.setattr(builtins, "sum", _compensated_sum)
+        assert sum([1e16, 1.0, -1e16]) == 1.0
+        assert jn_bytes() == expected
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 2.0 * math.pi * 64.0 + 0.01])

@@ -130,6 +130,9 @@ def test_parse_rejects_unknown_key_and_section():
         parse_scenario("[DEFAULT]\ncount = 3\n[generator]\n")
     with pytest.raises(ConfigError, match=r"^unknown section \[DEFAULT\]$"):
         parse_scenario("[DEFAULT]\nxpd_db = 3\n" + MINIMAL_CONFIG)
+    # a key line before any section header
+    with pytest.raises(ConfigError, match=r"^malformed config: File contains no section headers"):
+        parse_scenario("count = 2\n[generator]\n")
 
 
 def test_parse_rejects_duplicate_user_id():
@@ -144,6 +147,8 @@ def test_parse_rejects_duplicate_user_id():
 def test_parse_requires_users_or_generator():
     with pytest.raises(ConfigError, match="missing required section"):
         parse_scenario("[sweep]\nxpd_db = 10\n")
+    with pytest.raises(ConfigError, match=r"^\[users\] section is empty$"):
+        parse_scenario("[users]\n[sweep]\nxpd_db = 10\n")
     with pytest.raises(ConfigError, match="not both"):
         parse_scenario(
             "[users]\nu = path_loss_db=80 mean_aod_deg=0\n[generator]\ncount = 2\n"
@@ -168,6 +173,18 @@ def test_parse_rejects_bad_numbers():
         parse_scenario(MINIMAL_CONFIG + "[sweep]\ntrials_per_user = ten\n")
     with pytest.raises(ConfigError, match="unknown models"):
         parse_scenario(MINIMAL_CONFIG + "[sweep]\nmodels = ii, v\n")
+    for text, message in [
+        ("[generator]\nsector_deg = 400\n",
+         "[generator]: sector width must lie in [0, 360] degrees"),
+        (MINIMAL_CONFIG + "[sweep]\nxpd_db = 3, abc\n",
+         "[sweep] xpd_db: expected numbers, got '3, abc'"),
+        (MINIMAL_CONFIG + "[sweep]\npattern_reference_deg = 1 2\n",
+         "[sweep] pattern_reference_deg: expected a single number, got '1 2'"),
+        ("[generator]\ndistance_m = 1 2 3\n",
+         "[generator] distance_m: expected one or two numbers, got '1 2 3'"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_scenario(text)
 
 
 @pytest.mark.parametrize(

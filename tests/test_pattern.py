@@ -209,6 +209,15 @@ def test_radiation_pattern_rejects_zero_gain():
         gains[cut][1, 3] = 0.0
         with pytest.raises(ValueError, match="positive"):
             RadiationPattern(angles=angles, **gains)
+    ones = np.ones((2, n))
+    for kwargs, message in [
+        (dict(angles=angles, co=np.ones((3, n)), cross=ones),
+         r"^gain arrays must have shape \(2, n_samples\)$"),
+        (dict(angles=angles[::-1], co=ones, cross=ones), "^angles must be strictly increasing$"),
+        (dict(angles=angles + math.pi, co=ones, cross=ones), r"^angles must lie in \[-pi, pi\)$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            RadiationPattern(**kwargs)
 
 
 # ---------------------------------------------------------------------------
