@@ -340,7 +340,8 @@ def _rho_and_slope(d: float, a: list[complex], b: list[complex]) -> tuple[comple
     recurrence starts at their last order.
     """
     jn = _bessel_jn(2.0 * math.pi * d, len(a) - 1)
-    return sum(map(mul, a, jn)), 2.0 * math.pi * sum(map(mul, b, jn))
+    return (functools.reduce(add, map(mul, a, jn), 0j),
+            2.0 * math.pi * functools.reduce(add, map(mul, b, jn), 0j))
 
 
 def spatial_corr(d: float, dist: AodDistribution) -> complex:
@@ -359,7 +360,7 @@ def spatial_corr(d: float, dist: AodDistribution) -> complex:
         raise ValueError(f"separation d must lie in [0, 64] wavelengths, got {d!r}")
     x = 2.0 * math.pi * d
     a = dist._coefficients[0][: _series_order(x) + 1].tolist()
-    return complex(sum(map(mul, a, _bessel_jn(x, len(a) - 1))))
+    return functools.reduce(add, map(mul, a, _bessel_jn(x, len(a) - 1)), 0j)
 
 
 @functools.lru_cache(maxsize=None)
@@ -428,6 +429,11 @@ def equivalent_spacing(query: SpacingQuery) -> float:
         develop a first local minimum of |rho| well above zero, so small
         targets can be unreachable.
     """
+    return _scan(query, root=True)
+
+
+def _scan(query: SpacingQuery, *, root: bool) -> float | None:
+    """:func:`equivalent_spacing`; with ``root`` false, None once a scan step proves a root."""
     target = query.target_rho
     if target == 1.0:
         return 0.0
@@ -441,9 +447,12 @@ def equivalent_spacing(query: SpacingQuery) -> float:
             k_prev, m_prev = k_prev + table.shape[0], ms[-1]
             continue
         k_prev, m_prev = k_prev + stops[0], ms[stops[0]]
+        crossed = ms[stops[0] + 1] <= target
+        if crossed and not root:
+            return None
         # a crossing lies in [k_prev, k_prev + 1]; where |rho| rose
         # instead, its minimum lies in [k_prev - 1, k_prev + 1]
-        lo = k_prev if ms[stops[0] + 1] <= target else max(k_prev - 1, 0)
+        lo = k_prev if crossed else max(k_prev - 1, 0)
         hi = (k_prev + 1) * _SCAN_STEP
         d, m_min = _refine(lo * _SCAN_STEP, hi, target, a.tolist(), b.tolist())
         if d is not None:

@@ -795,7 +795,7 @@ def _prob_rows(rows: np.ndarray, column: np.ndarray, start: int, n: int) -> None
     not i/N, and every row when N > 9.2e8 (i * 10**13 would overflow).
     """
     # the decade of i/N at the first row, -5 below 1e-4
-    e = sum((start + 1) * 10**k >= n for k in range(5)) - 5
+    e = -next((k for k in range(5) if (start + 1) * 10**k >= n), 5)
     ranks = np.arange(start + 1, start + 1 + column.size)
     written = (ranks / n).view(np.int64) == column.view(np.int64)
     written &= e >= -4 and n <= np.iinfo(np.int64).max // 10**10

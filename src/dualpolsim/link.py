@@ -43,8 +43,8 @@ closed form (:func:`_sigma`):
 
 * ``i``   physical dual-polarization channel (copolar plus cross-polar),
 * ``ii``  correlated channel with the XPD-implied transmit correlation,
-* ``iii`` correlated channel with the spatial correlation of two
-          omnidirectional antennas at the XPD-equivalent spacing,
+* ``iii`` omni gains with the spatial correlation at the XPD-equivalent
+          spacing, which is the XPD's: model iv wherever that spacing exists,
 * ``iv``  correlated channel with the XPD-implied correlation on
           omnidirectional gains.
 """
@@ -148,7 +148,7 @@ class UserChannel:
 
     ``gains`` drive the physical model; ``xpd`` the correlation-based
     models; ``omni_gain`` is the per-port gain of the two-omni-antenna
-    reference; ``aod`` sets the spatial correlation of model iii.
+    reference; ``aod`` decides whether model iii's spacing exists.
     ``xpd_corr``, the transmit correlation implied by ``xpd``, is built
     and checked with the channel; models ii, iii and iv read it.
     """
@@ -230,7 +230,9 @@ def _sigma(user: UserChannel, model: str) -> tuple[float, float, float, float]:
     Model i's M = [[sqrt(alpha_0), sqrt(beta_0)], [sqrt(beta_1), sqrt(alpha_1)]].
     Models ii-iv have M = diag(sqrt(a)) sqrt(R) with port gains a and
     |R_01| = rho, so Sigma = sqrt(R) diag(a) sqrt(R); s = sqrt(1 - rho^2).
-    No det Sigma is a difference that cancels.
+    No det Sigma is a difference that cancels. Model iii's spacing d* has
+    |rho_sp(d*)| = rho by definition, so it takes model iv's Sigma once the
+    spacing scan proves that d* exists; it raises NoSolutionError where not.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
@@ -240,8 +242,7 @@ def _sigma(user: UserChannel, model: str) -> tuple[float, float, float, float]:
                 (math.sqrt(a0 * a1) - math.sqrt(b0 * b1)) ** 2)
     rho = abs(user.xpd_corr.coefficient)
     if model == "iii":
-        spacing = correlation.equivalent_spacing(SpacingQuery(rho, user.aod))
-        rho = abs(correlation.spatial_corr(spacing, user.aod))
+        correlation._scan(SpacingQuery(rho, user.aod), root=False)
     a0, a1 = user.gains.alpha if model == "ii" else (user.omni_gain, user.omni_gain)
     s = math.sqrt(max(1.0 - rho * rho, 0.0))
     return ((a0 * (1.0 + s) + a1 * (1.0 - s)) / 2.0, (a0 * (1.0 - s) + a1 * (1.0 + s)) / 2.0,

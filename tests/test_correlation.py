@@ -135,35 +135,53 @@ def test_grid_table_equals_scalar_recurrence(chunk):
 _PLAIN_SUM = builtins.sum
 
 
-def _compensated_sum(iterable, /, start=0):
-    """The builtin ``sum`` of CPython 3.12 on: Neumaier-compensated over floats."""
-    items = list(iterable)
-    if not all(type(v) is float for v in items):
-        return _PLAIN_SUM(items, start)
+def _neumaier(values, start):
     total, comp = float(start), 0.0
-    for v in items:
+    for v in values:
         t = total + v
         comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
         total = t
     return total + comp if comp and math.isfinite(comp) else total
 
 
+def _compensated_sum(iterable, /, start=0):
+    """A builtin ``sum`` that Neumaier-compensates floats and, part by part, complex numbers.
+
+    CPython compensates floats since 3.12, and its 3.14 changelog lists
+    complex numbers too.
+    """
+    items = list(iterable)
+    if all(type(v) is float for v in items):
+        return _neumaier(items, start)
+    if all(type(v) in (float, complex) for v in items):
+        parts = [complex(v) for v in (start, *items)]
+        return complex(_neumaier([p.real for p in parts[1:]], parts[0].real),
+                       _neumaier([p.imag for p in parts[1:]], parts[0].imag))
+    return _PLAIN_SUM(items, start)
+
+
 def test_bessel_jn_bits_do_not_depend_on_the_builtin_sum(monkeypatch):
     # the reports must keep their bytes on Python 3.12+, whose sum()
-    # compensates the rounding of floats
+    # compensates the rounding of floats, and of complex numbers on 3.14
     rng = np.random.default_rng(12)
     floats = [0.0, 1e-30, *(2.0 * math.pi * rng.uniform(0.0, 64.0, 400)).tolist()]
     grid = 2.0 * math.pi * np.arange(1, 257) * correlation._SCAN_STEP
+    law = AodDistribution.laplacian(math.radians(40.0), math.radians(26.0))
+    spacings = rng.uniform(0.0, 64.0, 200).tolist()
 
     def jn_bytes():
         rows = [correlation._bessel_jn(x, correlation._series_order(x)) for x in floats]
         rows.append(correlation._bessel_jn(grid, correlation._series_order(grid[-1])))
+        a, b = (c.tolist() for c in law._coefficients)
+        for d in spacings:  # the complex series of rho and of its slope
+            rows.append([spatial_corr(d, law), *correlation._rho_and_slope(d, a, b)])
         return [np.array(row).tobytes() for row in rows]
 
     expected = jn_bytes()
     with monkeypatch.context() as patched:
         patched.setattr(builtins, "sum", _compensated_sum)
         assert sum([1e16, 1.0, -1e16]) == 1.0
+        assert sum([1e16 + 1e16j, 1.0 + 1.0j, -1e16 - 1e16j]) == 1.0 + 1.0j
         assert jn_bytes() == expected
 
 
@@ -645,6 +663,32 @@ def test_equivalent_spacing_first_branch_property():
                 below = np.concatenate((below[-20:], rng.choice(below[:-20], 180, replace=False)))
             assert all(abs(spatial_corr(s, dist)) > target for s in below), (dist, target)
     assert min(outcomes.values()) > 0, outcomes
+
+
+def _spacing_outcome(solve, query):
+    """The NoSolutionError message of ``solve(query)``, or None if it returns."""
+    try:
+        solve(query)
+    except NoSolutionError as exc:
+        return str(exc)
+    return None
+
+
+@given(law=st.one_of(
+           st.just(AodDistribution.isotropic()),
+           st.builds(AodDistribution.laplacian, st.floats(-math.pi, math.pi),
+                     st.floats(*map(math.radians, correlation.LAPLACIAN_SPREAD_DEG)))),
+       target=st.one_of(
+           st.floats(0.0, 1.0, exclude_min=True),
+           st.floats(0.0, 1e-3, exclude_min=True),
+           st.floats(1e-16, 1e-6).map(lambda gap: 1.0 - gap)))
+@settings(max_examples=300, deadline=None)
+def test_spacing_scan_proves_a_root_exactly_when_the_solve_finds_one(law, target):
+    # model iii's Sigma rests on the scan alone: where a scan step at or
+    # below the target proves a root, no Newton step runs
+    query = SpacingQuery(target, law)
+    proof = _spacing_outcome(lambda q: correlation._scan(q, root=False), query)
+    assert proof == _spacing_outcome(equivalent_spacing, query)
 
 
 def test_spacing_query_validation():

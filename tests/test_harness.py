@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from dualpolsim import cli, harness
-from dualpolsim.correlation import AodDistribution, spatial_corr
+from dualpolsim.correlation import AodDistribution, NoSolutionError, spatial_corr
 from dualpolsim.harness import (
     ConfigError,
     GeneratorBounds,
@@ -438,14 +438,16 @@ def test_models_of_a_pattern_free_run_share_their_draws(full_sweep):
 
 
 def test_equal_cdfs_of_a_pattern_free_run_are_one_read_only_array(full_sweep):
+    # every user's equivalent spacing exists here, so model iii has
+    # model iv's Sigma, and model iv model ii's
     scenario, full = full_sweep
     for xpd_db in scenario.xpd_sweep_db:
         shared = full.cdf_series[("ii", xpd_db)]
+        assert full.cdf_series[("iii", xpd_db)] is shared
         assert full.cdf_series[("iv", xpd_db)] is shared
         assert not shared.flags.writeable
-        for model in ("i", "iii"):
-            assert full.cdf_series[(model, xpd_db)] is not shared, model
-            assert not full.cdf_series[(model, xpd_db)].flags.writeable, model
+        assert full.cdf_series[("i", xpd_db)] is not shared
+        assert not full.cdf_series[("i", xpd_db)].flags.writeable
 
 
 def test_same_bits_compares_bit_patterns_not_values():
@@ -648,6 +650,31 @@ def test_run_names_the_first_failing_user_at_its_first_failing_xpd():
     """
     with pytest.raises(ValueError, match="^user amy, xpd 30 dB, model iii: "):
         run(parse_scenario(cfg))
+
+
+def _readme_scenario(xpd_db):
+    """The README's generator scenario with models i-iv at the XPDs ``xpd_db``."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    config = re.search(r"^```ini\n(.*?)^```", readme, flags=re.M | re.S).group(1)
+    return dataclasses.replace(parse_scenario(config), models=("i", "ii", "iii", "iv"),
+                               xpd_sweep_db=xpd_db)
+
+
+def test_model_iii_of_the_readme_population_shares_model_iv_cdf():
+    # every user's equivalent spacing exists at 3-20 dB, and |rho_sp| = |rho_xpd|
+    # there, so model iii's Sigma, column and CDF are model iv's
+    report = run(_readme_scenario((3.0, 5.0, 10.0, 20.0)))
+    for xpd_db in (3.0, 5.0, 10.0, 20.0):
+        assert report.cdf_series[("iii", xpd_db)] is report.cdf_series[("iv", xpd_db)]
+
+
+def test_model_iii_of_the_readme_population_still_fails_at_30_db():
+    # user u0002 asks for a |rho| below the first minimum of its |rho_sp|
+    with pytest.raises(NoSolutionError) as info:
+        run(_readme_scenario((30.0,)))
+    assert str(info.value) == (
+        "user u0002, xpd 30 dB, model iii: target |rho| = 0.0631824 is below the minimum "
+        "achievable 0.072274 on [0, 3.8] wavelengths; achievable range is [0.072274, 1]")
 
 
 def test_run_with_pattern_file(tmp_path):

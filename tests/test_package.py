@@ -1,5 +1,6 @@
 """Tests of the package root: its public names and the README's examples."""
 
+import ast
 import inspect
 import os
 import re
@@ -35,6 +36,22 @@ def test_every_public_function_and_class_is_in_all(module):
         and obj.__module__ == module.__name__
     }
     assert defined <= set(module.__all__)
+
+
+def test_no_module_calls_the_builtin_sum():
+    # sum() compensates float rounding since Python 3.12 (and complex
+    # rounding on 3.14), so a sum in the package would make a report's
+    # bytes depend on the interpreter; the package reduces left to right
+    paths = sorted(Path(dualpolsim.__file__).parent.glob("*.py"))
+    assert len(paths) > len(LAYERS)
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "sum"
+    ]
+    assert calls == []
 
 
 def test_readme_python_examples_run(tmp_path, monkeypatch):
