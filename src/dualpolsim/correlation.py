@@ -411,7 +411,7 @@ def _refine(lo: float, hi: float, target: float, a: list, b: list) -> tuple[floa
     return None, m_min
 
 
-def equivalent_spacing(query: SpacingQuery) -> float:
+def equivalent_spacing(query: SpacingQuery, *, root: bool = True) -> float | None:
     """Smallest antenna spacing, in wavelengths, whose |spatial correlation| hits the target.
 
     Solves |rho(d)| = target_rho on the first branch of |rho|, for
@@ -419,7 +419,9 @@ def equivalent_spacing(query: SpacingQuery) -> float:
     shared Bessel table per 256 steps, stops at the first step with
     |rho| <= target or at the first local minimum of |rho|. Safeguarded
     Newton steps (:func:`_refine`) then solve |rho| = target to 5e-7 (less
-    near 1), also where |rho| dips to the target between two steps.
+    near 1), also where |rho| dips to the target between two steps. With
+    ``root`` false it returns None once a scan step proves that a root
+    exists, and runs Newton steps only to decide a local minimum.
 
     Raises
     ------
@@ -429,11 +431,6 @@ def equivalent_spacing(query: SpacingQuery) -> float:
         develop a first local minimum of |rho| well above zero, so small
         targets can be unreachable.
     """
-    return _scan(query, root=True)
-
-
-def _scan(query: SpacingQuery, *, root: bool) -> float | None:
-    """:func:`equivalent_spacing`; with ``root`` false, None once a scan step proves a root."""
     target = query.target_rho
     if target == 1.0:
         return 0.0

@@ -242,7 +242,7 @@ def _sigma(user: UserChannel, model: str) -> tuple[float, float, float, float]:
                 (math.sqrt(a0 * a1) - math.sqrt(b0 * b1)) ** 2)
     rho = abs(user.xpd_corr.coefficient)
     if model == "iii":
-        correlation._scan(SpacingQuery(rho, user.aod), root=False)
+        correlation.equivalent_spacing(SpacingQuery(rho, user.aod), root=False)
     a0, a1 = user.gains.alpha if model == "ii" else (user.omni_gain, user.omni_gain)
     s = math.sqrt(max(1.0 - rho * rho, 0.0))
     return ((a0 * (1.0 + s) + a1 * (1.0 - s)) / 2.0, (a0 * (1.0 - s) + a1 * (1.0 + s)) / 2.0,

@@ -687,7 +687,7 @@ def test_spacing_scan_proves_a_root_exactly_when_the_solve_finds_one(law, target
     # model iii's Sigma rests on the scan alone: where a scan step at or
     # below the target proves a root, no Newton step runs
     query = SpacingQuery(target, law)
-    proof = _spacing_outcome(lambda q: correlation._scan(q, root=False), query)
+    proof = _spacing_outcome(lambda q: equivalent_spacing(q, root=False), query)
     assert proof == _spacing_outcome(equivalent_spacing, query)
 
 

@@ -204,7 +204,11 @@ def test_gram_path_matches_explicit_kernel(model):
     noise = LinkParams().noise_power()
     user = make_skewed_user()
     sigma = _sigma(user, model)
-    assert_allclose(sigma, _sigma_moduli(_explicit_sigma(user, model)), rtol=1e-12)
+    # model iii's Sigma is model iv's: the explicit mixing at its solved
+    # spacing meets the target |rho| only to the solver's tolerance, which
+    # test_evaluate_user_model_iii_runs_and_matches_iv_in_mean checks
+    explicit = _explicit_sigma(user, "iv" if model == "iii" else model)
+    assert_allclose(sigma, _sigma_moduli(explicit), rtol=1e-12)
     h = draw_fading_batch(np.random.default_rng(11), 2000)
     got = evaluate_user(user, model, _gram_features(h), 2000).sinr
     want_good, want_sinrs = zf_explicit(h @ _cholesky(sigma), noise)

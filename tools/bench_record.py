@@ -1,14 +1,15 @@
-"""Record one point of the benchmark trajectory as a JSON file.
+"""Record one point of the benchmark trajectory as JSON on stdout.
 
-Each ``NAME=DIR`` argument names a source tree of this repository, for
-instance a ``git archive`` of the parent commit and the working tree.
-For each tree, in the order given, the record holds:
+The two arguments are source trees of this repository: the parent
+commit (a ``git archive`` of it) and the change. For each, in that
+order, the record holds:
 
-* the last line of ``DIR/bench/run.py`` for both workloads at seed 0,
-  untraced (``--trace 0``) and traced (``--trace 1``);
+* the last line of its ``bench/run.py`` for both workloads at seed 0,
+  untraced (``--trace 0``) and traced (``--trace 1``), each run for
+  ``SECONDS`` so that records stay comparable;
 * the README's reference scenario (the generator block, 100 users x
   1000 trials), timed through ``harness.run`` and ``write_report`` in a
-  fresh interpreter on ``DIR/src``, best of 5 each: models i, ii and iv
+  fresh interpreter on its ``src``, best of 5 each: models i, ii and iv
   at all of its XPDs, and models i-iv at 3-20 dB, since model iii finds
   no first-branch spacing for some users at 30 dB.
 
@@ -18,7 +19,7 @@ active SIMD dispatch targets, the CPU count and the host-speed scale of
 kernel runs). Times are wall seconds, unscaled, except the bench lines,
 which scale their own. Run from the repository root::
 
-    python3 tools/bench_record.py --seconds 6 --out BENCH_36.json parent=PARENT_DIR change=.
+    python3 tools/bench_record.py PARENT_DIR . > BENCH_36.json
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("ref-iid", "pattern-small-batch")
+SECONDS = 6
 
 #: Timed in a fresh interpreter with the tree's ``src`` first on the path.
 REFERENCE = r"""
@@ -90,40 +92,32 @@ def _python(tree: Path, code: str) -> dict:
     return json.loads(done.stdout)
 
 
-def _bench_line(tree: Path, workload: str, seconds: float, trace: int) -> dict:
+def _bench_line(tree: Path, workload: str, trace: int) -> dict:
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0",
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=tree, check=True, capture_output=True, text=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seconds", type=float, default=6.0,
-                        help="measurement window of each bench/run.py call")
-    parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("trees", nargs="+", metavar="NAME=DIR")
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
     args = parser.parse_args(argv)
-    trees = {}
-    for arg in args.trees:
-        name, sep, path = arg.partition("=")
-        if not sep or not name or not (Path(path) / "bench" / "run.py").is_file():
-            parser.error(f"{arg!r} is not NAME=DIR of a source tree with bench/run.py")
-        trees[name] = Path(path).resolve()
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
-    record = {"environment": _python(next(iter(trees.values())), ENVIRONMENT),
-              "bench_seconds": args.seconds, "trees": {}}
+    record = {"environment": _python(trees["change"], ENVIRONMENT),
+              "bench_seconds": SECONDS, "trees": {}}
     for name, tree in trees.items():
         print(f"{name}: {tree}", file=sys.stderr)
         record["trees"][name] = {
-            "bench": {workload: {f"trace_{trace}": _bench_line(tree, workload, args.seconds, trace)
+            "bench": {workload: {f"trace_{trace}": _bench_line(tree, workload, trace)
                                  for trace in (0, 1)}
                       for workload in WORKLOADS},
             "reference_scenario": _python(tree, REFERENCE),
         }
-    args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {args.out}", file=sys.stderr)
+    print(json.dumps(record, indent=2))
     return 0
 
 
