@@ -293,10 +293,13 @@ def dualpole_corr_exact(chi1: float, chi2: float | None = None) -> CorrelationMa
     """
     chi1 = _check_xpd(chi1, "chi1")
     chi2 = chi1 if chi2 is None else _check_xpd(chi2, "chi2")
-    a = 1.0 / math.sqrt(chi1)
-    b = 1.0 / math.sqrt(chi2)
-    rho = (a + b) / math.sqrt((1.0 + a * a) * (1.0 + b * b))
-    return CorrelationMatrix(min(rho, 1.0))
+    return CorrelationMatrix(float(_xpd_rho(chi1, chi2)))
+
+
+def _xpd_rho(chi1, chi2):
+    """The coefficient of :func:`dualpole_corr_exact`, at most 1, of floats or arrays alike."""
+    a, b = 1.0 / np.sqrt(chi1), 1.0 / np.sqrt(chi2)
+    return np.minimum((a + b) / np.sqrt((1.0 + a * a) * (1.0 + b * b)), 1.0)
 
 
 def dualpole_corr_approx(chi: float) -> CorrelationMatrix:

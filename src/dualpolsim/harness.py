@@ -57,12 +57,10 @@ from .correlation import (
     AodDistribution,
     NoSolutionError,
     SpacingQuery,
-    dualpole_corr_approx,
-    dualpole_corr_exact,
     equivalent_spacing,
+    _xpd_rho,
 )
-from .chanmodel import PropagationGains
-from .link import MODELS, LinkParams, UserChannel, cdf, draw_grams, evaluate_user
+from .link import MODELS, LinkParams, _sigma, cdf, draw_grams, evaluate_user
 from .pattern import (
     MAX_ABS_DB, RadiationPattern, gain_at, load_pattern, scale_to_xpd,
 )
@@ -517,33 +515,34 @@ def generate_users(
 # ---------------------------------------------------------------------------
 
 
-def _user_channel(user: UserSpec, xpd_db: float, gains) -> UserChannel:
-    """Resolve one (user, XPD) pair into link-model inputs.
+def _channel_terms(loss: np.ndarray, omni: np.ndarray, xpd_db: float, gains) -> tuple:
+    """:func:`~dualpolsim.link._sigma`'s (alpha, beta, omni, rho) of a block's users at ``xpd_db``.
 
-    ``gains`` is the ``(co, cross)`` pair of per-port linear gains of
-    the scenario's pattern, rescaled to ``xpd_db``, at the user's mean
-    AoD, as :func:`~dualpolsim.pattern.gain_at` gives them; or None for
-    the pattern-free model.
+    ``omni`` is 1 / ``loss``; ``gains`` is None or the users' ``(co,
+    cross)`` gains of the rescaled pattern. Also returns the first user
+    failing a per-user channel's checks (``len(loss)`` if none) and the
+    message; only pattern gains can fail them.
     """
-    loss = 10.0 ** (user.path_loss_db / 10.0)
-    if gains is not None:
-        (co0, co1), (cross0, cross1) = gains
-        # RadiationPattern gains are positive, so no XPD divides by zero.
-        # Cross-polarized power radiated by port t arrives through the
-        # opposite polarization, hence the swapped beta indexing.
-        propagation = PropagationGains(alpha=(co0 / loss, co1 / loss),
-                                       beta=(cross1 / loss, cross0 / loss))
-        chi = (co0 / cross0, co1 / cross1)
-    else:
-        chi_lin = 10.0 ** (xpd_db / 10.0)
-        propagation = PropagationGains.from_xpd(chi_lin, path_loss=loss)
-        chi = (chi_lin, chi_lin)
-    return UserChannel(
-        gains=propagation,
-        xpd=chi,
-        omni_gain=1.0 / loss,
-        aod=user.aod,
-    )
+    if gains is None:
+        chi = 10.0 ** (xpd_db / 10.0)
+        return ((omni, omni), (omni / chi,) * 2, omni, _xpd_rho(chi, chi)), len(loss), ""
+    co, cross = gains
+    # power that port t radiates cross-polarized arrives through the other polarization
+    alpha, beta = co / loss, cross[::-1] / loss
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero cross gain: infinite XPD
+        chi = co / cross
+        terms = (alpha, beta, omni, _xpd_rho(*chi))
+    port = np.concatenate((alpha, beta))
+    failed = np.array([~np.isfinite(port).all(0), (port < 0).any(0),
+                       (alpha + beta <= 0).any(0), *~(chi > 0)])
+    k = int(failed.any(0).argmax())
+    if not failed[:, k].any():
+        return terms, len(loss), ""
+    messages = ("gains must be finite", "gains must be >= 0",
+                "each port needs some received power (alpha + beta > 0)",
+                *(f"chi{i} must be a positive linear XPD, got {float(c[k])}"
+                  for i, c in enumerate(chi, 1)))
+    return terms, k, messages[int(failed[:, k].argmax())]
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -562,55 +561,44 @@ def _summary_table(xpd_sweep_db, spread_deg: float) -> tuple[TableRow, ...]:
     rows = []
     for xpd_db in xpd_sweep_db:
         chi = 10.0 ** (xpd_db / 10.0)
-        rho_exact = abs(dualpole_corr_exact(chi).coefficient)
-        rho_approx = abs(dualpole_corr_approx(chi).coefficient)
+        # the coefficients of dualpole_corr_exact and dualpole_corr_approx at chi
+        rho_exact, rho_approx = float(_xpd_rho(chi, chi)), min(2.0 / math.sqrt(chi), 1.0)
         d_iso = equivalent_spacing(SpacingQuery(rho_exact, iso))
         try:
             d_lap = equivalent_spacing(SpacingQuery(rho_exact, lap))
         except NoSolutionError:
             d_lap = math.nan  # unreachable on the first branch: an empty cell
-        rows.append(
-            TableRow(
-                xpd_db=xpd_db,
-                rho_exact=rho_exact,
-                rho_approx=rho_approx,
-                d_iso_lambda=d_iso,
-                d_lap_lambda=d_lap,
-                spread_deg=spread_deg,
-            )
-        )
+        rows.append(TableRow(xpd_db=xpd_db, rho_exact=rho_exact, rho_approx=rho_approx,
+                             d_iso_lambda=d_iso, d_lap_lambda=d_lap, spread_deg=spread_deg))
     return tuple(rows)
 
 
 def run(scenario: Scenario) -> RunReport:
     """Execute the full sweep and assemble a report; no file is read.
 
-    The pattern, if any, is rescaled once per XPD. Then the users, in
-    user-id order, go in blocks of at most :data:`_DRAW_BLOCK_TRIALS`
-    trials (one user if it draws more). Per block, one
-    :func:`~dualpolsim.pattern.gain_at` call per XPD reads the rescaled
-    pattern at every user's mean AoD, and one
-    :func:`~dualpolsim.link.draw_grams` call draws ``trials_per_user``
-    Gram matrices per user, each from the user's substream: the
-    PCG64DXSM stream seeded by ``[seed, RUN_TAG]``, advanced from its
-    start by the user's :attr:`UserSpec.stream_key`. Every (XPD, model)
-    task of the user evaluates that one draw, so the CDFs of different
-    models and XPDs are paired samples. Each task writes its throughput
-    samples into the user's slice of one float64 column per (model,
-    XPD), users in id order. After the last user, XPD by XPD, each
-    column becomes one empirical CDF, a read-only array, unless its
-    whole column equals an earlier model's column of the same XPD bit
+    The pattern, if any, is rescaled once per XPD. The users, in id
+    order, go in blocks of at most :data:`_DRAW_BLOCK_TRIALS` trials (one
+    user if it draws more). Before a block's draw, XPD by XPD, one
+    :func:`~dualpolsim.pattern.gain_at` call reads the rescaled pattern
+    at the users' mean AoDs and :func:`_channel_terms` gives their Sigma
+    inputs in array passes, checked as per-user channels would be; model
+    iii's spacing is checked per (user, XPD). One
+    :func:`~dualpolsim.link.draw_grams` call then draws each user's
+    ``trials_per_user`` Gram matrices from its substream (see the module
+    docstring). Per (XPD, model), one array pass gives the block's Sigma,
+    and each user's task evaluates its Sigma on the user's one draw, into
+    the user's slice of one float64 column per (model, XPD). After the
+    last block, XPD by XPD, each column becomes one read-only empirical
+    CDF, unless it equals an earlier model's column of the same XPD bit
     for bit (models ii and iv without a pattern, every model at 0 dB):
-    then its key holds that model's CDF object, not sorted again. A
-    model equal to another for some users only keeps its own CDF. A
-    summary table covering the sweep is always included.
+    then its key holds that model's CDF object. A summary table covering
+    the sweep is included.
 
-    Module errors are re-raised naming the failing step from the loops
-    it ran in: the XPD of a failed rescale or pattern lookup, the user
-    and XPD of a failed channel, the user, XPD and model of a failed
-    task. Users go in id order, each through the whole
-    sweep, so when several (user, XPD) pairs fail, the error names the
-    first failing user by id, at its first failing XPD in sweep order.
+    Module errors are re-raised naming the failing step: the XPD of a
+    failed rescale or pattern lookup, the user and XPD of a failed
+    channel check, the user, XPD and model of a failed spacing check or
+    task. Checks go user by user through the whole sweep, so the error
+    names the first failing user by id, at its first failing XPD.
     """
     # canonical user order, so that the first failing user is the same
     # whatever the config listing order; substreams follow the user id
@@ -634,27 +622,40 @@ def run(scenario: Scenario) -> RunReport:
             block = ordered_users[start:start + per_block]
             user = model = None
             aods = np.array([spec.mean_aod for spec in block])
-            plan = []  # (XPD, the block's pattern gains, shape (cut, port, user), or None)
+            loss = np.array([10.0 ** (spec.path_loss_db / 10.0) for spec in block])
+            omni, sigmas = 1.0 / loss, np.empty((4, len(block)))  # Sigma of one (XPD, model)
+            plan = []  # (XPD, the block's terms at it, its first failing user, the message)
             for xpd_db, scaled in sweep:
-                plan.append((xpd_db, None if scaled is None else np.array(gain_at(scaled, aods))))
-            xpd_db = None
+                plan.append((xpd_db, *_channel_terms(
+                    loss, omni, xpd_db, None if scaled is None else gain_at(scaled, aods))))
+            # pair p is user p // len(plan) at XPD p % len(plan): checks go pair by pair
+            first, x = min((bad, x) for x, (_, _, bad, _) in enumerate(plan))
+            if "iii" in scenario.models:
+                model = "iii"
+                rhos = np.stack([np.broadcast_to(terms[3], len(block))
+                                 for _, terms, _, _ in plan], axis=1).ravel()
+                for p, rho in enumerate(rhos[:first * len(plan) + x].tolist()):
+                    user, xpd_db = block[p // len(plan)], plan[p % len(plan)][0]
+                    equivalent_spacing(SpacingQuery(rho, user.aod), root=False)
+            if first < len(block):
+                user, (xpd_db, _, _, message), model = block[first], plan[x], None
+                raise ValueError(message)
+            user = xpd_db = model = None
             features, det_w = draw_grams(rng, run_start, [spec.stream_key for spec in block], n)
-            for k, user in enumerate(block):
-                draw, u = (features[k], det_w[k]), start + k
-                for xpd_db, looked in plan:
-                    model = None
-                    channel = _user_channel(user, xpd_db,
-                                            None if looked is None else looked[..., k].tolist())
-                    for model in scenario.models:
-                        columns[(model, xpd_db)][u * n:(u + 1) * n] = evaluate_user(
-                            channel, model, draw, n, scenario.link
-                        ).throughput
+            for xpd_db, terms, _, _ in plan:
+                for model in sorted(scenario.models):  # so model iv may reuse iii's Sigma
+                    if model != "iv" or "iii" not in scenario.models:
+                        sigmas[:] = _sigma(model, *terms)
+                    rows = columns[(model, xpd_db)][start * n:].reshape(-1, n)
+                    for k, (user, row, sigma) in enumerate(zip(block, rows, sigmas.T)):
+                        row[:] = evaluate_user(sigma.tolist(), model, (features[k], det_w[k]), n,
+                                               scenario.link).throughput
     except (ValueError, ArithmeticError) as exc:
         steps = (user and f"user {user.user_id}", xpd_db is not None and f"xpd {xpd_db:g} dB",
                  model and f"model {model}")
         raise type(exc)(f"{', '.join(filter(None, steps)) or 'draw'}: {exc}") from exc
-    # the last block's draw, 32 B per trial, need not stay resident while the CDFs are sorted
-    del features, det_w, draw
+    # the last block's draw and plan need not stay resident while the CDFs are sorted
+    del features, det_w, plan, terms, sigmas, sigma
     cdf_series = {}
     for xpd_db in scenario.xpd_sweep_db:
         # this XPD's columns, freed when the next XPD's are taken
@@ -676,11 +677,8 @@ def run(scenario: Scenario) -> RunReport:
         "xpd_db": ",".join(f"{x:g}" for x in scenario.xpd_sweep_db),
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
-    return RunReport(
-        table_rows=_summary_table(scenario.xpd_sweep_db, scenario.table_spread_deg),
-        cdf_series=cdf_series,
-        metadata=metadata,
-    )
+    return RunReport(table_rows=_summary_table(scenario.xpd_sweep_db, scenario.table_spread_deg),
+                     cdf_series=cdf_series, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------

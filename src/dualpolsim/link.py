@@ -37,9 +37,9 @@ generator to draw from or a read-only draw of :func:`draw_gram`, which
 one user's models and XPDs can share. :func:`draw_grams` draws a block
 of users, each at the point of one stream that its key fixes, and does
 the arithmetic once for the block; :func:`draw_gram` is its one-user call.
-
-Four models are selectable per trial batch, each given by its Sigma in
-closed form (:func:`_sigma`):
+Likewise :func:`evaluate_user` takes a user's channel or its Sigma: :func:`_sigma`
+gives it in closed form, of floats or of a block's arrays with the same bits.
+Four models are selectable per trial batch:
 
 * ``i``   physical dual-polarization channel (copolar plus cross-polar),
 * ``ii``  correlated channel with the XPD-implied transmit correlation,
@@ -165,9 +165,8 @@ class UserChannel:
         object.__setattr__(self, "xpd_corr", correlation.dualpole_corr_exact(*self.xpd))
 
 
-def _zf_sinr(
-    col: np.ndarray, det_sq: np.ndarray, noise_power: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _zf_sinr(col: np.ndarray, det_sq: np.ndarray,
+             noise_power: float) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form zero forcing of channels given by their module-docstring terms.
 
     ``col`` holds the column energies c_j, shape (2, n), and ``det_sq``
@@ -179,9 +178,10 @@ def _zf_sinr(
     # with kappa = s_max / s_min, F^2 / D = (kappa + 1/kappa)^2, which grows
     # with kappa; a non-finite term makes F or D inf or NaN, failing the test
     frob = col[0] + col[1]
-    good = det_sq * _RANK_BOUND > frob * frob
+    frob *= frob
+    good = det_sq * _RANK_BOUND > frob
     # row i of inv(H) has energy c_{1-i} / D
-    sinr = np.divide(det_sq, col[::-1] * noise_power, out=np.zeros(col.shape), where=good)
+    sinr = np.divide(det_sq, (col * noise_power)[::-1], out=np.zeros(col.shape), where=good)
     return good, sinr
 
 
@@ -224,34 +224,30 @@ def zf_weights(h_eff: np.ndarray) -> np.ndarray:
     return np.linalg.inv(h_eff).T
 
 
-def _sigma(user: UserChannel, model: str) -> tuple[float, float, float, float]:
+def _sigma(model: str, alpha, beta, omni, rho) -> tuple:
     """(Sigma_00, Sigma_11, |Sigma_01|, det Sigma) of one model, in closed form.
 
-    Model i's M = [[sqrt(alpha_0), sqrt(beta_0)], [sqrt(beta_1), sqrt(alpha_1)]].
-    Models ii-iv have M = diag(sqrt(a)) sqrt(R) with port gains a and
-    |R_01| = rho, so Sigma = sqrt(R) diag(a) sqrt(R); s = sqrt(1 - rho^2).
-    No det Sigma is a difference that cancels. Model iii's spacing d* has
-    |rho_sp(d*)| = rho by definition, so it takes model iv's Sigma once the
-    spacing scan proves that d* exists; it raises NoSolutionError where not.
+    Of floats, or of a block's arrays with the same bits: every step is
+    one correctly rounded operation, and d^2 a product, not a float's
+    ``** 2`` (libm's ``pow``). Model i's M = [[sqrt(alpha_0), sqrt(beta_0)],
+    [sqrt(beta_1), sqrt(alpha_1)]]. Models ii-iv have M = diag(sqrt(a)) sqrt(R)
+    with port gains a and |R_01| = rho, so Sigma = sqrt(R) diag(a) sqrt(R);
+    s = sqrt(1 - rho^2). No det Sigma is a difference that cancels. Model iii's
+    spacing d* has |rho_sp(d*)| = rho: it takes model iv's Sigma where d* exists.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
     if model == "i":
-        (a0, a1), (b0, b1) = user.gains.alpha, user.gains.beta
-        return (a0 + b1, b0 + a1, math.sqrt(a0 * b0) + math.sqrt(a1 * b1),
-                (math.sqrt(a0 * a1) - math.sqrt(b0 * b1)) ** 2)
-    rho = abs(user.xpd_corr.coefficient)
-    if model == "iii":
-        correlation.equivalent_spacing(SpacingQuery(rho, user.aod), root=False)
-    a0, a1 = user.gains.alpha if model == "ii" else (user.omni_gain, user.omni_gain)
-    s = math.sqrt(max(1.0 - rho * rho, 0.0))
-    return ((a0 * (1.0 + s) + a1 * (1.0 - s)) / 2.0, (a0 * (1.0 - s) + a1 * (1.0 + s)) / 2.0,
-            (a0 + a1) * rho / 2.0, a0 * a1 * s * s)
+        (a0, a1), (b0, b1) = alpha, beta
+        d = np.sqrt(a0 * a1) - np.sqrt(b0 * b1)
+        return a0 + b1, b0 + a1, np.sqrt(a0 * b0) + np.sqrt(a1 * b1), d * d
+    a0, a1 = alpha if model == "ii" else (omni, omni)
+    s = np.sqrt(np.maximum(1.0 - rho * rho, 0.0))
+    p, m = 1.0 + s, 1.0 - s
+    return (a0 * p + a1 * m) / 2.0, (a0 * m + a1 * p) / 2.0, (a0 + a1) * rho / 2.0, a0 * a1 * s * s
 
 
-def _gram_terms(
-    sigma: tuple, features: np.ndarray, det_w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _gram_terms(sigma, features: np.ndarray, det_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column energies, shape (2, n), and D of H_w U for a :func:`draw_gram` draw of H_w.
 
     U is the Cholesky factor of the module docstring for ``sigma`` as
@@ -306,17 +302,15 @@ def draw_gram(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]
     return features[0], det_w[0]
 
 
-def evaluate_user(
-    user: UserChannel,
-    model: str,
-    rng: np.random.Generator | tuple[np.ndarray, np.ndarray],
-    n_trials: int,
-    params: LinkParams | None = None,
-) -> LinkResult:
+def evaluate_user(user: UserChannel | tuple, model: str,
+                  rng: np.random.Generator | tuple[np.ndarray, np.ndarray], n_trials: int,
+                  params: LinkParams | None = None) -> LinkResult:
     """Run ``n_trials`` independent realizations of one model for one user.
 
     Each realization goes through zero forcing, SINR and the throughput
     map, computed from a Gram-matrix draw (see the module docstring).
+    ``user`` is a :class:`UserChannel`, whose :func:`_sigma` is taken once
+    model iii's spacing proves to exist, or the four terms of a checked Sigma.
     ``rng`` is either a generator, from which ``n_trials`` Gram matrices
     are drawn, or such a draw of :func:`draw_gram`, which the caller may
     pass to every model and XPD of one user. Rank-deficient realizations
@@ -330,7 +324,12 @@ def evaluate_user(
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     params = params or LinkParams()
-    sigma = _sigma(user, model)
+    sigma = user
+    if isinstance(user, UserChannel):
+        rho = abs(user.xpd_corr.coefficient)
+        if model == "iii":
+            correlation.equivalent_spacing(SpacingQuery(rho, user.aod), root=False)
+        sigma = _sigma(model, user.gains.alpha, user.gains.beta, user.omni_gain, rho)
     features, det_w = draw_gram(rng, n_trials) if isinstance(rng, np.random.Generator) else rng
     if features.shape != (3, n_trials) or det_w.shape != (n_trials,):
         raise ValueError(f"Gram draw of shapes {features.shape} and {det_w.shape} "

@@ -2,7 +2,10 @@
 
 Each test names the ROADMAP item whose shortcut rests on its fact. A
 failure on another platform says that the shortcut does not hold there,
-not that the current output is wrong: today's code does not take it.
+not that the current output is wrong where today's code does not take
+it. Item 10's plan is taken: its tests check that a block's array Sigma
+has the bits of each user's own channel, and the libm fact that makes
+the float form square by a product.
 """
 
 import math
@@ -10,10 +13,11 @@ import math
 import numpy as np
 import pytest
 
-from dualpolsim import correlation
+from dualpolsim import correlation, harness
 from dualpolsim.chanmodel import PropagationGains
 from dualpolsim.correlation import AodDistribution
 from dualpolsim.link import (
+    MODELS,
     LinkParams,
     UserChannel,
     _capped_throughput,
@@ -41,8 +45,14 @@ def _sigmas(rng: np.random.Generator, count: int) -> list:
         alpha, beta = rng.uniform(0.5, 1.0, 2) / loss, rng.uniform(0.5, 1.0, 2) / (chi * loss)
         user = UserChannel(gains=PropagationGains(alpha=alpha, beta=beta), xpd=(chi, chi),
                            omni_gain=1.0 / loss, aod=AodDistribution.isotropic())
-        sigmas += [_sigma(user, model) for model in ("i", "ii", "iv")]
+        sigmas += [_channel_sigma(user, model) for model in ("i", "ii", "iv")]
     return sigmas[:count]
+
+
+def _channel_sigma(user: UserChannel, model: str) -> tuple:
+    """:func:`_sigma` of one user's channel, as :func:`~dualpolsim.link.evaluate_user` takes it."""
+    return _sigma(model, user.gains.alpha, user.gains.beta, user.omni_gain,
+                  abs(user.xpd_corr.coefficient))
 
 
 def _block(users: int, n: int):
@@ -111,6 +121,73 @@ def test_zf_and_throughput_on_a_strided_view_equal_a_contiguous_copy(users, n):
     # both sides of the 5 bit/s/Hz cap are exercised
     cap = params.max_throughput()
     assert (rate == cap).any() and (good & (rate < cap)).any()
+
+
+#: A model-i d = sqrt(a_0 a_1) - sqrt(b_0 b_1), det Sigma = d^2, whose float
+#: ``d ** 2`` (libm's ``pow``) is one ulp off the product ``d * d``.
+POW_ULP_OFF = 5.110636144781366e-09
+
+
+def test_float_square_by_pow_is_not_the_product_that_numpy_takes():
+    """Item 10's plan: :func:`_sigma` squares by a product, so floats and arrays agree.
+
+    For a Python float ``** 2`` calls libm's ``pow``, one ulp off ``d * d``
+    at :data:`POW_ULP_OFF`; numpy's ``** 2`` of an array multiplies.
+    """
+    d = POW_ULP_OFF
+    assert d ** 2 == 2.6118601804345746e-17 and d * d == 2.611860180434575e-17
+    assert (np.array([d]) ** 2)[0] == d * d
+
+
+def _user_channel(loss: float, chi: float, gains) -> UserChannel:
+    """One user's channel from Python floats: the pattern's ``(co, cross)`` port pairs, or None."""
+    if gains is None:
+        return UserChannel(gains=PropagationGains.from_xpd(chi, path_loss=loss), xpd=(chi, chi),
+                           omni_gain=1.0 / loss, aod=AodDistribution.isotropic())
+    (co0, co1), (cross0, cross1) = gains
+    return UserChannel(gains=PropagationGains(alpha=(co0 / loss, co1 / loss),
+                                              beta=(cross1 / loss, cross0 / loss)),
+                       xpd=(co0 / cross0, co1 / cross1), omni_gain=1.0 / loss,
+                       aod=AodDistribution.isotropic())
+
+
+@pytest.mark.parametrize("pattern", [False, True], ids=["pattern-free", "pattern"])
+def test_planned_sigma_equals_each_user_channels_sigma(pattern):
+    """Item 10's plan: a block's Sigma in array passes holds each user's own bits.
+
+    ``harness._channel_terms`` and :func:`_sigma` on the block's arrays
+    against, per user, a :class:`UserChannel` built from Python floats
+    and :func:`_sigma` of its floats, for every model: random path
+    losses, XPDs and port gains (per-port XPDs that differ under a
+    pattern), 0 dB, and a user whose model-i d is :data:`POW_ULP_OFF`.
+    """
+    rng = np.random.default_rng(int(pattern))
+    users = 300
+    loss = 10.0 ** rng.uniform(0.0, 11.0, users)
+    for xpd_db in (0.0, *rng.uniform(-10.0, 40.0, 3)):
+        chi = 10.0 ** (xpd_db / 10.0)
+        gains = None
+        if pattern:
+            co = 10.0 ** rng.uniform(-2.0, 1.0, (2, users))
+            cross = co.copy()
+            if xpd_db != 0.0:
+                cross /= 10.0 ** rng.uniform(-1.0, 4.0, (2, users))
+                # alpha = (1, d^2) and b_0 b_1 underflows to 0: sqrt(fl(d^2)) = d exactly
+                loss[0], co[:, 0], cross[:, 0] = 1.0, (1.0, POW_ULP_OFF * POW_ULP_OFF), 1e-200
+            gains = (co, cross)
+        terms, first, _ = harness._channel_terms(loss, 1.0 / loss, xpd_db, gains)
+        assert first == users
+        planned = {model: np.array(_sigma(model, *terms)) for model in MODELS}
+        for k in range(users):
+            user_gains = None if gains is None else (co[:, k].tolist(), cross[:, k].tolist())
+            channel = _user_channel(float(loss[k]), chi, user_gains)
+            for model, sigma in planned.items():
+                alone = np.array(_channel_sigma(channel, model))
+                assert np.array_equal(_bits(sigma[:, k]), _bits(alone)), (xpd_db, k, model)
+        if xpd_db == 0.0:  # rank one: det Sigma = 0 for every model
+            assert all(not sigma[3].any() for sigma in planned.values())
+        elif pattern:
+            assert planned["i"][3, 0] == POW_ULP_OFF * POW_ULP_OFF
 
 
 @pytest.mark.parametrize("chunk", range(25))

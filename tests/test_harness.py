@@ -15,7 +15,10 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from dualpolsim import cli, harness
-from dualpolsim.correlation import AodDistribution, NoSolutionError, spatial_corr
+from dualpolsim.chanmodel import PropagationGains
+from dualpolsim.correlation import (
+    AodDistribution, CorrelationMatrix, NoSolutionError, dualpole_corr_exact, spatial_corr,
+)
 from dualpolsim.harness import (
     ConfigError,
     GeneratorBounds,
@@ -27,7 +30,7 @@ from dualpolsim.harness import (
     run,
     write_report,
 )
-from dualpolsim.link import LinkParams, cdf, draw_gram, evaluate_user
+from dualpolsim.link import LinkParams, UserChannel, cdf, draw_gram, evaluate_user
 from dualpolsim.pattern import PatternFormatError, gain_at, scale_to_xpd, xpd_at
 
 TABLE_RHO = (0.9432, 0.8545, 0.5750, 0.1980, 0.0632)
@@ -598,7 +601,7 @@ def test_run_draws_each_user_at_its_hashed_jump_along_the_run_stream():
     for (model, xpd_db), series in report.cdf_series.items():
         stream = np.random.PCG64DXSM(np.random.SeedSequence([2024, harness.RUN_TAG]))
         stream.advance(jump)
-        result = evaluate_user(harness._user_channel(user, xpd_db, None), model,
+        result = evaluate_user(_user_channel(user, xpd_db, None), model,
                                np.random.Generator(stream), 25, scenario.link)
         assert series.tobytes() == cdf(result.throughput).tobytes(), (model, xpd_db)
 
@@ -759,6 +762,25 @@ def _pattern_scenario(tmp_path):
     """)
 
 
+def _user_channel(user, xpd_db, gains):
+    """One (user, XPD) pair's channel, built alone: the per-user oracle of :func:`run`.
+
+    ``gains`` is the ``(co, cross)`` pair of :func:`gain_at` at the
+    user's mean AoD of the pattern rescaled to ``xpd_db``, or None for
+    the pattern-free model.
+    """
+    loss = 10.0 ** (user.path_loss_db / 10.0)
+    if gains is None:
+        chi = 10.0 ** (xpd_db / 10.0)
+        propagation, xpd = PropagationGains.from_xpd(chi, path_loss=loss), (chi, chi)
+    else:
+        (co0, co1), (cross0, cross1) = gains
+        propagation = PropagationGains(alpha=(co0 / loss, co1 / loss),
+                                       beta=(cross1 / loss, cross0 / loss))
+        xpd = (co0 / cross0, co1 / cross1)
+    return UserChannel(gains=propagation, xpd=xpd, omni_gain=1.0 / loss, aod=user.aod)
+
+
 def test_run_rescales_pattern_once_per_xpd(tmp_path, monkeypatch):
     calls = {"scale_to_xpd": 0, "gain_at": 0, "evaluate_user": 0}
     for name in calls:
@@ -783,18 +805,24 @@ def test_pattern_run_keeps_models_ii_and_iv_apart(tmp_path):
 
 
 def test_user_channel_matches_pattern_lookup(tmp_path):
+    # the block's channel terms, as run plans them, against one scalar
+    # lookup per user, bit for bit
     scenario = _pattern_scenario(tmp_path)
+    loss = np.array([10.0 ** (user.path_loss_db / 10.0) for user in scenario.users])
+    aods = np.array([user.mean_aod for user in scenario.users])
     for xpd_db in scenario.xpd_sweep_db:
         scaled = scale_to_xpd(scenario.pattern, xpd_db,
                               math.radians(scenario.pattern_reference_deg))
-        for user in scenario.users:
+        (alpha, beta, omni, rho), first, message = harness._channel_terms(
+            loss, 1.0 / loss, xpd_db, gain_at(scaled, aods))
+        assert (first, message) == (len(scenario.users), "")
+        for k, user in enumerate(scenario.users):
             co, cross = gain_at(scaled, user.mean_aod)
-            channel = harness._user_channel(user, xpd_db, (co, cross))
-            loss = 10.0 ** (user.path_loss_db / 10.0)
-            # bit for bit: the channel is read off the same single lookup
-            assert channel.xpd == tuple(xpd_at(scaled, user.mean_aod))
-            assert np.array_equal(channel.gains.alpha, co / loss)
-            assert np.array_equal(channel.gains.beta, cross[::-1] / loss)
+            assert np.array_equal([alpha[0][k], alpha[1][k]], co / loss[k])
+            assert np.array_equal([beta[0][k], beta[1][k]], cross[::-1] / loss[k])
+            assert omni[k] == 1.0 / loss[k]
+            xpd = dualpole_corr_exact(*xpd_at(scaled, user.mean_aod))
+            assert rho[k] == abs(xpd.coefficient)
 
 
 def test_run_attaches_context_to_channel_errors(tmp_path, monkeypatch):
@@ -840,7 +868,7 @@ def test_run_over_several_draw_blocks_matches_the_per_user_path(tmp_path):
         draw = draw_gram(np.random.Generator(stream), 20)
         for xpd_db in scenario.xpd_sweep_db:
             scaled = scale_to_xpd(scenario.pattern, xpd_db, math.radians(10.0))
-            channel = harness._user_channel(user, xpd_db, gain_at(scaled, user.mean_aod))
+            channel = _user_channel(user, xpd_db, gain_at(scaled, user.mean_aod))
             for model in scenario.models:
                 result = evaluate_user(channel, model, draw, 20, scenario.link)
                 samples[(model, xpd_db)].append(result.throughput)
@@ -848,19 +876,75 @@ def test_run_over_several_draw_blocks_matches_the_per_user_path(tmp_path):
         assert series.tobytes() == cdf(np.concatenate(samples[key])).tobytes(), key
 
 
+def _faulty_gain_at(scenario, faults):
+    """:func:`gain_at` with ``faults[(user id, XPD)]``, (cut, port, value) edits, made to its gains."""
+    order = [user.user_id for user in sorted(scenario.users, key=lambda user: user.user_id)]
+    calls = iter(scenario.xpd_sweep_db)  # one lookup per XPD, in sweep order, for one block
+
+    def lookup(pattern, aods):
+        gains = gain_at(pattern, aods)
+        xpd_db = next(calls)
+        for (user_id, at), edits in faults.items():
+            for cut, port, value in edits if at == xpd_db else ():
+                gains[cut][port, order.index(user_id)] = value
+        return gains
+
+    return lookup
+
+
 def test_run_names_the_user_whose_channel_fails(tmp_path, monkeypatch):
     scenario = _pattern_scenario(tmp_path)
-    (b,) = [user for user in scenario.users if user.user_id == "b"]
-    real = harness.UserChannel
-
-    def channel_failing_for_b(**kwargs):
-        if kwargs["aod"] is b.aod:
-            raise ValueError("channel failed")
-        return real(**kwargs)
-
-    monkeypatch.setattr(harness, "UserChannel", channel_failing_for_b)
-    with pytest.raises(ValueError, match="^user b, xpd 10 dB: channel failed"):
+    faults = {("b", 10.0): [(0, 1, math.nan)]}  # port 2's co gain
+    monkeypatch.setattr(harness, "gain_at", _faulty_gain_at(scenario, faults))
+    with pytest.raises(ValueError, match="^user b, xpd 10 dB: gains must be finite$"):
         run(scenario)
+
+
+# (cut, port, value) edits of one user's (co, cross) gains, one per check
+# that PropagationGains and dualpole_corr_exact make, in their order
+GAIN_FAULTS = {
+    "nan": [(0, 1, math.nan)],
+    "inf": [(1, 0, math.inf)],
+    "negative": [(1, 0, -1.0)],
+    "no-power": [(0, 0, 0.0), (1, 1, 0.0)],
+    "zero-xpd-port-1": [(0, 0, 0.0)],
+    "zero-xpd-port-2": [(0, 1, 0.0)],
+}
+
+
+@pytest.mark.parametrize("fault", GAIN_FAULTS)
+def test_run_channel_checks_give_the_per_user_channels_message(tmp_path, monkeypatch, fault):
+    # checked as arrays, a fault fails as that user's own channel would:
+    # same check first, same message; faults at (b, 10 dB) and (a, 20 dB)
+    # name user a, the first user in id order
+    scenario = _pattern_scenario(tmp_path)
+    faults = {("b", 10.0): GAIN_FAULTS[fault], ("a", 20.0): GAIN_FAULTS[fault]}
+    monkeypatch.setattr(harness, "gain_at", _faulty_gain_at(scenario, faults))
+    with pytest.raises(ValueError) as caught:
+        run(scenario)
+    (a,) = [user for user in scenario.users if user.user_id == "a"]
+    gains = [g.tolist() for g in gain_at(scale_to_xpd(scenario.pattern, 20.0, 0.0), a.mean_aod)]
+    for cut, port, value in GAIN_FAULTS[fault]:
+        gains[cut][port] = value
+    with pytest.raises(ValueError) as alone:
+        _user_channel(a, 20.0, gains)
+    assert str(caught.value) == f"user a, xpd 20 dB: {alone.value}"
+
+
+@pytest.mark.parametrize("pattern", [False, True], ids=["pattern-free", "pattern"])
+def test_run_builds_no_per_user_channel_objects(tmp_path, monkeypatch, pattern):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"run built a {type(self).__name__}")
+
+    for cls in (PropagationGains, UserChannel, CorrelationMatrix):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    scenario = _pattern_scenario(tmp_path) if pattern else parse_scenario(SMALL_RUN_CONFIG)
+    scenario = dataclasses.replace(scenario, models=("i", "ii", "iii", "iv"),
+                                   xpd_sweep_db=(3.0, 10.0))
+    report = run(scenario)
+    assert len(report.cdf_series) == 8
+    with pytest.raises(AssertionError, match="^run built a PropagationGains$"):  # the patch holds
+        _user_channel(scenario.users[0], 10.0, None)
 
 
 def test_parse_missing_pattern_file_is_config_error():

@@ -22,7 +22,7 @@ from dualpolsim.correlation import (
     equivalent_spacing,
     spatial_corr,
 )
-from dualpolsim.harness import _user_channel, parse_scenario, run
+from dualpolsim.harness import parse_scenario, run
 from dualpolsim.link import (
     MAX_CONDITION,
     MODELS,
@@ -50,14 +50,25 @@ MAX_THROUGHPUT = 62_815_200.0
 MIXED_THROUGHPUT = 37_689_120.0
 
 
-def make_user(chi=10.0, path_loss_db=85.0, spread_deg=26.0):
+def make_user(chi=10.0, path_loss_db=85.0, spread_deg=26.0, aod=None):
     loss = 10.0 ** (path_loss_db / 10.0)
     return UserChannel(
         gains=PropagationGains.from_xpd(chi, path_loss=loss),
         xpd=(chi, chi),
         omni_gain=1.0 / loss,
-        aod=AodDistribution.laplacian(0.0, math.radians(spread_deg)),
+        aod=aod or AodDistribution.laplacian(0.0, math.radians(spread_deg)),
     )
+
+
+def channel_sigma(user, model):
+    """:func:`_sigma` of one user's channel, as :func:`evaluate_user` takes it."""
+    return _sigma(model, user.gains.alpha, user.gains.beta, user.omni_gain,
+                  abs(user.xpd_corr.coefficient))
+
+
+def scenario_channel(user, xpd_db):
+    """A pattern-free scenario user's channel at ``xpd_db``, built alone, as a run plans it."""
+    return make_user(10.0 ** (xpd_db / 10.0), user.path_loss_db, aod=user.aod)
 
 
 def zf_explicit(h, noise):
@@ -203,7 +214,7 @@ def test_gram_path_matches_explicit_kernel(model):
     # upper Cholesky factor of the model's Sigma = M^H M
     noise = LinkParams().noise_power()
     user = make_skewed_user()
-    sigma = _sigma(user, model)
+    sigma = channel_sigma(user, model)
     # model iii's Sigma is model iv's: the explicit mixing at its solved
     # spacing meets the target |rho| only to the solver's tolerance, which
     # test_evaluate_user_model_iii_runs_and_matches_iv_in_mean checks
@@ -456,7 +467,7 @@ def test_evaluate_user_model_iii_runs_and_matches_iv_in_mean():
     assert abs(mean_iii - mean_iv) / mean_iv < 0.03
     # the equivalent spacing d* has |rho_sp(d*)| = |rho_xpd|, within the
     # solver's tolerance, so model iii's Sigma is model iv's exactly
-    assert _sigma(user, "iii") == _sigma(user, "iv")
+    assert channel_sigma(user, "iii") == channel_sigma(user, "iv")
     rho = abs(user.xpd_corr.coefficient)
     spacing = equivalent_spacing(SpacingQuery(rho, user.aod))
     assert abs(abs(spatial_corr(spacing, user.aod)) - rho) <= 5e-7
@@ -662,7 +673,7 @@ trials_per_user = 20000
 
 def _stream_gammas(channel, model, params):
     """gamma_k = det Sigma / (p_n Sigma_k'k') of both streams, k' the other stream."""
-    s00, s11, _, det_sigma = _sigma(channel, model)
+    s00, s11, _, det_sigma = channel_sigma(channel, model)
     return det_sigma / (params.noise_power() * s11), det_sigma / (params.noise_power() * s00)
 
 
@@ -678,7 +689,7 @@ def test_scenario_cdf_means_match_the_exact_mean_throughput():
     scenario = parse_scenario(ORACLE_SCENARIO)
     report, params = run(scenario), scenario.link
     for xpd_db in scenario.xpd_sweep_db:
-        channels = [_user_channel(user, xpd_db, None) for user in scenario.users]
+        channels = [scenario_channel(user, xpd_db) for user in scenario.users]
         for model in scenario.models:
             assert any(max(_stream_gammas(c, model, params)) < 1.0 for c in channels)
             exact = [_exact_mean_throughput(channel, model, params) for channel in channels]
@@ -700,7 +711,7 @@ def test_paired_model_i_minus_ii_matches_the_exact_difference():
     for xpd_db in scenario.xpd_sweep_db:
         mean_d = exact_d = var_d = var_unpaired = 0.0
         for user, draw in zip(scenario.users, draws):
-            channel = _user_channel(user, xpd_db, None)
+            channel = scenario_channel(user, xpd_db)
             i, ii = (evaluate_user(channel, m, draw, n, params).throughput for m in ("i", "ii"))
             mean_d += (i - ii).mean()
             var_d += (i - ii).var()
