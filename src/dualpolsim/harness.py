@@ -655,7 +655,7 @@ def run(scenario: Scenario) -> RunReport:
                  model and f"model {model}")
         raise type(exc)(f"{', '.join(filter(None, steps)) or 'draw'}: {exc}") from exc
     # the last block's draw and plan need not stay resident while the CDFs are sorted
-    del features, det_w, plan, terms, sigmas, sigma
+    del features, det_w, plan, terms
     cdf_series = {}
     for xpd_db in scenario.xpd_sweep_db:
         # this XPD's columns, freed when the next XPD's are taken
